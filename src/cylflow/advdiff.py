@@ -16,14 +16,13 @@ import numpy as np
 
 from .biotsavart import divergence_residual
 from .diagnostics import v_volume
-from .solver import InstabilityError, ifrk4_step
+from .solver import _advection, _cfl_limit, _guarded_step, _march
 from .spectral import (
     PHYSICAL,
     ScalarField,
     VelocityField,
     _as_physical_data,
     _as_spectral_data,
-    _forward,
     _inverse,
     circular_distance,
     lp_norm,
@@ -138,50 +137,23 @@ class LpLqCheck:
     k1: float
 
 
-def _drift_tendency(grid, drift):
-    def tendency(w_hat, t):
-        u1, u2 = drift.velocity(grid, t)
-        wx = _inverse(grid, 1j * grid.k1_odd[:, None] * w_hat)
-        wy = _inverse(grid, 1j * grid.k2_odd[None, :] * w_hat)
-        return -_forward(grid, u1 * wx + u2 * wy) * grid.dealias_mask
-
-    return tendency
-
-
 def _evolve(grid, w_hat, drift, t0, t1, dt_acc, safety, capture=()):
     """Advance coefficients from t0 to t1, landing exactly on capture times."""
-    tendency = _drift_tendency(grid, drift)
     captured = {}
-    stops = sorted(set(float(t) for t in capture))
-    t = t0
-    w = w_hat
-    for tc in stops:
-        if tc < t0 - 1e-12 or tc > t1 + 1e-12:
-            raise ValueError("capture times must lie within the run interval")
-        if tc <= t0 + 1e-14:
-            captured[tc] = w.copy()
-    stops = [tc for tc in stops if tc > t0 + 1e-14]
-    while t < t1 - 1e-14:
-        stop = stops[0] if stops else t1
-        s1, s2 = drift.sup_speed(grid, t)
-        dt = dt_acc
-        if s1 > 0.0:
-            dt = min(dt, safety * grid.dx / s1)
-        if s2 > 0.0:
-            dt = min(dt, safety * grid.dy / s2)
-        landing = t + dt >= stop - 1e-14
-        if landing:
-            dt = stop - t
-        pre = float(np.sqrt((np.abs(w) ** 2).sum()))
-        w = ifrk4_step(grid, w, t, dt, tendency)
-        post = float(np.sqrt((np.abs(w) ** 2).sum()))
-        if not np.isfinite(post) or post > 10.0 * pre + 1e-300:
-            raise InstabilityError(f"advection-diffusion norm grew 10x at t={t:.6g}", t=t)
-        t = stop if landing else t + dt
-        if landing and stops:
-            captured[stop] = w.copy()
-            stops.pop(0)
-    return w, captured
+
+    def tendency(w, t):
+        return _advection(grid, w, *drift.velocity(grid, t))
+
+    def limit(w, t):
+        return _cfl_limit(grid, *drift.sup_speed(grid, t), safety, dt_acc)
+
+    def advance(w, t, dt, t_new):
+        return _guarded_step(grid, w, t, dt, tendency)
+
+    def visit(w, tc):
+        captured[tc] = w.copy()
+
+    return _march(w_hat, t0, t1, capture, limit, advance, visit), captured
 
 
 def advdiff_run(omega0, drift, t_end, *, dt_acc=1e-3, safety=0.9):

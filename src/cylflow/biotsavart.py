@@ -24,9 +24,12 @@ from .spectral import (
     VelocityField,
     _as_physical_data,
     _as_spectral_data,
+    _derivative_multiplier,
+    _forward,
     _inverse,
     dealias,
     spectral_derivative,
+    to_spectral,
 )
 
 __all__ = [
@@ -90,6 +93,20 @@ def grad_perp_K(x1, x2):
     return -d2, d1
 
 
+def _biot_savart(grid, w_hat, c, m_mean):
+    """Spectral velocity (u1_hat, u2_hat) of full vorticity coefficients.
+
+    u_hat = (-d2 psi, d1 psi) with lap psi = omega; the (0, 0) slots carry
+    the constants c = <u1> and m_mean, which the vorticity cannot fix.
+    """
+    psi = -w_hat * grid.inv_ksq
+    u1h = -_derivative_multiplier(grid, 2) * psi
+    u2h = _derivative_multiplier(grid, 1) * psi
+    u1h[0, 0] = c
+    u2h[0, 0] = m_mean
+    return u1h, u2h
+
+
 def velocity_from_vorticity(omega_osc):
     """Biot-Savart inversion of omega = d1 u2 - d2 u1 on the n != 0 modes:
     u_hat(k) = i*(k2, -k1)/|k|^2 * omega_hat(k).
@@ -109,9 +126,7 @@ def velocity_from_vorticity(omega_osc):
         )
     w = w.copy()
     w[:, 0] = 0.0
-    psi = -w * g.inv_ksq  # streamfunction, lap psi = omega
-    u1 = -1j * g.k2_odd[None, :] * psi
-    u2 = 1j * g.k1_odd[:, None] * psi
+    u1, u2 = _biot_savart(g, w, 0.0, 0.0)
     return VelocityField(ScalarField(g, u1, SPECTRAL), ScalarField(g, u2, SPECTRAL))
 
 
@@ -125,7 +140,10 @@ def curl(u):
 def divergence_residual(u):
     """Relative spectral residual of div u = 0."""
     g = u.grid
-    d = 1j * g.k1_odd[:, None] * _as_spectral_data(u.u1) + 1j * g.k2_odd[None, :] * _as_spectral_data(u.u2)
+    d = (
+        _derivative_multiplier(g, 1) * _as_spectral_data(u.u1)
+        + _derivative_multiplier(g, 2) * _as_spectral_data(u.u2)
+    )
     scale = max(np.abs(_as_spectral_data(u.u1)).max(), np.abs(_as_spectral_data(u.u2)).max())
     if scale == 0.0:
         return 0.0
@@ -162,6 +180,13 @@ def decompose(u, tol=1e-8):
     return Decomposition(c=c, m=m, u_hat=VelocityField(hat1, hat2))
 
 
+def _pressure_rhs(grid, u1, w):
+    """Dealiased coefficients of lap(u1^2) + 2 d2(omega u1) from physical u1, omega."""
+    q1 = _forward(grid, u1 * u1) * grid.dealias_mask
+    q2 = _forward(grid, w * u1) * grid.dealias_mask
+    return -grid.ksq * q1 + 2.0 * _derivative_multiplier(grid, 2) * q2
+
+
 def pressure_from_state(u, omega):
     """Solve -lap p = lap(u1^2) + 2 d2(omega u1) with zero-mean gauge.
 
@@ -169,12 +194,7 @@ def pressure_from_state(u, omega):
     physical ScalarField with zero domain mean.
     """
     g = u.grid
-    u1 = _as_physical_data(u.u1)
-    w = _as_physical_data(omega)
-    q1 = dealias(ScalarField(g, np.fft.fft2(u1 * u1) / (g.nx * g.ny), SPECTRAL)).data
-    q2 = dealias(ScalarField(g, np.fft.fft2(w * u1) / (g.nx * g.ny), SPECTRAL)).data
-    rhs = -g.ksq * q1 + 2j * g.k2_odd[None, :] * q2
-    p = rhs * g.inv_ksq
+    p = _pressure_rhs(g, _as_physical_data(u.u1), _as_physical_data(omega)) * g.inv_ksq
     p[0, 0] = 0.0
     return ScalarField(g, _inverse(g, p), PHYSICAL)
 
@@ -193,24 +213,12 @@ def divergence_identity_residual(u):
     if sup == 0.0:
         return 0.0
 
-    def dhat(phys):  # dealiased coefficients of a grid product
-        return np.fft.fft2(phys) / (g.nx * g.ny) * g.dealias_mask
-
-    # derivatives of the (already band-limited) velocity need no dealiasing
-    def deriv(phys, axis):
-        spec = np.fft.fft2(phys) / (g.nx * g.ny)
-        if axis == 1:
-            spec = 1j * g.k1_odd[:, None] * spec
-        else:
-            spec = 1j * g.k2_odd[None, :] * spec
-        return _inverse(g, spec)
-
-    a1 = u1 * deriv(u1, 1) + u2 * deriv(u1, 2)
-    a2 = u1 * deriv(u2, 1) + u2 * deriv(u2, 2)
-    lhs = 1j * g.k1_odd[:, None] * dhat(a1) + 1j * g.k2_odd[None, :] * dhat(a2)
-
-    w = deriv(u2, 1) - deriv(u1, 2)
-    rhs = -g.ksq * dhat(u1 * u1) + 2j * g.k2_odd[None, :] * dhat(w * u1)
+    # derivatives of the (already band-limited) velocity need no dealiasing;
+    # grad[i][j] = d_(j+1) u_(i+1) on the physical grid
+    grad = [[spectral_derivative(ScalarField(g, ui), axis).data for axis in (1, 2)] for ui in (u1, u2)]
+    adv = [dealias(to_spectral(ScalarField(g, u1 * gi[0] + u2 * gi[1]))) for gi in grad]  # (u.grad) u
+    lhs = spectral_derivative(adv[0], 1).data + spectral_derivative(adv[1], 2).data
+    rhs = _pressure_rhs(g, u1, grad[1][0] - grad[0][1])
 
     # L2 norm via Parseval on the coefficient difference
     resid = float(np.sqrt(g.lam * (np.abs(lhs - rhs) ** 2).sum()))

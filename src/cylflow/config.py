@@ -1,4 +1,4 @@
-"""Flat key=value run configuration, unit conversion, constants ledger.
+"""Flat key=value run configuration and the constants ledger.
 
 The config format is deliberately flat (one key per line) so experiment
 sweeps diff cleanly.  Unknown and duplicate keys are errors.  Empirical
@@ -8,7 +8,9 @@ and consumed by the theorem-level report.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -18,8 +20,6 @@ __all__ = [
     "EstimatedConstant",
     "parse_config",
     "serialize_config",
-    "nondimensionalize",
-    "physical_scales",
     "load_constants",
     "update_constant",
     "get_constant",
@@ -43,13 +43,6 @@ class RunConfig:
     band: int = 4
     rho: float = 1.0
     center: str = "argmax_e"
-    fit_t_lo: float = -1.0  # -1 means the default window
-    fit_t_hi: float = -1.0
-    envelope_lambda: float = 0.9
-    tau: float = 0.1
-    nu: float = 0.0  # physical block; 0 means unset
-    l_phys: float = 0.0
-    rho_density: float = 0.0
     out_dir: str = "out"
     constants_path: str = "constants.json"
     snapshots: bool = True
@@ -73,14 +66,6 @@ class RunConfig:
             raise ValueError("band must be >= 1")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
-        if not (0 < self.envelope_lambda < 1):
-            raise ValueError("envelope_lambda must lie in (0, 1)")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        for name in ("nu", "l_phys", "rho_density"):
-            v = getattr(self, name)
-            if v < 0:
-                raise ValueError(f"{name} must be positive when set")
         sched = self.diag_schedule()
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("diagnostic schedule must be strictly increasing")
@@ -161,25 +146,6 @@ def serialize_config(cfg):
     return "\n".join(lines) + "\n"
 
 
-def nondimensionalize(u_phys, omega_phys, nu, L):
-    """Physical scales to the dimensionless frame.
-
-    Returns (R_u, R_omega, time_scale) with R_u = L u / nu,
-    R_omega = L^2 omega / nu and time_scale = L^2 / nu physical seconds per
-    dimensionless time unit.
-    """
-    if nu <= 0 or L <= 0:
-        raise ValueError("nu and L must be positive")
-    return L * u_phys / nu, L**2 * omega_phys / nu, L**2 / nu
-
-
-def physical_scales(r_u, r_omega, nu, L):
-    """Inverse map: dimensionless Reynolds pair back to physical scales."""
-    if nu <= 0 or L <= 0:
-        raise ValueError("nu and L must be positive")
-    return nu * r_u / L, nu * r_omega / L**2, L**2 / nu
-
-
 @dataclass
 class EstimatedConstant:
     """One empirically estimated constant with its provenance."""
@@ -207,15 +173,26 @@ def load_constants(path):
 
 
 def update_constant(path, est):
-    """Insert or overwrite one ledger entry (read-modify-write)."""
+    """Insert or overwrite one ledger entry (read-modify-write).
+
+    The new ledger is written to a temporary file in the same directory and
+    renamed over the old one, so a failed update leaves the old ledger intact.
+    """
     entries = load_constants(path)
     entries[est.name] = est
     payload = {
         name: {"value": e.value, "provenance": e.provenance} for name, e in sorted(entries.items())
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def get_constant(path, name):

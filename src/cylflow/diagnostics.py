@@ -10,19 +10,23 @@ the padded grid back onto the state's grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .biotsavart import pressure_from_state
-from .solver import FlowState, reconstruct_velocity
+from .biotsavart import _biot_savart, pressure_from_state
+from .solver import FlowState
 from .spectral import (
     Profile,
     ScalarField,
     VelocityField,
     _as_physical_data,
     _as_spectral_data,
+    _derivative_multiplier,
+    _inverse_padded,
+    _padded_grid,
     circular_distance,
+    profile_derivative,
 )
 
 __all__ = [
@@ -103,8 +107,6 @@ class DiagnosticsRecord:
     sup_u: float
     sup_omega: float
     sup_uhat: float
-    ru_t: float
-    romega_t: float
     e_rho: float
     d_rho: float
     ens_rho: float
@@ -152,47 +154,33 @@ class _FineFields:
 
     def __init__(self, state):
         g = state.grid
-        self.grid = g
-        self.nxf = 2 * g.nx
-        self.dxf = g.lam / self.nxf
-        self.x1f = self.dxf * np.arange(self.nxf)
+        self.fine = _padded_grid(g)
         w_hat = _as_spectral_data(state.omega)
-        psi = -w_hat * g.inv_ksq
-        u1h = -1j * g.k2_odd[None, :] * psi
-        u2h = 1j * g.k1_odd[:, None] * psi
-        u1h[0, 0] = state.c
-        u2h[0, 0] = state.m_mean
+        u1h, u2h = _biot_savart(g, w_hat, state.c, state.m_mean)
         uh1 = u1h.copy()
         uh1[:, 0] = 0.0
         uh2 = u2h.copy()
         uh2[:, 0] = 0.0
-        m_hat = u2h[:, 0].copy()
 
-        k1 = g.k1_odd[:, None]
-        k2 = g.k2_odd[None, :]
-        pad = lambda s: _pad_physical(g, s)
+        d1 = _derivative_multiplier(g, 1)
+        d2 = _derivative_multiplier(g, 2)
+        pad = _inverse_padded
         self.u1 = pad(u1h)
         self.u2 = pad(u2h)
         self.uh1 = pad(uh1)
         self.uh2 = pad(uh2)
         self.w = pad(w_hat)
-        self.d1u1 = pad(1j * k1 * u1h)
-        self.d2u1 = pad(1j * k2 * u1h)
-        self.d1u2 = pad(1j * k1 * u2h)
-        self.d2u2 = pad(1j * k2 * u2h)
-        self.d1w = pad(1j * k1 * w_hat)
-        self.d2w = pad(1j * k2 * w_hat)
-        d1m = np.fft.ifft(_pad_profile(g, 1j * g.k1_odd * m_hat) * self.nxf).real
-        self.d1m = d1m
+        self.d1u1 = pad(d1 * u1h)
+        self.d2u1 = pad(d2 * u1h)
+        self.d1u2 = pad(d1 * u2h)
+        self.d2u2 = pad(d2 * u2h)
+        self.d1w = pad(d1 * w_hat)
+        self.d2w = pad(d2 * w_hat)
+        self.d1m = pad(d1[:, 0] * u2h[:, 0])
 
-        u_phys = VelocityField(
-            ScalarField(g, np.fft.ifft2(u1h * (g.nx * g.ny)).real),
-            ScalarField(g, np.fft.ifft2(u2h * (g.nx * g.ny)).real),
-        )
-        w_phys = ScalarField(g, np.fft.ifft2(w_hat * (g.nx * g.ny)).real)
-        self.u_phys = u_phys
-        self.w_phys = w_phys
-        p = pressure_from_state(u_phys, w_phys)
+        # the even samples of the padded grid are the state's own grid
+        u_phys = VelocityField(ScalarField(g, self.u1[::2, ::2]), ScalarField(g, self.u2[::2, ::2]))
+        p = pressure_from_state(u_phys, ScalarField(g, self.w[::2, ::2]))
         self.p = pad(_as_spectral_data(p))
         self.M = state.m0_norm
 
@@ -220,7 +208,7 @@ class _FineFields:
         f_hat = d1e_hat - h_hat
         q12 = (uh1 * uh2).mean(axis=1)
         g_hat = self.d1m * q12
-        forcing = _fine_profile_derivative(self.grid, q12)
+        forcing = profile_derivative(Profile(self.fine, q12)).values
         return {
             "e": e,
             "h": h,
@@ -243,36 +231,6 @@ class _FineFields:
         }
 
 
-def _pad_physical(grid, spec):
-    """Zero-pad normalized coefficients to the 2x grid and sample."""
-    nx, ny = grid.nx, grid.ny
-    big = np.zeros((2 * nx, 2 * ny), dtype=np.complex128)
-    big[: nx // 2, : ny // 2] = spec[: nx // 2, : ny // 2]
-    big[: nx // 2, 3 * ny // 2 :] = spec[: nx // 2, ny // 2 :]
-    big[3 * nx // 2 :, : ny // 2] = spec[nx // 2 :, : ny // 2]
-    big[3 * nx // 2 :, 3 * ny // 2 :] = spec[nx // 2 :, ny // 2 :]
-    return np.fft.ifft2(big * (4 * nx * ny)).real
-
-
-def _pad_profile(grid, spec1d):
-    nx = grid.nx
-    big = np.zeros(2 * nx, dtype=np.complex128)
-    big[: nx // 2] = spec1d[: nx // 2]
-    big[3 * nx // 2 :] = spec1d[nx // 2 :]
-    return big
-
-
-def _fine_profile_derivative(grid, values):
-    nxf = values.shape[0]
-    k = 2.0 * np.pi * np.fft.fftfreq(nxf, d=grid.lam / nxf)
-    k[nxf // 2] = 0.0
-    return np.fft.ifft(1j * k * np.fft.fft(values)).real
-
-
-def _coarse(values):
-    return values[::2].copy()
-
-
 def _coarse_sups(ff):
     """Sup norms on the state's own grid (fine samples subsample exactly)."""
     u1 = ff.u1[::2, ::2]
@@ -292,41 +250,23 @@ def sup_norms_and_reynolds(state):
     return sup_u, sup_w, sup_uhat, sup_u, sup_w
 
 
+def _profile_bundle(cls, state):
+    """A profile dataclass filled from the fine-grid profiles of one state,
+    subsampled onto the state's grid."""
+    pr = _FineFields(state).profiles()
+    return cls(**{f.name: Profile(state.grid, pr[f.name][::2]) for f in fields(cls)})
+
+
 def energy_profiles(state):
-    ff = _FineFields(state)
-    pr = ff.profiles()
-    g = state.grid
-    return EnergyProfiles(
-        e=Profile(g, _coarse(pr["e"])),
-        h=Profile(g, _coarse(pr["h"])),
-        d=Profile(g, _coarse(pr["d"])),
-        f=Profile(g, _coarse(pr["f"])),
-    )
+    return _profile_bundle(EnergyProfiles, state)
 
 
 def enstrophy_profiles(state):
-    ff = _FineFields(state)
-    pr = ff.profiles()
-    g = state.grid
-    return EnstrophyProfiles(
-        eps=Profile(g, _coarse(pr["eps"])),
-        zeta=Profile(g, _coarse(pr["zeta"])),
-        delta=Profile(g, _coarse(pr["delta"])),
-        phi=Profile(g, _coarse(pr["phi"])),
-    )
+    return _profile_bundle(EnstrophyProfiles, state)
 
 
 def oscillatory_profiles(state):
-    ff = _FineFields(state)
-    pr = ff.profiles()
-    g = state.grid
-    return OscillatoryProfiles(
-        e_hat=Profile(g, _coarse(pr["e_hat"])),
-        h_hat=Profile(g, _coarse(pr["h_hat"])),
-        d_hat=Profile(g, _coarse(pr["d_hat"])),
-        f_hat=Profile(g, _coarse(pr["f_hat"])),
-        g_hat=Profile(g, _coarse(pr["g_hat"])),
-    )
+    return _profile_bundle(OscillatoryProfiles, state)
 
 
 def _chi(x1, a, rho, lam):
@@ -348,10 +288,7 @@ def localized_sums(profiles, rho, a):
 
 
 def _localized_sum_fine(grid, values, rho, a):
-    nxf = values.shape[0]
-    dxf = grid.lam / nxf
-    x1f = dxf * np.arange(nxf)
-    return float((_chi(x1f, a, rho, grid.lam) * values).sum() * dxf)
+    return localized_sum(Profile(_padded_grid(grid), values), rho, a)
 
 
 def balance_residuals(states):
@@ -374,22 +311,20 @@ def balance_residuals(states):
 
 
 def _residual_triple(grid, pr_lo, pr_mid, pr_hi, h):
-    dxf = grid.lam / pr_mid["e"].shape[0]
+    fine = _padded_grid(grid)
 
     def l2(v):
-        return float(np.sqrt((v**2).sum() * dxf))
+        return float(np.sqrt((v**2).sum() * fine.dx))
+
+    def d1_mid(key):
+        return profile_derivative(Profile(fine, pr_mid[key])).values
 
     dt_e = (pr_hi["e"] - pr_lo["e"]) / (2.0 * h)
     dt_eps = (pr_hi["eps"] - pr_lo["eps"]) / (2.0 * h)
     dt_ehat = (pr_hi["e_hat"] - pr_lo["e_hat"]) / (2.0 * h)
-    r_e = l2(dt_e - _fine_profile_derivative(grid, pr_mid["f"]) + pr_mid["d"])
-    r_eps = l2(dt_eps - _fine_profile_derivative(grid, pr_mid["phi"]) + pr_mid["delta"])
-    r_osc = l2(
-        dt_ehat
-        - _fine_profile_derivative(grid, pr_mid["f_hat"])
-        + pr_mid["d_hat"]
-        + pr_mid["g_hat"]
-    )
+    r_e = l2(dt_e - d1_mid("f") + pr_mid["d"])
+    r_eps = l2(dt_eps - d1_mid("phi") + pr_mid["delta"])
+    r_osc = l2(dt_ehat - d1_mid("f_hat") + pr_mid["d_hat"] + pr_mid["g_hat"])
     return r_e, r_eps, r_osc
 
 
@@ -489,12 +424,12 @@ class TrajectoryCollector:
             if isinstance(self.options.center, str):
                 if self.options.center != "argmax_e":
                     raise ValueError(f"unknown center policy {self.options.center!r}")
-                self._center = float(ff.x1f[int(np.argmax(pr["e"]))])
+                self._center = float(ff.fine.x1[int(np.argmax(pr["e"]))])
             else:
                 self._center = float(self.options.center)
         sup_u, sup_w, sup_uhat = _coarse_sups(ff)
         q = (ff.uh1**2 + ff.uh2**2).mean(axis=1)
-        ul2 = _ul2_from_profile(ff.dxf, q) if state.grid.lam >= 2.0 else 0.0
+        ul2 = _ul2_from_profile(ff.fine.dx, q) if state.grid.lam >= 2.0 else 0.0
         forcing_sup = float(np.abs(pr["forcing"]).max())
         self.snapshots.append(
             _Snapshot(
@@ -537,8 +472,6 @@ class TrajectoryCollector:
                     sup_u=s.sup_u,
                     sup_omega=s.sup_omega,
                     sup_uhat=s.sup_uhat,
-                    ru_t=s.sup_u,
-                    romega_t=s.sup_omega,
                     e_rho=e_rho,
                     d_rho=d_rho,
                     ens_rho=ens_rho,

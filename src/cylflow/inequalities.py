@@ -18,11 +18,13 @@ import numpy as np
 from .spectral import (
     ScalarField,
     _as_physical_data,
+    _as_spectral_data,
+    _derivative_multiplier,
     _forward,
     _inverse,
     circular_distance,
     lp_norm,
-    vertical_average,
+    spectral_derivative,
 )
 
 __all__ = [
@@ -60,10 +62,9 @@ class NashCheck:
 
 def _grad_l2(f):
     g = f.grid
-    spec = f.data if f.repr == "spectral" else _forward(g, f.data)
-    fx = _inverse(g, 1j * g.k1_odd[:, None] * spec)
-    fy = _inverse(g, 1j * g.k2_odd[None, :] * spec)
-    return float(np.sqrt(((fx**2 + fy**2)).sum() * g.cell_area))
+    spec = _as_spectral_data(f)
+    sq = sum((_inverse(g, _derivative_multiplier(g, axis) * spec) ** 2).sum() for axis in (1, 2))
+    return float(np.sqrt(sq * g.cell_area))
 
 
 def nash_check(f):
@@ -103,10 +104,8 @@ def poincare_check(f, tol=1e-10):
         raise ValueError("poincare_check requires a nonzero field")
     if np.abs(phys.mean(axis=1)).max() > tol * sup:
         raise ValueError("poincare_check requires zero vertical average per x1")
-    spec = _forward(g, phys)
     num = float((phys**2).sum() * g.cell_area)
-    fy = _inverse(g, 1j * g.k2_odd[None, :] * spec)
-    den = float((fy**2).sum() * g.cell_area) / (4.0 * np.pi**2)
+    den = lp_norm(spectral_derivative(f, 2), 2) ** 2 / (4.0 * np.pi**2)
     return num / den
 
 

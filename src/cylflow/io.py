@@ -58,8 +58,6 @@ def read_csv_records(path):
                 sup_u=v[1],
                 sup_omega=v[2],
                 sup_uhat=v[3],
-                ru_t=v[1],
-                romega_t=v[2],
                 e_rho=v[4],
                 d_rho=v[5],
                 ens_rho=v[6],
@@ -109,15 +107,33 @@ def write_field(f, path, time=0.0, extra=None):
     _write_sidecar(path, meta)
 
 
+_REQUIRED_META = ("nx", "ny", "lambda", "repr", "time")
+
+
 def read_field(path):
-    """Read a field snapshot; returns (ScalarField, meta dict)."""
+    """Read a field snapshot; returns (ScalarField, meta dict).
+
+    A sidecar without the required keys, an unknown representation or a
+    byte count that does not match the grid raises ValueError naming the
+    file; a missing file raises OSError.
+    """
     meta = _read_sidecar(path)
-    nx, ny = int(meta["nx"]), int(meta["ny"])
-    grid = SpectralGrid(nx, ny, float(meta["lambda"]))
+    missing = [k for k in _REQUIRED_META if k not in meta]
+    if missing:
+        raise ValueError(f"snapshot sidecar {path}.meta lacks {', '.join(missing)}")
     rep = meta["repr"]
+    if rep not in (PHYSICAL, SPECTRAL):
+        raise ValueError(f"snapshot {path} has unknown repr {rep!r}")
+    try:
+        nx, ny = int(meta["nx"]), int(meta["ny"])
+        grid = SpectralGrid(nx, ny, float(meta["lambda"]))
+    except ValueError as exc:
+        raise ValueError(f"snapshot sidecar {path}.meta: {exc}") from exc
     with open(path, "rb") as fh:
         raw = fh.read()
-    dtype = "<f8" if rep == PHYSICAL else "<c16"
+    dtype = np.dtype("<f8" if rep == PHYSICAL else "<c16")
+    if len(raw) != nx * ny * dtype.itemsize:
+        raise ValueError(f"snapshot {path} holds {len(raw)} bytes, expected {nx * ny * dtype.itemsize}")
     data = np.frombuffer(raw, dtype=dtype).reshape(nx, ny).copy()
     return ScalarField(grid, data, rep), meta
 

@@ -15,14 +15,17 @@ from functools import lru_cache
 
 import numpy as np
 
+from .biotsavart import _biot_savart, pressure_from_state
 from .spectral import (
     SPECTRAL,
     ScalarField,
     SpectralGrid,
     VelocityField,
-    _as_spectral_data,
+    _derivative_multiplier,
     _forward,
     _inverse,
+    _profile_inverse,
+    spectral_derivative,
 )
 
 __all__ = [
@@ -102,11 +105,7 @@ class InitialDataSpec:
 
 def _velocity_arrays(grid, w_hat, c, m_mean):
     """Physical (u1, u2) reconstructed from full spectral vorticity."""
-    psi = -w_hat * grid.inv_ksq  # lap psi = omega
-    u1h = -1j * grid.k2_odd[None, :] * psi
-    u2h = 1j * grid.k1_odd[:, None] * psi
-    u1h[0, 0] = c
-    u2h[0, 0] = m_mean
+    u1h, u2h = _biot_savart(grid, w_hat, c, m_mean)
     return _inverse(grid, u1h), _inverse(grid, u2h)
 
 
@@ -119,19 +118,21 @@ def reconstruct_velocity(state):
 
 def mean_flow_profile(state):
     """Mean vertical speed m(x1) recovered from the n = 0 vorticity slice."""
-    g = state.grid
-    slice0 = state.omega.data[:, 0].copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mh = np.where(g.k1_odd != 0.0, slice0 / (1j * np.where(g.k1_odd != 0.0, g.k1_odd, 1.0)), 0.0)
-    mh[0] = state.m_mean
-    return np.fft.ifft(mh * g.nx).real
+    _, u2h = _biot_savart(state.grid, state.omega.data, state.c, state.m_mean)
+    return _profile_inverse(u2h[:, 0])
 
 
 def _advection(grid, w_hat, u1, u2):
-    """Dealiased spectral tendency -u.grad(omega)."""
-    wx = _inverse(grid, 1j * grid.k1_odd[:, None] * w_hat)
-    wy = _inverse(grid, 1j * grid.k2_odd[None, :] * w_hat)
-    return -_forward(grid, u1 * wx + u2 * wy) * grid.dealias_mask
+    """Dealiased spectral tendency -u.grad(omega) for physical (u1, u2).
+
+    Its (0, 0) coefficient is zeroed: u.grad(omega) = div(u omega) has zero
+    mean for divergence-free u, and roundoff must not move the mean.
+    """
+    wx = _inverse(grid, _derivative_multiplier(grid, 1) * w_hat)
+    wy = _inverse(grid, _derivative_multiplier(grid, 2) * w_hat)
+    out = -_forward(grid, u1 * wx + u2 * wy) * grid.dealias_mask
+    out[0, 0] = 0.0
+    return out
 
 
 def _nonlinear_ns(grid, c, m_mean):
@@ -161,6 +162,16 @@ def ifrk4_step(grid, w_hat, t, dt, tendency):
     return E2 * w_hat + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
 
 
+def _cfl_limit(grid, s1, s2, safety, dt_acc):
+    """Advective CFL step for sup speeds (s1, s2), capped by dt_acc."""
+    dt = dt_acc
+    if s1 > 0.0:
+        dt = min(dt, safety * grid.dx / s1)
+    if s2 > 0.0:
+        dt = min(dt, safety * grid.dy / s2)
+    return float(dt)
+
+
 def cfl_dt(state, safety, dt_acc=DEFAULT_DT_ACC):
     """Advective CFL limit capped by the fixed accuracy step dt_acc.
 
@@ -171,14 +182,18 @@ def cfl_dt(state, safety, dt_acc=DEFAULT_DT_ACC):
         raise ValueError("safety must lie in (0, 1]")
     g = state.grid
     u1, u2 = _velocity_arrays(g, state.omega.data, state.c, state.m_mean)
-    s1 = np.abs(u1).max()
-    s2 = np.abs(u2).max()
-    dt = dt_acc
-    if s1 > 0.0:
-        dt = min(dt, safety * g.dx / s1)
-    if s2 > 0.0:
-        dt = min(dt, safety * g.dy / s2)
-    return float(dt)
+    return _cfl_limit(g, np.abs(u1).max(), np.abs(u2).max(), safety, dt_acc)
+
+
+def _guarded_step(grid, w_hat, t, dt, tendency):
+    """ifrk4_step that raises InstabilityError if the coefficient L2 norm
+    grows by more than 10x."""
+    pre = float(np.sqrt((np.abs(w_hat) ** 2).sum()))
+    w_new = ifrk4_step(grid, w_hat, t, dt, tendency)
+    post = float(np.sqrt((np.abs(w_new) ** 2).sum()))
+    if not np.isfinite(post) or post > 10.0 * pre + 1e-300:
+        raise InstabilityError(f"norm grew {post / max(pre, 1e-300):.3g}x in one step at t={t:.6g}", t=t)
+    return w_new
 
 
 def step(state, dt):
@@ -191,13 +206,38 @@ def step(state, dt):
     if dt <= 0:
         raise ValueError("dt must be positive")
     g = state.grid
-    w = state.omega.data
-    pre = float(np.sqrt((np.abs(w) ** 2).sum()))
-    w_new = ifrk4_step(g, w, state.t, dt, _nonlinear_ns(g, state.c, state.m_mean))
-    post = float(np.sqrt((np.abs(w_new) ** 2).sum()))
-    if not np.isfinite(post) or post > 10.0 * pre + 1e-300:
-        raise InstabilityError(f"vorticity norm grew {post / max(pre, 1e-300):.3g}x in one step at t={state.t:.6g}", t=state.t)
+    w_new = _guarded_step(g, state.omega.data, state.t, dt, _nonlinear_ns(g, state.c, state.m_mean))
     return replace(state, omega=ScalarField(g, w_new, SPECTRAL), t=state.t + dt)
+
+
+def _march(x, t0, t1, times, limit, advance, visit):
+    """The adaptive stepping loop shared by `run` and advdiff.
+
+    Advances x from t0 to t1 in steps of at most limit(x, t), shortened to
+    land exactly on each of `times`; advance(x, t, dt, t_new) returns the
+    next x.  visit(x, tc) is called once for each requested time tc (at the
+    start for times equal to t0).  Returns the final x.
+    """
+    stops = sorted(set(float(t) for t in times))
+    if any(tc < t0 - 1e-12 or tc > t1 + 1e-12 for tc in stops):
+        raise ValueError(f"requested times must lie within [{t0:g}, {t1:g}]")
+    for tc in stops:
+        if tc <= t0 + 1e-14:
+            visit(x, tc)
+    stops = [tc for tc in stops if tc > t0 + 1e-14]
+    t = t0
+    while t < t1 - 1e-14:
+        stop = stops[0] if stops else t1
+        dt = min(limit(x, t), stop - t)
+        landing = t + dt >= stop - 1e-14
+        if landing:
+            dt = stop - t
+        t_new = stop if landing else t + dt
+        x = advance(x, t, dt, t_new)
+        t = t_new
+        if landing and stops:
+            visit(x, stops.pop(0))
+    return x
 
 
 def run(
@@ -221,41 +261,27 @@ def run(
     """
     if t_end < state0.t:
         raise ValueError("t_end must not precede the initial time")
-    diag_times = sorted(float(t) for t in diag_times)
-    if any(t < state0.t - 1e-12 or t > t_end + 1e-12 for t in diag_times):
-        raise ValueError("diagnostic times must lie within [state0.t, t_end]")
-    if state0.t == t_end:
-        return state0
-
     if collector is None and sink is not None:
         from .diagnostics import TrajectoryCollector
 
         collector = TrajectoryCollector()
 
-    state = state0
-    pending = list(diag_times)
-    while pending and pending[0] <= state.t + 1e-14:
-        if collector is not None:
-            collector.add(state)
-        pending.pop(0)
-
-    while state.t < t_end - 1e-14:
-        stop = pending[0] if pending else t_end
-        dt = min(cfl_dt(state, safety, dt_acc), stop - state.t)
-        landing = state.t + dt >= stop - 1e-14
-        if landing:
-            dt = stop - state.t
+    def advance(state, t, dt, t_new):
         state = step(state, dt)
-        if landing:
-            state = replace(state, t=stop)
+        if state.t != t_new:
+            state = replace(state, t=t_new)
         if sup_omega_trace is not None:
             w_phys = _inverse(state.grid, state.omega.data)
             sup_omega_trace.append((state.t, float(np.abs(w_phys).max())))
-        if landing and pending:
-            if collector is not None:
-                collector.add(state)
-            pending.pop(0)
+        return state
 
+    def visit(state, tc):
+        if collector is not None:
+            collector.add(state)
+
+    state = _march(
+        state0, state0.t, t_end, diag_times, lambda s, t: cfl_dt(s, safety, dt_acc), advance, visit
+    )
     if collector is not None and sink is not None:
         for rec in collector.finalize():
             if callable(sink):
@@ -273,8 +299,6 @@ def momentum_residual(state, dt=1e-3):
     the midpoint state.  Cross-checks the vorticity formulation against the
     primitive equations; the centered difference makes it O(dt^2).
     """
-    from .biotsavart import pressure_from_state
-
     g = state.grid
     u1a, u2a = _velocity_arrays(g, state.omega.data, state.c, state.m_mean)
     mid = step(state, dt / 2.0)
@@ -288,25 +312,15 @@ def momentum_residual(state, dt=1e-3):
     if sup == 0.0:
         return 0.0
     uf = VelocityField(ScalarField(g, u1), ScalarField(g, u2))
-    w = _inverse(g, mid.omega.data)
-    p = pressure_from_state(uf, ScalarField(g, w))
+    p = pressure_from_state(uf, ScalarField(g, _inverse(g, mid.omega.data)))
 
-    def deriv(phys, axis, order=1):
-        spec = _forward(g, phys)
-        if axis == 1:
-            k = g.k1_odd if order % 2 else g.k1
-            spec = ((1j * k) ** order)[:, None] * spec
-        else:
-            k = g.k2_odd if order % 2 else g.k2
-            spec = ((1j * k) ** order)[None, :] * spec
-        return _inverse(g, spec)
-
-    lap = lambda phys: _inverse(g, -g.ksq * _forward(g, phys))
-    adv1 = u1 * deriv(u1, 1) + u2 * deriv(u1, 2)
-    adv2 = u1 * deriv(u2, 1) + u2 * deriv(u2, 2)
-    r1 = du1 + adv1 - lap(u1) + deriv(p.data, 1)
-    r2 = du2 + adv2 - lap(u2) + deriv(p.data, 2)
-    resid = float(np.sqrt(((r1**2 + r2**2)).sum() * g.cell_area))
+    resid_sq = 0.0
+    for axis, ui, dt_ui in ((1, uf.u1, du1), (2, uf.u2, du2)):
+        grad = [spectral_derivative(ui, a).data for a in (1, 2)]
+        lap = sum(spectral_derivative(ui, a, 2).data for a in (1, 2))
+        r = dt_ui + u1 * grad[0] + u2 * grad[1] - lap + spectral_derivative(p, axis).data
+        resid_sq += (r**2).sum()
+    resid = float(np.sqrt(resid_sq * g.cell_area))
     scale = float(np.sqrt(((u1**2 + u2**2)).sum() * g.cell_area))
     return resid / scale
 

@@ -13,6 +13,9 @@ with k1[j] = 2*pi*j/lam and k2[n] = 2*pi*n.
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -33,7 +36,6 @@ __all__ = [
     "sup_norm",
     "parseval_spectral_sum",
     "profile_derivative",
-    "profile_integral",
     "circular_distance",
 ]
 
@@ -170,12 +172,55 @@ class Profile:
         return f"Profile({self.grid!r})"
 
 
+# Every transform of the package goes through the helpers below; spectral
+# data are normalized coefficients (fft / number of samples).
+
+
 def _forward(grid, phys):
     return np.fft.fft2(phys) / (grid.nx * grid.ny)
 
 
 def _inverse(grid, spec):
     return np.fft.ifft2(spec * (grid.nx * grid.ny)).real
+
+
+def _profile_forward(values):
+    return np.fft.fft(values) / values.shape[0]
+
+
+def _profile_inverse(spec):
+    return np.fft.ifft(spec * spec.shape[0]).real
+
+
+def _inverse_padded(spec):
+    """Sample normalized coefficients (1-D or 2-D) on the grid twice as fine
+    along every axis, by zero padding."""
+    big = np.zeros(tuple(2 * n for n in spec.shape), dtype=np.complex128)
+    # per axis, (source, destination) of the low and of the high half
+    halves = [
+        ((slice(None, n // 2), slice(None, n // 2)), (slice(n // 2, None), slice(3 * n // 2, None)))
+        for n in spec.shape
+    ]
+    for corner in itertools.product(*halves):
+        src, dst = zip(*corner)
+        big[dst] = spec[src]
+    return np.fft.ifftn(big * big.size).real
+
+
+@lru_cache(maxsize=8)
+def _padded_grid(grid):
+    """The grid that `_inverse_padded` samples on."""
+    return SpectralGrid(2 * grid.nx, 2 * grid.ny, grid.lam)
+
+
+def _derivative_multiplier(grid, axis, order=1):
+    """(i*k_axis)**order, broadcastable over (nx, ny); the Nyquist mode is
+    zeroed for odd orders."""
+    if axis == 1:
+        k = grid.k1_odd if order % 2 else grid.k1
+        return ((1j * k) ** order)[:, None]
+    k = grid.k2_odd if order % 2 else grid.k2
+    return ((1j * k) ** order)[None, :]
 
 
 def to_spectral(f):
@@ -215,13 +260,7 @@ def spectral_derivative(f, axis, order=1):
     if order < 1 or order != int(order):
         raise ValueError(f"order must be a positive integer, got {order}")
     g = f.grid
-    if axis == 1:
-        k = g.k1_odd if order % 2 else g.k1
-        mult = ((1j * k) ** order)[:, None]
-    else:
-        k = g.k2_odd if order % 2 else g.k2
-        mult = ((1j * k) ** order)[None, :]
-    spec = _as_spectral_data(f) * mult
+    spec = _as_spectral_data(f) * _derivative_multiplier(g, axis, order)
     if f.repr == PHYSICAL:
         return ScalarField(g, _inverse(g, spec), PHYSICAL)
     return ScalarField(g, spec, SPECTRAL)
@@ -243,8 +282,7 @@ def vertical_average(f):
     g = f.grid
     if f.repr == PHYSICAL:
         return Profile(g, f.data.mean(axis=1))
-    vals = np.fft.ifft(f.data[:, 0] * g.nx).real
-    return Profile(g, vals)
+    return Profile(g, _profile_inverse(f.data[:, 0]))
 
 
 def integral(f):
@@ -274,14 +312,8 @@ def parseval_spectral_sum(f):
 
 def profile_derivative(p, order=1):
     """Spectral x1-derivative of a profile (Nyquist zeroed for odd orders)."""
-    g = p.grid
-    k = g.k1_odd if order % 2 else g.k1
-    spec = np.fft.fft(p.values) * (1j * k) ** order
-    return Profile(g, np.fft.ifft(spec).real)
-
-
-def profile_integral(p):
-    return float(p.values.sum() * p.grid.dx)
+    mult = _derivative_multiplier(p.grid, 1, order)[:, 0]
+    return Profile(p.grid, _profile_inverse(_profile_forward(p.values) * mult))
 
 
 def circular_distance(x, a, period):

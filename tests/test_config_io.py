@@ -8,9 +8,7 @@ from cylflow.config import (
     RunConfig,
     get_constant,
     load_constants,
-    nondimensionalize,
     parse_config,
-    physical_scales,
     serialize_config,
     update_constant,
 )
@@ -62,25 +60,6 @@ class TestParseConfig:
         assert cfg.diag_schedule() == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2])
 
 
-class TestNondimensionalize:
-    def test_identity_scaling(self):
-        assert nondimensionalize(1.0, 1.0, 1.0, 1.0) == (1.0, 1.0, 1.0)
-
-    def test_formula(self):
-        assert nondimensionalize(2.0, 3.0, 0.5, 2.0) == (8.0, 24.0, 8.0)
-
-    def test_round_trip(self):
-        ru, rw, ts = nondimensionalize(2.0, 3.0, 0.5, 2.0)
-        u, w, ts2 = physical_scales(ru, rw, 0.5, 2.0)
-        assert (u, w, ts2) == (2.0, 3.0, ts)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            nondimensionalize(1.0, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            physical_scales(1.0, 1.0, 1.0, -1.0)
-
-
 class TestConstantsLedger:
     def test_update_and_get(self, tmp_path):
         path = str(tmp_path / "constants.json")
@@ -95,6 +74,15 @@ class TestConstantsLedger:
     def test_missing_file_empty(self, tmp_path):
         assert load_constants(str(tmp_path / "nope.json")) == {}
 
+    def test_failed_update_keeps_previous_ledger(self, tmp_path):
+        path = str(tmp_path / "constants.json")
+        update_constant(path, EstimatedConstant("C3", 0.012, {"nx": 64}))
+        before = open(path, "rb").read()
+        with pytest.raises(TypeError):
+            update_constant(path, EstimatedConstant("K1", 0.3, {"grid": object()}))
+        assert open(path, "rb").read() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["constants.json"]
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             EstimatedConstant("C1", float("nan"))
@@ -106,8 +94,6 @@ def _record(t):
         sup_u=1.0 / 3.0 + t,
         sup_omega=np.pi,
         sup_uhat=1e-17,
-        ru_t=1.0 / 3.0 + t,
-        romega_t=np.pi,
         e_rho=0.1,
         d_rho=0.2,
         ens_rho=0.3,
@@ -182,3 +168,20 @@ class TestSnapshots:
     def test_missing_file_has_path_context(self, tmp_path):
         with pytest.raises(OSError, match="nothere"):
             read_field(str(tmp_path / "nothere.bin"))
+
+    def test_truncated_file_named(self, tmp_path, grid64):
+        path = str(tmp_path / "short.bin")
+        write_field(random_band_limited(grid64, seed=3), path)
+        with open(path, "r+b") as fh:
+            fh.truncate(64 * 64 * 8 - 8)
+        with pytest.raises(ValueError, match="short.bin"):
+            read_field(path)
+
+    def test_sidecar_missing_key_named(self, tmp_path, grid64):
+        path = str(tmp_path / "nokey.bin")
+        write_field(random_band_limited(grid64, seed=3), path)
+        meta = open(path + ".meta").read().splitlines()
+        with open(path + ".meta", "w") as fh:
+            fh.write("\n".join(ln for ln in meta if not ln.startswith("repr=")) + "\n")
+        with pytest.raises(ValueError, match="nokey.bin.meta lacks repr"):
+            read_field(path)

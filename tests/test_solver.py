@@ -164,6 +164,12 @@ class TestRun:
         with pytest.raises(ValueError):
             run(st, 0.1, diag_times=[0.5])
 
+    def test_mean_vorticity_stays_exactly_zero(self, grid64):
+        st = make_initial_data(InitialDataSpec(kind="random_bandlimited", target_romega=7.0), grid64)
+        assert st.omega.data[0, 0] == 0.0
+        out = run(st, 0.02, dt_acc=1e-3)
+        assert out.omega.data[0, 0] == 0.0
+
     def test_mean_flow_and_galilean_conserved(self, grid64):
         st = make_initial_data(
             InitialDataSpec(kind="random_bandlimited", seed=9, target_romega=5.0, target_ru=6.0), grid64

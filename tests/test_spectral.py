@@ -1,8 +1,12 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cylflow
 from cylflow.spectral import (
     Profile,
     ScalarField,
@@ -187,3 +191,39 @@ def test_lp_norms(grid32):
 def test_profile_shape_guard(grid32):
     with pytest.raises(ValueError):
         Profile(grid32, np.zeros(7))
+
+
+def test_only_spectral_module_calls_numpy_fft():
+    """Transforms and their normalization live in cylflow.spectral alone.
+
+    The direct kernel quadrature in biotsavart is exempt: it is the
+    independent reference the Biot-Savart tests compare against.
+    """
+    exempt = {("biotsavart.py", "velocity_by_kernel_quadrature")}
+    offenders = []
+    for path in sorted(pathlib.Path(cylflow.__file__).parent.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skipped = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) in exempt:
+                skipped.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
+            uses_fft = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "fft"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            )
+            if isinstance(node, ast.ImportFrom):
+                uses_fft = node.module == "numpy.fft" or (
+                    node.module == "numpy" and any(a.name == "fft" for a in node.names)
+                )
+            elif isinstance(node, ast.Import):
+                uses_fft = any(a.name == "numpy.fft" for a in node.names)
+            if uses_fft:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
