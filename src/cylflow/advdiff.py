@@ -16,14 +16,17 @@ import numpy as np
 
 from .biotsavart import divergence_residual
 from .diagnostics import v_volume
-from .solver import _advection, _cfl_limit, _guarded_step, _march
+from .solver import _advection, _cfl_limit, _gradient_multipliers, _guarded_step, _march
 from .spectral import (
     PHYSICAL,
     ScalarField,
     VelocityField,
     _as_physical_data,
     _as_spectral_data,
+    _full,
+    _half,
     _inverse,
+    _inverse_half,
     circular_distance,
     lp_norm,
     vertical_average,
@@ -138,11 +141,13 @@ class LpLqCheck:
 
 
 def _evolve(grid, w_hat, drift, t0, t1, dt_acc, safety, capture=()):
-    """Advance coefficients from t0 to t1, landing exactly on capture times."""
+    """Advance full-spectrum coefficients from t0 to t1, landing exactly on
+    capture times; the steps run on the half spectrum."""
     captured = {}
+    d1, d2 = _gradient_multipliers(grid)
 
     def tendency(w, t):
-        return _advection(grid, w, *drift.velocity(grid, t))
+        return _advection(grid, *drift.velocity(grid, t), *_inverse_half(grid, np.stack((d1 * w, d2 * w))))
 
     def limit(w, t):
         return _cfl_limit(grid, *drift.sup_speed(grid, t), safety, dt_acc)
@@ -151,9 +156,9 @@ def _evolve(grid, w_hat, drift, t0, t1, dt_acc, safety, capture=()):
         return _guarded_step(grid, w, t, dt, tendency)
 
     def visit(w, tc):
-        captured[tc] = w.copy()
+        captured[tc] = _full(grid, w)
 
-    return _march(w_hat, t0, t1, capture, limit, advance, visit), captured
+    return _full(grid, _march(_half(w_hat), t0, t1, capture, limit, advance, visit)), captured
 
 
 def advdiff_run(omega0, drift, t_end, *, dt_acc=1e-3, safety=0.9):

@@ -94,13 +94,16 @@ def grad_perp_K(x1, x2):
 
 
 def _biot_savart(grid, w_hat, c, m_mean):
-    """Spectral velocity (u1_hat, u2_hat) of full vorticity coefficients.
+    """Spectral velocity (u1_hat, u2_hat) of vorticity coefficients, full
+    (nx, ny) or half spectrum (nx, ny//2+1): the grid tables are cut to the
+    columns of w_hat.
 
     u_hat = (-d2 psi, d1 psi) with lap psi = omega; the (0, 0) slots carry
     the constants c = <u1> and m_mean, which the vorticity cannot fix.
     """
-    psi = -w_hat * grid.inv_ksq
-    u1h = -_derivative_multiplier(grid, 2) * psi
+    cols = slice(None, w_hat.shape[-1])
+    psi = -w_hat * grid.inv_ksq[:, cols]
+    u1h = -_derivative_multiplier(grid, 2)[:, cols] * psi
     u2h = _derivative_multiplier(grid, 1) * psi
     u1h[0, 0] = c
     u2h[0, 0] = m_mean
@@ -187,6 +190,13 @@ def _pressure_rhs(grid, u1, w):
     return -grid.ksq * q1 + 2.0 * _derivative_multiplier(grid, 2) * q2
 
 
+def _pressure_hat(grid, u1, w):
+    """Coefficients of the zero-mean pressure from physical u1, omega."""
+    p = _pressure_rhs(grid, u1, w) * grid.inv_ksq
+    p[0, 0] = 0.0
+    return p
+
+
 def pressure_from_state(u, omega):
     """Solve -lap p = lap(u1^2) + 2 d2(omega u1) with zero-mean gauge.
 
@@ -194,8 +204,7 @@ def pressure_from_state(u, omega):
     physical ScalarField with zero domain mean.
     """
     g = u.grid
-    p = _pressure_rhs(g, _as_physical_data(u.u1), _as_physical_data(omega)) * g.inv_ksq
-    p[0, 0] = 0.0
+    p = _pressure_hat(g, _as_physical_data(u.u1), _as_physical_data(omega))
     return ScalarField(g, _inverse(g, p), PHYSICAL)
 
 

@@ -36,6 +36,17 @@ from .spectral import ScalarField, make_grid
 __all__ = ["main"]
 
 
+class _UsageError(Exception):
+    """A bad command-line value, found before any work; exit code 2."""
+
+
+def _grid(args):
+    try:
+        return make_grid(args.nx, args.ny, args.lam)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _load_config(args):
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -128,7 +139,7 @@ def _parse_floats(text):
 
 
 def _cmd_advdiff(args):
-    grid = make_grid(args.nx, args.ny, args.lam)
+    grid = _grid(args)
     drift = advdiff_mod.DriftSpec(kind=args.drift, amplitude=args.amplitude, period=args.period)
     os.makedirs(args.out_dir, exist_ok=True)
     failures = 0
@@ -176,7 +187,7 @@ def _cmd_advdiff(args):
 
 
 def _cmd_verify_inequalities(args):
-    grid = make_grid(args.nx, args.ny, args.lam)
+    grid = _grid(args)
     weights = None
     if args.weights:
         weights = {}
@@ -275,9 +286,9 @@ def _cmd_fit_rates(args):
 
 def _cmd_report(args):
     snap_dir = os.path.join(args.run_dir, "snapshots")
-    names = sorted(n for n in os.listdir(snap_dir) if n.endswith(".bin"))
+    names = sorted(n for n in os.listdir(snap_dir) if n.endswith(".bin")) if os.path.isdir(snap_dir) else []
     if not names:
-        raise SystemExit(f"no snapshots under {snap_dir}")
+        raise _UsageError(f"no snapshots under {snap_dir}")
     states = [read_state(os.path.join(snap_dir, n)) for n in names]
     states.sort(key=lambda s: s.t)
     collector = diag_mod.TrajectoryCollector(diag_mod.DiagnosticsOptions(rho=args.rho))
@@ -419,7 +430,11 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _UsageError as exc:
+        print(f"cylflow {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,12 +14,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .biotsavart import _biot_savart, pressure_from_state
+from .biotsavart import _biot_savart, _pressure_hat
 from .solver import FlowState
 from .spectral import (
     Profile,
-    ScalarField,
-    VelocityField,
     _as_physical_data,
     _as_spectral_data,
     _derivative_multiplier,
@@ -179,9 +177,7 @@ class _FineFields:
         self.d1m = pad(d1[:, 0] * u2h[:, 0])
 
         # the even samples of the padded grid are the state's own grid
-        u_phys = VelocityField(ScalarField(g, self.u1[::2, ::2]), ScalarField(g, self.u2[::2, ::2]))
-        p = pressure_from_state(u_phys, ScalarField(g, self.w[::2, ::2]))
-        self.p = pad(_as_spectral_data(p))
+        self.p = pad(_pressure_hat(g, self.u1[::2, ::2], self.w[::2, ::2]))
         self.M = state.m0_norm
 
     def profiles(self):

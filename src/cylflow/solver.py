@@ -23,7 +23,11 @@ from .spectral import (
     VelocityField,
     _derivative_multiplier,
     _forward,
+    _forward_half,
+    _full,
+    _half,
     _inverse,
+    _inverse_half,
     _profile_inverse,
     spectral_derivative,
 )
@@ -104,9 +108,9 @@ class InitialDataSpec:
 
 
 def _velocity_arrays(grid, w_hat, c, m_mean):
-    """Physical (u1, u2) reconstructed from full spectral vorticity."""
-    u1h, u2h = _biot_savart(grid, w_hat, c, m_mean)
-    return _inverse(grid, u1h), _inverse(grid, u2h)
+    """Physical (u1, u2), stacked, from full spectral vorticity; one batched
+    half-spectrum inverse."""
+    return _inverse_half(grid, np.stack(_biot_savart(grid, _half(w_hat), c, m_mean)))
 
 
 def reconstruct_velocity(state):
@@ -122,35 +126,47 @@ def mean_flow_profile(state):
     return _profile_inverse(u2h[:, 0])
 
 
-def _advection(grid, w_hat, u1, u2):
-    """Dealiased spectral tendency -u.grad(omega) for physical (u1, u2).
+def _gradient_multipliers(grid):
+    """Half-spectrum (i k1, i k2) multipliers, broadcastable over (nx, ny//2+1)."""
+    return tuple(_half(_derivative_multiplier(grid, axis)) for axis in (1, 2))
+
+
+def _advection(grid, u1, u2, wx, wy):
+    """Dealiased half-spectrum tendency -u.grad(omega) from physical u and
+    grad(omega); one forward transform.
 
     Its (0, 0) coefficient is zeroed: u.grad(omega) = div(u omega) has zero
     mean for divergence-free u, and roundoff must not move the mean.
     """
-    wx = _inverse(grid, _derivative_multiplier(grid, 1) * w_hat)
-    wy = _inverse(grid, _derivative_multiplier(grid, 2) * w_hat)
-    out = -_forward(grid, u1 * wx + u2 * wy) * grid.dealias_mask
+    out = -_forward_half(u1 * wx + u2 * wy) * _half(grid.dealias_mask)
     out[0, 0] = 0.0
     return out
 
 
 def _nonlinear_ns(grid, c, m_mean):
+    d1, d2 = _gradient_multipliers(grid)
+
     def tendency(w_hat, t):
-        u1, u2 = _velocity_arrays(grid, w_hat, c, m_mean)
-        return _advection(grid, w_hat, u1, u2)
+        fields = np.empty((4,) + w_hat.shape, dtype=np.complex128)
+        fields[0], fields[1] = _biot_savart(grid, w_hat, c, m_mean)
+        np.multiply(d1, w_hat, out=fields[2])
+        np.multiply(d2, w_hat, out=fields[3])
+        return _advection(grid, *_inverse_half(grid, fields))
 
     return tendency
 
 
-@lru_cache(maxsize=64)
+# A CFL-limited run asks for a new dt at every step; a small cache still
+# serves dt_acc and the landing steps of runs that repeat them.
+@lru_cache(maxsize=4)
 def _exp_factors(grid, dt):
-    E = np.exp(-grid.ksq * (0.5 * dt))
+    E = np.exp(-_half(grid.ksq) * (0.5 * dt))
     return E, E * E
 
 
 def ifrk4_step(grid, w_hat, t, dt, tendency):
-    """One integrating-factor RK4 step for dw/dt = tendency(w, t) - |k|^2 w.
+    """One integrating-factor RK4 step for dw/dt = tendency(w, t) - |k|^2 w,
+    on half-spectrum coefficients.
 
     Diffusion is integrated exactly; only decaying exponentials appear.
     """
@@ -185,12 +201,19 @@ def cfl_dt(state, safety, dt_acc=DEFAULT_DT_ACC):
     return _cfl_limit(g, np.abs(u1).max(), np.abs(u2).max(), safety, dt_acc)
 
 
+def _full_l2(w_half):
+    """L2 norm of the full coefficient array of a half spectrum: columns
+    1..ny/2-1 stand for their conjugates too."""
+    sq = np.abs(w_half) ** 2
+    return float(np.sqrt(sq.sum() + sq[:, 1:-1].sum()))
+
+
 def _guarded_step(grid, w_hat, t, dt, tendency):
     """ifrk4_step that raises InstabilityError if the coefficient L2 norm
     grows by more than 10x."""
-    pre = float(np.sqrt((np.abs(w_hat) ** 2).sum()))
+    pre = _full_l2(w_hat)
     w_new = ifrk4_step(grid, w_hat, t, dt, tendency)
-    post = float(np.sqrt((np.abs(w_new) ** 2).sum()))
+    post = _full_l2(w_new)
     if not np.isfinite(post) or post > 10.0 * pre + 1e-300:
         raise InstabilityError(f"norm grew {post / max(pre, 1e-300):.3g}x in one step at t={t:.6g}", t=t)
     return w_new
@@ -206,8 +229,8 @@ def step(state, dt):
     if dt <= 0:
         raise ValueError("dt must be positive")
     g = state.grid
-    w_new = _guarded_step(g, state.omega.data, state.t, dt, _nonlinear_ns(g, state.c, state.m_mean))
-    return replace(state, omega=ScalarField(g, w_new, SPECTRAL), t=state.t + dt)
+    w_new = _guarded_step(g, _half(state.omega.data), state.t, dt, _nonlinear_ns(g, state.c, state.m_mean))
+    return replace(state, omega=ScalarField(g, _full(g, w_new), SPECTRAL), t=state.t + dt)
 
 
 def _march(x, t0, t1, times, limit, advance, visit):
@@ -343,9 +366,11 @@ def _random_band_limited_vorticity(grid, rng, band):
     return spec
 
 
-def _sup_speed_with_mean(grid, w_hat, m_mean):
-    u1, u2 = _velocity_arrays(grid, w_hat, 0.0, m_mean)
-    return float(np.sqrt(u1**2 + u2**2).max())
+def _sup_speed_with_mean(u, m_mean):
+    """Sup speed of the velocity u = (u1, u2) plus a constant vertical flow
+    m_mean: the velocity is affine in m_mean, which moves only u2_hat[0, 0]."""
+    u1, u2 = u
+    return float(np.sqrt(u1**2 + (u2 + m_mean) ** 2).max())
 
 
 def make_initial_data(spec, grid):
@@ -386,7 +411,8 @@ def make_initial_data(spec, grid):
 
     m_mean = 0.0
     if spec.target_ru > 0.0:
-        base = _sup_speed_with_mean(g, w_hat, 0.0)
+        u = _velocity_arrays(g, w_hat, 0.0, 0.0)
+        base = _sup_speed_with_mean(u, 0.0)
         if spec.target_ru >= base:
             if not mean_flow_ok:
                 if abs(base - spec.target_ru) > 0.05 * spec.target_ru:
@@ -398,12 +424,12 @@ def make_initial_data(spec, grid):
                 lo, hi = 0.0, spec.target_ru + base + 1.0
                 for _ in range(200):
                     mid = 0.5 * (lo + hi)
-                    if _sup_speed_with_mean(g, w_hat, mid) < spec.target_ru:
+                    if _sup_speed_with_mean(u, mid) < spec.target_ru:
                         lo = mid
                     else:
                         hi = mid
                 m_mean = hi
-                achieved = _sup_speed_with_mean(g, w_hat, m_mean)
+                achieved = _sup_speed_with_mean(u, m_mean)
                 if abs(achieved - spec.target_ru) > 0.05 * spec.target_ru:
                     raise ValueError(f"velocity target missed beyond 5%: {achieved:.6g} vs {spec.target_ru:.6g}")
         elif base > 0.0 and spec.target_ru < base * 0.95:

@@ -8,7 +8,9 @@ shape (nx, ny), x1 along axis 0) or as normalized Fourier coefficients
 
     f(x) = sum_{j,n} F[j, n] * exp(i*(k1[j]*x1 + k2[n]*x2)),
 
-with k1[j] = 2*pi*j/lam and k2[n] = 2*pi*n.
+with k1[j] = 2*pi*j/lam and k2[n] = 2*pi*n.  Fields are real, so their
+coefficients are Hermitian, F[-j, -n] = conj(F[j, n]); the time stepping
+works on the half spectrum n = 0..ny/2 alone.
 """
 
 from __future__ import annotations
@@ -173,15 +175,46 @@ class Profile:
 
 
 # Every transform of the package goes through the helpers below; spectral
-# data are normalized coefficients (fft / number of samples).
+# data are normalized coefficients (fft / number of samples).  The 2-D pair
+# works on the half spectrum (nx, ny//2+1) that rfft2 returns for a real
+# field; `_half` and `_full` convert to and from the full (nx, ny) layout of
+# ScalarField and FlowState.  Every spectral array is the transform of a real
+# field, hence Hermitian, so the half spectrum loses nothing.
+
+
+def _forward_half(phys):
+    """Half-spectrum coefficients of real physical data."""
+    return np.fft.rfft2(phys, norm="forward")
+
+
+def _inverse_half(grid, half):
+    """Physical data of half-spectrum coefficients; leading axes are a batch."""
+    return np.fft.irfft2(half, s=(grid.nx, grid.ny), norm="forward")
+
+
+def _half(a):
+    """Columns 0..ny/2 of a full-spectrum array or of a grid table (a table
+    that broadcasts along x2 is returned unchanged)."""
+    return a[..., : a.shape[-1] // 2 + 1]
+
+
+def _full(grid, half):
+    """Full-spectrum coefficients from a half spectrum, by the Hermitian
+    symmetry F[-j, -n] = conj(F[j, n])."""
+    h = grid.ny // 2 + 1
+    full = np.empty((grid.nx, grid.ny), dtype=np.complex128)
+    full[:, :h] = half
+    np.conjugate(half[:1, h - 2 : 0 : -1], out=full[:1, h:])
+    np.conjugate(half[:0:-1, h - 2 : 0 : -1], out=full[1:, h:])
+    return full
 
 
 def _forward(grid, phys):
-    return np.fft.fft2(phys) / (grid.nx * grid.ny)
+    return _full(grid, _forward_half(phys))
 
 
 def _inverse(grid, spec):
-    return np.fft.ifft2(spec * (grid.nx * grid.ny)).real
+    return _inverse_half(grid, _half(spec))
 
 
 def _profile_forward(values):

@@ -141,3 +141,25 @@ class TestVerifyInequalities:
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["poincare_max"] <= 1.0 + 1e-10
         assert json.load(open(const))["C_nash"]["value"] == summary["nash_max_ratio"]
+
+
+class TestCleanFailures:
+    """Bad values end with exit code 2 and one stderr line, before any work."""
+
+    @pytest.mark.parametrize("command", ["advdiff", "verify-inequalities"])
+    def test_bad_grid(self, command, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert run_cli(command, "--nx", "7", "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and command in err[0] and "nx=7" in err[0]
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("make_snapshot_dir", [False, True])
+    def test_report_without_snapshots(self, make_snapshot_dir, tmp_path, capsys):
+        if make_snapshot_dir:
+            os.makedirs(tmp_path / "snapshots")
+        rep_path = str(tmp_path / "report.json")
+        assert run_cli("report", "--run-dir", str(tmp_path), "--c3", "1.0", "--out", rep_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(tmp_path / "snapshots") in err[0]
+        assert not os.path.exists(rep_path)

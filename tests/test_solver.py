@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cylflow.advdiff import DriftSpec, advdiff_run, periodized_gaussian
 from cylflow.diagnostics import TrajectoryCollector
 from cylflow.solver import (
     FlowState,
@@ -18,6 +21,7 @@ from cylflow.spectral import (
     ScalarField,
     make_grid,
     to_physical,
+    to_spectral,
     vertical_average,
 )
 
@@ -270,3 +274,85 @@ class TestMomentumResidual:
             InitialDataSpec(kind="random_bandlimited", seed=2, target_romega=0.5, band=1), grid64
         )
         assert momentum_residual(st, dt=1e-4) < 1e-4
+
+
+def full_complex_ifrk4(grid, w, c, m_mean, dt, steps):
+    """Reference IF-RK4 on full complex spectra with fft2/ifft2, written
+    independently of the package: Biot-Savart, dealiased advection with the
+    (0, 0) tendency zeroed, and exact diffusion."""
+    nx, ny = grid.nx, grid.ny
+    j1 = np.fft.fftfreq(nx, 1.0 / nx)
+    j2 = np.fft.fftfreq(ny, 1.0 / ny)
+    k1 = 2.0 * np.pi * j1 / grid.lam
+    k2 = 2.0 * np.pi * j2
+    ik1 = 1j * np.where(np.abs(j1) == nx // 2, 0.0, k1)[:, None]
+    ik2 = 1j * np.where(np.abs(j2) == ny // 2, 0.0, k2)[None, :]
+    ksq = k1[:, None] ** 2 + k2[None, :] ** 2
+    inv_ksq = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0.0)
+    keep = (np.abs(j1)[:, None] <= nx / 3.0) & (np.abs(j2)[None, :] <= ny / 3.0)
+
+    def phys(f):
+        return np.fft.ifft2(f * (nx * ny)).real
+
+    def tendency(w):
+        psi = -w * inv_ksq
+        u1h, u2h = -ik2 * psi, ik1 * psi
+        u1h[0, 0], u2h[0, 0] = c, m_mean
+        adv = phys(u1h) * phys(ik1 * w) + phys(u2h) * phys(ik2 * w)
+        out = -np.fft.fft2(adv) / (nx * ny) * keep
+        out[0, 0] = 0.0
+        return out
+
+    E = np.exp(-ksq * (0.5 * dt))
+    E2 = E * E
+    for _ in range(steps):
+        a = tendency(w)
+        b = tendency(E * (w + (0.5 * dt) * a))
+        cc = tendency(E * w + (0.5 * dt) * b)
+        d = tendency(E2 * w + dt * (E * cc))
+        w = E2 * w + (dt / 6.0) * (E2 * a + 2.0 * E * (b + cc) + d)
+    return w
+
+
+class TestRealSpectrumCore:
+    @pytest.mark.parametrize("shape", [(64, 64, 16.0), (128, 64, 8.0)])
+    def test_matches_full_complex_reference(self, shape):
+        grid = make_grid(*shape)
+        st = make_initial_data(
+            InitialDataSpec(kind="random_bandlimited", seed=5, target_romega=6.0, target_ru=7.0), grid
+        )
+        st = replace(st, c=0.4)
+        assert st.m_mean > 0.0
+        dt = 1e-3
+        out = st
+        for _ in range(20):
+            out = step(out, dt)
+        ref = full_complex_ifrk4(grid, st.omega.data, st.c, st.m_mean, dt, 20)
+        assert np.abs(out.omega.data - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the nonlinear term moved the state well beyond roundoff
+        assert np.abs(ref - full_complex_ifrk4(grid, st.omega.data, 0.0, 0.0, dt, 20)).max() > 1e-6
+
+    def test_transform_budget(self, grid64, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+                     "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"):
+            fn = getattr(np.fft, name)
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls.append(_fn.__name__)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        st = make_initial_data(InitialDataSpec(kind="random_bandlimited", target_romega=5.0), grid64)
+        bump = ScalarField(grid64, to_spectral(periodized_gaussian(grid64, (8.0, 0.5), 0.4)).data, "spectral")
+        drift = DriftSpec(kind="steady_shear_u1", amplitude=1.0)
+        budget = {}
+        for label, call in (
+            ("step", lambda: step(st, 1e-3)),
+            ("cfl_dt", lambda: cfl_dt(st, 0.9)),
+            ("advdiff_step", lambda: advdiff_run(bump, drift, 1e-3, dt_acc=1e-3)),
+        ):
+            calls.clear()
+            call()
+            budget[label] = len(calls)
+        assert budget == {"step": 8, "cfl_dt": 1, "advdiff_step": 8}
