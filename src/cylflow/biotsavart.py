@@ -25,8 +25,10 @@ from .spectral import (
     _as_physical_data,
     _as_spectral_data,
     _derivative_multiplier,
-    _forward,
-    _inverse,
+    _forward_half,
+    _full,
+    _half,
+    _inverse_half,
     dealias,
     spectral_derivative,
     to_spectral,
@@ -184,15 +186,14 @@ def decompose(u, tol=1e-8):
 
 
 def _pressure_rhs(grid, u1, w):
-    """Dealiased coefficients of lap(u1^2) + 2 d2(omega u1) from physical u1, omega."""
-    q1 = _forward(grid, u1 * u1) * grid.dealias_mask
-    q2 = _forward(grid, w * u1) * grid.dealias_mask
-    return -grid.ksq * q1 + 2.0 * _derivative_multiplier(grid, 2) * q2
+    """Dealiased half-spectrum coefficients of lap(u1^2) + 2 d2(omega u1) from physical u1, omega."""
+    q1, q2 = _forward_half(np.stack((u1 * u1, w * u1))) * _half(grid.dealias_mask)
+    return -_half(grid.ksq) * q1 + 2.0 * _half(_derivative_multiplier(grid, 2)) * q2
 
 
 def _pressure_hat(grid, u1, w):
-    """Coefficients of the zero-mean pressure from physical u1, omega."""
-    p = _pressure_rhs(grid, u1, w) * grid.inv_ksq
+    """Half-spectrum coefficients of the zero-mean pressure from physical u1, omega."""
+    p = _pressure_rhs(grid, u1, w) * _half(grid.inv_ksq)
     p[0, 0] = 0.0
     return p
 
@@ -205,7 +206,7 @@ def pressure_from_state(u, omega):
     """
     g = u.grid
     p = _pressure_hat(g, _as_physical_data(u.u1), _as_physical_data(omega))
-    return ScalarField(g, _inverse(g, p), PHYSICAL)
+    return ScalarField(g, _inverse_half(g, p), PHYSICAL)
 
 
 def divergence_identity_residual(u):
@@ -227,7 +228,7 @@ def divergence_identity_residual(u):
     grad = [[spectral_derivative(ScalarField(g, ui), axis).data for axis in (1, 2)] for ui in (u1, u2)]
     adv = [dealias(to_spectral(ScalarField(g, u1 * gi[0] + u2 * gi[1]))) for gi in grad]  # (u.grad) u
     lhs = spectral_derivative(adv[0], 1).data + spectral_derivative(adv[1], 2).data
-    rhs = _pressure_rhs(g, u1, grad[1][0] - grad[0][1])
+    rhs = _full(g, _pressure_rhs(g, u1, grad[1][0] - grad[0][1]))
 
     # L2 norm via Parseval on the coefficient difference
     resid = float(np.sqrt(g.lam * (np.abs(lhs - rhs) ** 2).sum()))

@@ -9,6 +9,7 @@ on success.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -40,16 +41,24 @@ class _UsageError(Exception):
     """A bad command-line value, found before any work; exit code 2."""
 
 
-def _grid(args):
+@contextlib.contextmanager
+def _bad_values():
+    """Report a ValueError raised while checking command-line values as a
+    _UsageError."""
     try:
-        return make_grid(args.nx, args.ny, args.lam)
+        yield
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
 
+def _grid(args):
+    with _bad_values():
+        return make_grid(args.nx, args.ny, args.lam)
+
+
 def _load_config(args):
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh, _bad_values():
             cfg = parse_config(fh.read())
     else:
         cfg = RunConfig()
@@ -80,27 +89,29 @@ def _load_config(args):
         overrides["snapshots"] = False
     if overrides:
         cfg = replace(cfg, **overrides)
-    return cfg.validate()
+    with _bad_values():
+        return cfg.validate()
 
 
 def _cmd_simulate(args):
     cfg = _load_config(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    grid = make_grid(cfg.nx, cfg.ny, cfg.lam)
-    spec = InitialDataSpec(
-        kind=cfg.kind,
-        seed=cfg.seed,
-        target_ru=cfg.target_ru,
-        target_romega=cfg.target_romega,
-        band=cfg.band,
-    )
-    state = make_initial_data(spec, grid)
     center = cfg.center
     try:
         center = float(center)
     except ValueError:
         pass
-    options = diag_mod.DiagnosticsOptions(rho=cfg.rho, center=center)
+    with _bad_values():
+        grid = make_grid(cfg.nx, cfg.ny, cfg.lam)
+        spec = InitialDataSpec(
+            kind=cfg.kind,
+            seed=cfg.seed,
+            target_ru=cfg.target_ru,
+            target_romega=cfg.target_romega,
+            band=cfg.band,
+        )
+        options = diag_mod.DiagnosticsOptions(rho=cfg.rho, center=center)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    state = make_initial_data(spec, grid)
     collector = diag_mod.TrajectoryCollector(options)
     records = []
     final = run(
@@ -140,19 +151,21 @@ def _parse_floats(text):
 
 def _cmd_advdiff(args):
     grid = _grid(args)
-    drift = advdiff_mod.DriftSpec(kind=args.drift, amplitude=args.amplitude, period=args.period)
+    with _bad_values():
+        drift = advdiff_mod.DriftSpec(kind=args.drift, amplitude=args.amplitude, period=args.period)
+        ps = _parse_floats(args.p_list)
+        qs = [np.inf if s.strip() in ("inf", "oo") else float(s) for s in args.q_list.split(",") if s.strip()]
+        times = _parse_floats(args.times)
+        env_times = _parse_floats(args.envelope_times)
+    if len(ps) != len(qs):
+        raise _UsageError(f"--p-list and --q-list must pair up, got {len(ps)} and {len(qs)} values")
+    sigma0 = args.sigma0 if args.sigma0 > 0 else 2.0 * max(grid.dx, grid.dy)
+    y = (args.y1 if args.y1 is not None else grid.lam / 2.0, args.y2)
     os.makedirs(args.out_dir, exist_ok=True)
     failures = 0
 
     rows = []
-    if args.p_list and args.q_list:
-        ps = _parse_floats(args.p_list)
-        qs = [np.inf if s.strip() in ("inf", "oo") else float(s) for s in args.q_list.split(",")]
-        if len(ps) != len(qs):
-            raise SystemExit("p-list and q-list must pair up")
-        times = _parse_floats(args.times)
-        sigma0 = args.sigma0 if args.sigma0 > 0 else 2.0 * max(grid.dx, grid.dy)
-        y = (args.y1 if args.y1 is not None else grid.lam / 2.0, args.y2)
+    if ps:
         bump = advdiff_mod.periodized_gaussian(grid, y, sigma0)
         for p, q in zip(ps, qs):
             res = advdiff_mod.check_lp_lq(drift, bump, p, q, times, dt_acc=args.dt_acc)
@@ -165,11 +178,8 @@ def _cmd_advdiff(args):
                 fh.write(f"{p:.17g},{qtxt},{t:.17g},{r:.17g}\n")
 
     env_rows = []
-    if args.envelope_times:
-        times = _parse_floats(args.envelope_times)
-        sigma0 = args.sigma0 if args.sigma0 > 0 else 2.0 * max(grid.dx, grid.dy)
-        y = (args.y1 if args.y1 is not None else grid.lam / 2.0, args.y2)
-        for t in times:
+    if env_times:
+        for t in env_times:
             gam = advdiff_mod.fundamental_solution(drift, y, t, sigma0, grid=grid, dt_acc=args.dt_acc)
             fit = advdiff_mod.check_gaussian_envelope(gam, y, t, drift.amplitude, args.envelope_lambda)
             env_rows.append((t, fit))

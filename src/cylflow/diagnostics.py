@@ -21,6 +21,7 @@ from .spectral import (
     _as_physical_data,
     _as_spectral_data,
     _derivative_multiplier,
+    _half,
     _inverse_padded,
     _padded_grid,
     circular_distance,
@@ -146,38 +147,32 @@ class DiagnosticsOptions:
     rho: float = 1.0
     center: object = "argmax_e"  # initial energy-density argmax, or an explicit x1
 
+    def __post_init__(self):
+        if isinstance(self.center, str) and self.center != "argmax_e":
+            raise ValueError(f"unknown center policy {self.center!r}")
+
 
 class _FineFields:
-    """All profile ingredients of one state, sampled on the 2x padded grid."""
+    """All profile ingredients of one state, sampled on the 2x padded grid:
+    one batched padded inverse of the velocity, the vorticity and their
+    first derivatives, and one of the pressure."""
 
     def __init__(self, state):
         g = state.grid
         self.fine = _padded_grid(g)
-        w_hat = _as_spectral_data(state.omega)
+        w_hat = _half(_as_spectral_data(state.omega))
         u1h, u2h = _biot_savart(g, w_hat, state.c, state.m_mean)
-        uh1 = u1h.copy()
-        uh1[:, 0] = 0.0
-        uh2 = u2h.copy()
-        uh2[:, 0] = 0.0
-
         d1 = _derivative_multiplier(g, 1)
-        d2 = _derivative_multiplier(g, 2)
-        pad = _inverse_padded
-        self.u1 = pad(u1h)
-        self.u2 = pad(u2h)
-        self.uh1 = pad(uh1)
-        self.uh2 = pad(uh2)
-        self.w = pad(w_hat)
-        self.d1u1 = pad(d1 * u1h)
-        self.d2u1 = pad(d2 * u1h)
-        self.d1u2 = pad(d1 * u2h)
-        self.d2u2 = pad(d2 * u2h)
-        self.d1w = pad(d1 * w_hat)
-        self.d2w = pad(d2 * w_hat)
-        self.d1m = pad(d1[:, 0] * u2h[:, 0])
-
+        d2 = _half(_derivative_multiplier(g, 2))
+        spectra = (u1h, u2h, w_hat, d1 * u1h, d2 * u1h, d1 * u2h, d2 * u2h, d1 * w_hat, d2 * w_hat)
+        (self.u1, self.u2, self.w, self.d1u1, self.d2u1,
+         self.d1u2, self.d2u2, self.d1w, self.d2w) = _inverse_padded(g, np.stack(spectra))
+        # on the fine grid a vertical mean is the exact n = 0 profile
+        self.uh1 = self.u1 - self.u1.mean(axis=1, keepdims=True)
+        self.uh2 = self.u2 - self.u2.mean(axis=1, keepdims=True)
+        self.d1m = self.d1u2.mean(axis=1)
         # the even samples of the padded grid are the state's own grid
-        self.p = pad(_pressure_hat(g, self.u1[::2, ::2], self.w[::2, ::2]))
+        self.p = _inverse_padded(g, _pressure_hat(g, self.u1[::2, ::2], self.w[::2, ::2]))
         self.M = state.m0_norm
 
     def profiles(self):
@@ -204,7 +199,7 @@ class _FineFields:
         f_hat = d1e_hat - h_hat
         q12 = (uh1 * uh2).mean(axis=1)
         g_hat = self.d1m * q12
-        forcing = profile_derivative(Profile(self.fine, q12)).values
+        forcing = (self.d1u1 * uh2 + uh1 * d1uh2).mean(axis=1)
         return {
             "e": e,
             "h": h,
@@ -417,15 +412,12 @@ class TrajectoryCollector:
         ff = _FineFields(state)
         pr = ff.profiles()
         if self._center is None:
-            if isinstance(self.options.center, str):
-                if self.options.center != "argmax_e":
-                    raise ValueError(f"unknown center policy {self.options.center!r}")
+            if self.options.center == "argmax_e":
                 self._center = float(ff.fine.x1[int(np.argmax(pr["e"]))])
             else:
                 self._center = float(self.options.center)
         sup_u, sup_w, sup_uhat = _coarse_sups(ff)
-        q = (ff.uh1**2 + ff.uh2**2).mean(axis=1)
-        ul2 = _ul2_from_profile(ff.fine.dx, q) if state.grid.lam >= 2.0 else 0.0
+        ul2 = _ul2_from_profile(ff.fine.dx, 2.0 * pr["e_hat"]) if state.grid.lam >= 2.0 else 0.0
         forcing_sup = float(np.abs(pr["forcing"]).max())
         self.snapshots.append(
             _Snapshot(

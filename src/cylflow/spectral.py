@@ -15,7 +15,6 @@ works on the half spectrum n = 0..ny/2 alone.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -225,19 +224,22 @@ def _profile_inverse(spec):
     return np.fft.ifft(spec * spec.shape[0]).real
 
 
-def _inverse_padded(spec):
-    """Sample normalized coefficients (1-D or 2-D) on the grid twice as fine
-    along every axis, by zero padding."""
-    big = np.zeros(tuple(2 * n for n in spec.shape), dtype=np.complex128)
-    # per axis, (source, destination) of the low and of the high half
-    halves = [
-        ((slice(None, n // 2), slice(None, n // 2)), (slice(n // 2, None), slice(3 * n // 2, None)))
-        for n in spec.shape
-    ]
-    for corner in itertools.product(*halves):
-        src, dst = zip(*corner)
-        big[dst] = spec[src]
-    return np.fft.ifftn(big * big.size).real
+def _inverse_padded(grid, half):
+    """Sample half-spectrum coefficients (leading axes are a batch) on the
+    grid twice as fine along both axes, by zero padding.
+
+    The x1 rows are padded here, in the middle; the x2 columns are padded by
+    the inverse itself.  The Nyquist row and column are split in half
+    between +-N/2, so the samples are those of the real trigonometric
+    interpolant and the even samples are the input's own grid values.
+    """
+    h = grid.nx // 2
+    big = np.zeros(half.shape[:-2] + (2 * grid.nx, half.shape[-1]), dtype=np.complex128)
+    big[..., : h + 1, :] = half[..., : h + 1, :]
+    big[..., -h:, :] = half[..., h:, :]
+    big[..., [h, -h], :] *= 0.5
+    big[..., -1] *= 0.5
+    return _inverse_half(_padded_grid(grid), big)
 
 
 @lru_cache(maxsize=8)
@@ -246,14 +248,18 @@ def _padded_grid(grid):
     return SpectralGrid(2 * grid.nx, 2 * grid.ny, grid.lam)
 
 
+@lru_cache(maxsize=32)
 def _derivative_multiplier(grid, axis, order=1):
-    """(i*k_axis)**order, broadcastable over (nx, ny); the Nyquist mode is
-    zeroed for odd orders."""
+    """(i*k_axis)**order, broadcastable over (nx, ny) and read-only; the
+    Nyquist mode is zeroed for odd orders."""
     if axis == 1:
         k = grid.k1_odd if order % 2 else grid.k1
-        return ((1j * k) ** order)[:, None]
-    k = grid.k2_odd if order % 2 else grid.k2
-    return ((1j * k) ** order)[None, :]
+        mult = ((1j * k) ** order)[:, None]
+    else:
+        k = grid.k2_odd if order % 2 else grid.k2
+        mult = ((1j * k) ** order)[None, :]
+    mult.setflags(write=False)
+    return mult
 
 
 def to_spectral(f):

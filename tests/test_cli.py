@@ -154,6 +154,26 @@ class TestCleanFailures:
         assert len(err) == 1 and command in err[0] and "nx=7" in err[0]
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "argv, word",
+        [
+            (["simulate", "--nx", "7"], "7"),
+            (["simulate", "--kind", "bogus"], "bogus"),
+            (["simulate", "--center", "foo"], "foo"),
+            (["simulate", "--config", "{cfg}"], "bogus_key"),
+            (["advdiff", "--p-list", "1,2", "--q-list", "inf"], "pair up"),
+            (["advdiff", "--p-list", "1", "--q-list", "inf", "--times", "0.1,abc"], "abc"),
+        ],
+    )
+    def test_bad_value(self, argv, word, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bogus_key = 1\n")
+        out = tmp_path / "out"
+        assert run_cli(*[a.format(cfg=cfg) for a in argv], "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and argv[0] in err[0] and word in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("make_snapshot_dir", [False, True])
     def test_report_without_snapshots(self, make_snapshot_dir, tmp_path, capsys):
         if make_snapshot_dir:

@@ -351,8 +351,9 @@ class TestRealSpectrumCore:
             ("step", lambda: step(st, 1e-3)),
             ("cfl_dt", lambda: cfl_dt(st, 0.9)),
             ("advdiff_step", lambda: advdiff_run(bump, drift, 1e-3, dt_acc=1e-3)),
+            ("add", lambda: TrajectoryCollector().add(st)),
         ):
             calls.clear()
             call()
             budget[label] = len(calls)
-        assert budget == {"step": 8, "cfl_dt": 1, "advdiff_step": 8}
+        assert budget == {"step": 8, "cfl_dt": 1, "advdiff_step": 8, "add": 3}

@@ -10,6 +10,9 @@ import cylflow
 from cylflow.spectral import (
     Profile,
     ScalarField,
+    _forward_half,
+    _half,
+    _inverse_padded,
     dealias,
     integral,
     lp_norm,
@@ -193,12 +196,47 @@ def test_profile_shape_guard(grid32):
         Profile(grid32, np.zeros(7))
 
 
+class TestInversePadded:
+    """The 2x padded sampler of the diagnostics, on a 16x12 grid."""
+
+    def test_matches_trigonometric_interpolant(self):
+        g = make_grid(16, 12, 3.0)
+        specs = [to_spectral(random_band_limited(g, seed=s, band=4)).data for s in (1, 2)]
+        fine = _inverse_padded(g, _half(np.stack(specs)))
+        assert fine.shape == (2, 32, 24)
+        # explicit sum over the retained modes |j|, |n| <= 4 at the fine points
+        x1 = np.arange(32)[:, None] * (g.lam / 32)
+        x2 = np.arange(24)[None, :] / 24
+        for spec, got in zip(specs, fine):
+            want = np.zeros((32, 24))
+            for j in range(-4, 5):
+                for n in range(-4, 5):
+                    phase = 2 * np.pi * (j * x1 / g.lam + n * x2)
+                    want += (spec[j, n] * np.exp(1j * phase)).real
+            assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+
+    def test_rough_field_is_real_and_interpolates(self):
+        g = make_grid(16, 12, 3.0)
+        rough = np.random.default_rng(4).standard_normal((3, 16, 12))
+        fine = _inverse_padded(g, _forward_half(rough))
+        assert fine.dtype == np.float64 and fine.shape == (3, 32, 24)
+        assert np.abs(fine[:, ::2, ::2] - rough).max() < 1e-13
+
+
 def test_only_spectral_module_calls_numpy_fft():
-    """Transforms and their normalization live in cylflow.spectral alone.
+    """Transforms and their normalization live in cylflow.spectral alone,
+    and spectral itself uses no complex 2-D transform.
 
     The direct kernel quadrature in biotsavart is exempt: it is the
     independent reference the Biot-Savart tests compare against.
     """
+    spectral_src = (pathlib.Path(cylflow.__file__).parent / "spectral.py").read_text(encoding="utf-8")
+    complex_2d = {"fft2", "ifft2", "fftn", "ifftn"}
+    assert not [
+        node.lineno
+        for node in ast.walk(ast.parse(spectral_src))
+        if isinstance(node, ast.Attribute) and node.attr in complex_2d
+    ]
     exempt = {("biotsavart.py", "velocity_by_kernel_quadrature")}
     offenders = []
     for path in sorted(pathlib.Path(cylflow.__file__).parent.glob("*.py")):
