@@ -46,6 +46,9 @@ __all__ = [
 
 DRIFT_KINDS = ("zero", "steady_shear_u1", "time_periodic_shear", "from_snapshot")
 
+# Fraction of the advective CFL limit taken per step.
+CFL_SAFETY = 0.9
+
 
 @dataclass
 class DriftSpec:
@@ -140,7 +143,7 @@ class LpLqCheck:
     k1: float
 
 
-def _evolve(grid, w_hat, drift, t0, t1, dt_acc, safety, capture=()):
+def _evolve(grid, w_hat, drift, t0, t1, dt_acc, capture=()):
     """Advance full-spectrum coefficients from t0 to t1, landing exactly on
     capture times; the steps run on the half spectrum."""
     captured = {}
@@ -150,7 +153,7 @@ def _evolve(grid, w_hat, drift, t0, t1, dt_acc, safety, capture=()):
         return _advection(grid, *drift.velocity(grid, t), *_inverse_half(grid, np.stack((d1 * w, d2 * w))))
 
     def limit(w, t):
-        return _cfl_limit(grid, *drift.sup_speed(grid, t), safety, dt_acc)
+        return _cfl_limit(grid, *drift.sup_speed(grid, t), CFL_SAFETY, dt_acc)
 
     def advance(w, t, dt, t_new):
         return _guarded_step(grid, w, t, dt, tendency)
@@ -161,13 +164,13 @@ def _evolve(grid, w_hat, drift, t0, t1, dt_acc, safety, capture=()):
     return _full(grid, _march(_half(w_hat), t0, t1, capture, limit, advance, visit)), captured
 
 
-def advdiff_run(omega0, drift, t_end, *, dt_acc=1e-3, safety=0.9):
+def advdiff_run(omega0, drift, t_end, *, dt_acc=1e-3):
     """Evolve the passive scalar to t_end; mass is conserved to roundoff."""
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
     g = omega0.grid
     w0 = _as_spectral_data(omega0)
-    w, _ = _evolve(g, w0, drift, 0.0, t_end, dt_acc, safety)
+    w, _ = _evolve(g, w0, drift, 0.0, t_end, dt_acc)
     if omega0.repr == PHYSICAL:
         return ScalarField(g, _inverse(g, w), PHYSICAL)
     return ScalarField(g, w, "spectral")
@@ -188,7 +191,7 @@ def periodized_gaussian(grid, y, sigma):
     return ScalarField(grid, out)
 
 
-def fundamental_solution(drift, y, t, sigma0, grid=None, *, dt_acc=1e-3, safety=0.9):
+def fundamental_solution(drift, y, t, sigma0, grid=None, *, dt_acc=1e-3):
     """Approximate fundamental solution: evolve a width-sigma0 unit-mass
     Gaussian centered at y up to time t.
 
@@ -202,10 +205,10 @@ def fundamental_solution(drift, y, t, sigma0, grid=None, *, dt_acc=1e-3, safety=
     if t <= 0:
         raise ValueError("t must be positive")
     bump = periodized_gaussian(grid, y, sigma0)
-    return advdiff_run(bump, drift, t, dt_acc=dt_acc, safety=safety)
+    return advdiff_run(bump, drift, t, dt_acc=dt_acc)
 
 
-def check_lp_lq(drift, omega0, p, q, times, *, dt_acc=1e-3, safety=0.9):
+def check_lp_lq(drift, omega0, p, q, times, *, dt_acc=1e-3):
     """Empirical smoothing constant: max over times of
     ||omega(t)||_q V(t)^(1/p - 1/q) / ||omega0||_p."""
     if not (1 <= p <= q):
@@ -216,7 +219,7 @@ def check_lp_lq(drift, omega0, p, q, times, *, dt_acc=1e-3, safety=0.9):
     if denom == 0.0:
         raise ValueError("zero initial data")
     times = sorted(float(t) for t in times)
-    _, captured = _evolve(g, w0, drift, 0.0, times[-1], dt_acc, safety, capture=times)
+    _, captured = _evolve(g, w0, drift, 0.0, times[-1], dt_acc, capture=times)
     ratios = []
     for t in times:
         fld = ScalarField(g, _inverse(g, captured[t]))
@@ -256,14 +259,12 @@ def check_gaussian_envelope(gamma, y, t, M, lam):
     return EnvelopeFit(K2_est=k2, slope=slope, lambda_eff=lambda_eff, passed=passed)
 
 
-def duality_residual(drift, omega0, w0, t_final, *, dt_acc=1e-3, safety=0.9):
+def duality_residual(drift, omega0, w0, t_final, *, dt_acc=1e-3):
     """Relative mismatch of <omega(T), w0> and <omega0, w(T)> where w evolves
     under the adjoint drift -u(T - t)."""
     g = omega0.grid
-    a_end = advdiff_run(omega0, drift, t_final, dt_acc=dt_acc, safety=safety)
-    b_end_hat, _ = _evolve(
-        g, _as_spectral_data(w0), drift.reversed(t_final), 0.0, t_final, dt_acc, safety
-    )
+    a_end = advdiff_run(omega0, drift, t_final, dt_acc=dt_acc)
+    b_end_hat, _ = _evolve(g, _as_spectral_data(w0), drift.reversed(t_final), 0.0, t_final, dt_acc)
     b_end = ScalarField(g, _inverse(g, b_end_hat))
     lhs = float((_as_physical_data(a_end) * _as_physical_data(w0)).sum() * g.cell_area)
     rhs = float((_as_physical_data(omega0) * b_end.data).sum() * g.cell_area)

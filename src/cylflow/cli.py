@@ -113,16 +113,15 @@ def _cmd_simulate(args):
     os.makedirs(cfg.out_dir, exist_ok=True)
     state = make_initial_data(spec, grid)
     collector = diag_mod.TrajectoryCollector(options)
-    records = []
     final = run(
         state,
         cfg.t_end,
         diag_times=cfg.diag_schedule(),
-        sink=records,
         collector=collector,
         safety=cfg.safety,
         dt_acc=cfg.dt_acc,
     )
+    records = collector.finalize()
     write_csv_records(records, os.path.join(cfg.out_dir, "diagnostics.csv"))
     with open(os.path.join(cfg.out_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(serialize_config(cfg))
@@ -159,6 +158,9 @@ def _cmd_advdiff(args):
         env_times = _parse_floats(args.envelope_times)
     if len(ps) != len(qs):
         raise _UsageError(f"--p-list and --q-list must pair up, got {len(ps)} and {len(qs)} values")
+    for p, q in zip(ps, qs):
+        if not (1 <= p <= q):
+            raise _UsageError(f"--p-list and --q-list need 1 <= p <= q, got p={p:g}, q={q:g}")
     sigma0 = args.sigma0 if args.sigma0 > 0 else 2.0 * max(grid.dx, grid.dy)
     y = (args.y1 if args.y1 is not None else grid.lam / 2.0, args.y2)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -294,17 +296,27 @@ def _cmd_fit_rates(args):
     return 0
 
 
+def _parse_window(text, flag):
+    window = tuple(_parse_floats(text))
+    if len(window) != 2:
+        raise ValueError(f"{flag} needs two values lo,hi, got {text!r}")
+    return window
+
+
 def _cmd_report(args):
+    with _bad_values():
+        window = _parse_window(args.window, "--window") if args.window else None
+        t_grid = tuple(_parse_floats(args.t_grid))
+        laminar_window = _parse_window(args.laminar_window, "--laminar-window")
     snap_dir = os.path.join(args.run_dir, "snapshots")
     names = sorted(n for n in os.listdir(snap_dir) if n.endswith(".bin")) if os.path.isdir(snap_dir) else []
     if not names:
         raise _UsageError(f"no snapshots under {snap_dir}")
     states = [read_state(os.path.join(snap_dir, n)) for n in names]
     states.sort(key=lambda s: s.t)
-    collector = diag_mod.TrajectoryCollector(diag_mod.DiagnosticsOptions(rho=args.rho))
+    collector = diag_mod.TrajectoryCollector()
     for s in states:
         collector.add(s)
-    traj = collector.trajectory()
 
     if args.c3 is not None:
         c3 = args.c3
@@ -313,7 +325,7 @@ def _cmd_report(args):
             c3 = get_constant(args.constants_path, "C3")
         except KeyError:
             # estimate the flux constant from this run and record it
-            c3 = ineq_mod.flux_bound_constants(traj)["C3"].max_ratio
+            c3 = ineq_mod.flux_bound_constants(collector)["C3"].max_ratio
             g = states[0].grid
             update_constant(
                 args.constants_path,
@@ -323,13 +335,9 @@ def _cmd_report(args):
             )
             print(f"report: estimated C3={c3:.4g} from the run and recorded it in {args.constants_path}")
     cfg = diag_mod.TheoremCheckConfig(
-        c3=c3,
-        window=tuple(_parse_floats(args.window)) if args.window else None,
-        t_grid=tuple(_parse_floats(args.t_grid)),
-        tau=args.tau,
-        laminar_window=tuple(_parse_floats(args.laminar_window)),
+        c3=c3, window=window, t_grid=t_grid, tau=args.tau, laminar_window=laminar_window
     )
-    report = diag_mod.theorem_checks(traj, cfg)
+    report = diag_mod.theorem_checks(collector, cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, default=float)
         fh.write("\n")
@@ -428,7 +436,6 @@ def _build_parser():
     rep.add_argument("--run-dir", dest="run_dir", required=True)
     rep.add_argument("--constants", dest="constants_path", default="constants.json")
     rep.add_argument("--c3", type=float, default=None, help="override the ledger C3")
-    rep.add_argument("--rho", type=float, default=1.0)
     rep.add_argument("--t-grid", dest="t_grid", default="1,4,16")
     rep.add_argument("--tau", type=float, default=0.1)
     rep.add_argument("--window", default="")

@@ -36,7 +36,6 @@ __all__ = [
     "RateFit",
     "DiagnosticsOptions",
     "TrajectoryCollector",
-    "Trajectory",
     "TheoremCheckConfig",
     "CSV_COLUMNS",
     "v_volume",
@@ -116,20 +115,8 @@ class DiagnosticsRecord:
     residual_oscillatory: float = 0.0
 
     def csv_values(self):
-        return [
-            self.t,
-            self.sup_u,
-            self.sup_omega,
-            self.sup_uhat,
-            self.e_rho,
-            self.d_rho,
-            self.ens_rho,
-            self.ensd_rho,
-            self.ul2_uhat,
-            self.residual_energy,
-            self.residual_enstrophy,
-            self.residual_oscillatory,
-        ]
+        """Values in CSV_COLUMNS order: the fields are declared in that order."""
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 @dataclass
@@ -380,24 +367,9 @@ class _Snapshot:
     forcing_sup: float
 
 
-@dataclass
-class Trajectory:
-    snapshots: list
-    records: list
-    options: DiagnosticsOptions
-    center: float
-
-    @property
-    def times(self):
-        return [s.t for s in self.snapshots]
-
-    def series(self, key):
-        """(t, value) series for a scalar snapshot attribute."""
-        return [(s.t, getattr(s, key)) for s in self.snapshots]
-
-
 class TrajectoryCollector:
-    """Accumulates per-time diagnostics along a run and builds the records.
+    """The trajectory of one run: per-time diagnostics of each state handed
+    to `add`, from which `finalize` builds the records.
 
     Residual columns use centered differences, so they are filled for
     interior, equally spaced diagnostic times and left at zero on the ends.
@@ -472,13 +444,9 @@ class TrajectoryCollector:
             )
         return recs
 
-    def trajectory(self):
-        return Trajectory(
-            snapshots=self.snapshots,
-            records=self.finalize(),
-            options=self.options,
-            center=self._center if self._center is not None else 0.0,
-        )
+    def series(self, key):
+        """(t, value) series for a scalar snapshot attribute."""
+        return [(s.t, getattr(s, key)) for s in self.snapshots]
 
 
 @dataclass
@@ -502,8 +470,8 @@ class TheoremCheckConfig:
         return (1.0, 0.1 * (lam / (2.0 * np.pi)) ** 2)
 
 
-def _snapshot_at(traj, t):
-    for s in traj.snapshots:
+def _snapshot_at(collector, t):
+    for s in collector.snapshots:
         if abs(s.t - t) <= 1e-9 * max(1.0, abs(t)):
             return s
     raise ValueError(f"missing diagnostics at requested time t={t}")
@@ -513,7 +481,7 @@ def _trapezoid(ts, vs):
     return float(np.trapezoid(vs, ts)) if len(ts) > 1 else 0.0
 
 
-def theorem_checks(traj, config):
+def theorem_checks(collector, config):
     """Quantitative report on the theorem-shaped estimates for one run.
 
     Sections: (a) uniform velocity bound ratio; (b) vorticity-decay shape
@@ -521,9 +489,9 @@ def theorem_checks(traj, config):
     configured horizons with rho = 1/sqrt(beta T); (d) laminar-regime decay
     rates when kappa < 1; (e) the ul2-to-sup smoothing ratio at lag tau.
     """
-    if not traj.snapshots:
+    if not collector.snapshots:
         raise ValueError("empty trajectory")
-    first = traj.snapshots[0]
+    first = collector.snapshots[0]
     g = first.state.grid
     M = first.state.m0_norm
     e_star0 = float(first.fine["e"].max())
@@ -541,7 +509,7 @@ def theorem_checks(traj, config):
     }
 
     # (a) uniform velocity bound: Ru + M + (1+M) e_*(0) shape
-    sup_u_all = max(s.sup_u for s in traj.snapshots)
+    sup_u_all = max(s.sup_u for s in collector.snapshots)
     denom_a = ru0 + M + (1.0 + M) * e_star0
     report["velocity_bound"] = {
         "sup_u": sup_u_all,
@@ -551,7 +519,7 @@ def theorem_checks(traj, config):
 
     # (b) vorticity decay shape over the pre-crossover window
     t_lo, t_hi = config.vorticity_window(g.lam)
-    in_win = [s for s in traj.snapshots if t_lo <= s.t <= t_hi]
+    in_win = [s for s in collector.snapshots if t_lo <= s.t <= t_hi]
     denom_b = (1.0 + M) * e_star0
     ratio_b = max((s.sup_omega**2 * math.sqrt(s.t) for s in in_win), default=0.0)
     report["vorticity_decay"] = {
@@ -563,23 +531,22 @@ def theorem_checks(traj, config):
     # (c) localized energy and enstrophy bounds at the configured horizons
     beta = config.c3 * (1.0 + M) ** 2
     energy_rows, enstrophy_rows = [], []
-    ts = np.array([s.t for s in traj.snapshots])
     for T in config.t_grid:
-        if T > traj.snapshots[-1].t + 1e-9:
+        if T > collector.snapshots[-1].t + 1e-9:
             continue
         rho = 1.0 / math.sqrt(beta * T)
-        sT = _snapshot_at(traj, T)
-        e_rho_T = _localized_sum_fine(g, sT.fine["e"], rho, traj.center)
-        upto = [s for s in traj.snapshots if s.t <= T + 1e-12]
-        d_vals = [_localized_sum_fine(g, s.fine["d"], rho, traj.center) for s in upto]
+        sT = _snapshot_at(collector, T)
+        e_rho_T = _localized_sum_fine(g, sT.fine["e"], rho, collector.center)
+        upto = [s for s in collector.snapshots if s.t <= T + 1e-12]
+        d_vals = [_localized_sum_fine(g, s.fine["d"], rho, collector.center) for s in upto]
         int_d = _trapezoid([s.t for s in upto], d_vals)
         lhs = e_rho_T + 0.5 * int_d
         rhs = 4.0 * e_star0 * math.sqrt(beta * T)
         energy_rows.append({"T": T, "rho": rho, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else 0.0})
 
-        ens_T = _localized_sum_fine(g, sT.fine["eps"], rho, traj.center)
+        ens_T = _localized_sum_fine(g, sT.fine["eps"], rho, collector.center)
         late = [s for s in upto if s.t >= T / 2.0 - 1e-12]
-        dd_vals = [_localized_sum_fine(g, s.fine["delta"], rho, traj.center) for s in late]
+        dd_vals = [_localized_sum_fine(g, s.fine["delta"], rho, collector.center) for s in late]
         int_dd = _trapezoid([s.t for s in late], dd_vals)
         scale = (1.0 + M) * e_star0
         enstrophy_rows.append(
@@ -600,7 +567,7 @@ def theorem_checks(traj, config):
     if kappa < 1.0 and M > 0.0:
         laminar["rate_floor"] = 2.0 * np.pi**2 * (1.0 - kappa)
         for key, label in (("ul2_uhat", "ul2"), ("sup_uhat", "uhat"), ("forcing_sup", "forcing")):
-            series = traj.series(key)
+            series = collector.series(key)
             peak = max((v for _, v in series), default=0.0)
             if peak < 1e-250:
                 laminar[f"{label}_rate"] = "exact_zero"
@@ -618,10 +585,10 @@ def theorem_checks(traj, config):
 
     # (e) smoothing: sup |u_hat(t+tau)| against ul2(u_hat(t))
     pairs = []
-    for s in traj.snapshots:
+    for s in collector.snapshots:
         target = s.t + config.tau
         try:
-            s2 = _snapshot_at(traj, target)
+            s2 = _snapshot_at(collector, target)
         except ValueError:
             continue
         if s.ul2_uhat > 1e-13:

@@ -58,6 +58,7 @@ class NashCheck:
     rhs_branch1: float  # ||grad f||^(1/3) ||f||_1^(2/3)
     rhs_branch2: float  # ||grad f||^(1/2) ||f||_1^(1/2)
     ratio: float  # lhs / max(branches)
+    psi_c: float  # the psi-form constant, see psi_nash_check
 
 
 def _grad_l2(f):
@@ -68,27 +69,25 @@ def _grad_l2(f):
 
 
 def nash_check(f):
-    """Both branches of the cylinder Nash inequality for one sample field."""
+    """Both branches of the cylinder Nash inequality and the psi-form
+    constant for one sample field, from one evaluation of its norms."""
     l1 = lp_norm(f, 1)
     l2 = lp_norm(f, 2)
     if l2 == 0.0:
-        raise ValueError("nash_check requires a nonzero field")
+        raise ValueError("the Nash checks require a nonzero field")
     gl2 = _grad_l2(f)
     b1 = gl2 ** (1.0 / 3.0) * l1 ** (2.0 / 3.0)
     b2 = math.sqrt(gl2) * math.sqrt(l1)
-    return NashCheck(lhs=l2, rhs_branch1=b1, rhs_branch2=b2, ratio=l2 / max(b1, b2))
+    x = l2 / l1
+    return NashCheck(
+        lhs=l2, rhs_branch1=b1, rhs_branch2=b2, ratio=l2 / max(b1, b2), psi_c=gl2 / (l2 * min(x, x * x))
+    )
 
 
 def psi_nash_check(f):
     """Admissible constant of the psi form: the largest C with
     ||grad f||_2 >= C ||f||_2 min(||f||_2/||f||_1, (||f||_2/||f||_1)^2)."""
-    l1 = lp_norm(f, 1)
-    l2 = lp_norm(f, 2)
-    if l2 == 0.0:
-        raise ValueError("psi_nash_check requires a nonzero field")
-    gl2 = _grad_l2(f)
-    x = l2 / l1
-    return gl2 / (l2 * min(x, x * x))
+    return nash_check(f).psi_c
 
 
 def poincare_check(f, tol=1e-10):
@@ -121,38 +120,41 @@ def _quantiles(vals):
     return {q: float(np.quantile(arr, q)) for q in (0.5, 0.9, 0.99)}
 
 
-def flux_bound_constants(traj, threshold=1e-14):
+# Profile points whose flux-ratio denominator is at most this are skipped.
+_FLUX_THRESHOLD = 1e-14
+
+
+def flux_bound_constants(collector):
     """Empirical flux constants from pointwise (x1, t) profile ratios.
 
     Returns reports keyed "C3" (|f|^2 / ((1+M)^2 e d)), "C4"
     (|phi|^2 / ((1+M)^2 eps delta)), "C8" (|f_hat|^2 / (kappa_t^2 d_hat))
     and "g_ratio" (|g_hat| / (kappa_t d_hat), bounded by 1).  Points where
-    the guarded denominator falls below the threshold are skipped and
+    the guarded denominator falls below _FLUX_THRESHOLD are skipped and
     counted.
     """
-    if not traj.snapshots:
+    if not collector.snapshots:
         raise ValueError("empty trajectory")
-    M = traj.snapshots[0].state.m0_norm
-    g = traj.snapshots[0].state.grid
+    M = collector.snapshots[0].state.m0_norm
+    g = collector.snapshots[0].state.grid
     vals = {"C3": [], "C4": [], "C8": [], "g_ratio": []}
     skipped = {k: 0 for k in vals}
-    for s in traj.snapshots:
+    for s in collector.snapshots:
         pr = s.fine
         kappa_t = s.sup_omega / (4.0 * np.pi**2)
         den_e = (1.0 + M) ** 2 * pr["e"] * pr["d"]
-        keep = den_e > threshold
+        keep = den_e > _FLUX_THRESHOLD
         skipped["C3"] += int((~keep).sum())
         vals["C3"].extend((pr["f"][keep] ** 2 / den_e[keep]).tolist())
         den_ens = (1.0 + M) ** 2 * pr["eps"] * pr["delta"]
-        keep = den_ens > threshold
+        keep = den_ens > _FLUX_THRESHOLD
         skipped["C4"] += int((~keep).sum())
         vals["C4"].extend((pr["phi"][keep] ** 2 / den_ens[keep]).tolist())
         if kappa_t > 0.0:
             den_hat = kappa_t**2 * pr["d_hat"]
-            keep = pr["d_hat"] > threshold
+            keep = pr["d_hat"] > _FLUX_THRESHOLD
             skipped["C8"] += int((~keep).sum())
             vals["C8"].extend((pr["f_hat"][keep] ** 2 / den_hat[keep]).tolist())
-            keep = pr["d_hat"] > threshold
             vals["g_ratio"].extend(
                 (np.abs(pr["g_hat"][keep]) / (kappa_t * pr["d_hat"][keep])).tolist()
             )
@@ -240,7 +242,7 @@ def nash_suite(grid, n_samples, seed, weights=None):
                 "rhs_branch1": chk.rhs_branch1,
                 "rhs_branch2": chk.rhs_branch2,
                 "ratio": chk.ratio,
-                "psi_c": psi_nash_check(f),
+                "psi_c": chk.psi_c,
             }
         )
     ratios = [r["ratio"] for r in rows]

@@ -51,23 +51,10 @@ def read_csv_records(path):
         raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(header)} in {path}")
     records = []
     for ln in lines[1:]:
-        v = [float(s) for s in ln.split(",")]
-        records.append(
-            DiagnosticsRecord(
-                t=v[0],
-                sup_u=v[1],
-                sup_omega=v[2],
-                sup_uhat=v[3],
-                e_rho=v[4],
-                d_rho=v[5],
-                ens_rho=v[6],
-                ensd_rho=v[7],
-                ul2_uhat=v[8],
-                residual_energy=v[9],
-                residual_enstrophy=v[10],
-                residual_oscillatory=v[11],
-            )
-        )
+        values = [float(s) for s in ln.split(",")]
+        if len(values) != len(CSV_COLUMNS):
+            raise ValueError(f"row with {len(values)} values, expected {len(CSV_COLUMNS)} in {path}")
+        records.append(DiagnosticsRecord(*values))
     return records
 
 

@@ -267,7 +267,6 @@ def run(
     state0,
     t_end,
     diag_times=(),
-    sink=None,
     *,
     safety=0.9,
     dt_acc=DEFAULT_DT_ACC,
@@ -276,18 +275,13 @@ def run(
 ):
     """Integrate to t_end with adaptive steps that land exactly on diag_times.
 
-    Diagnostics records are computed by a trajectory collector (created on
-    demand when a sink is given) and handed to `sink` in time order after
-    the run completes, so that the centered-difference residual columns can
-    be filled in.  `sup_omega_trace`, if given, receives (t, sup|omega|)
-    after every internal step.  Deterministic for identical inputs.
+    At each diagnostic time the state is handed to `collector.add`, if a
+    collector is given; its `finalize()` builds the records once the run
+    is over.  `sup_omega_trace`, if given, receives (t, sup|omega|) after
+    every internal step.  Deterministic for identical inputs.
     """
     if t_end < state0.t:
         raise ValueError("t_end must not precede the initial time")
-    if collector is None and sink is not None:
-        from .diagnostics import TrajectoryCollector
-
-        collector = TrajectoryCollector()
 
     def advance(state, t, dt, t_new):
         state = step(state, dt)
@@ -302,16 +296,9 @@ def run(
         if collector is not None:
             collector.add(state)
 
-    state = _march(
+    return _march(
         state0, state0.t, t_end, diag_times, lambda s, t: cfl_dt(s, safety, dt_acc), advance, visit
     )
-    if collector is not None and sink is not None:
-        for rec in collector.finalize():
-            if callable(sink):
-                sink(rec)
-            else:
-                sink.append(rec)
-    return state
 
 
 def momentum_residual(state, dt=1e-3):

@@ -34,7 +34,6 @@ __all__ = [
     "vertical_average",
     "integral",
     "lp_norm",
-    "sup_norm",
     "parseval_spectral_sum",
     "profile_derivative",
     "circular_distance",
@@ -337,10 +336,6 @@ def lp_norm(f, p):
     if p <= 0:
         raise ValueError(f"p must be positive or inf, got {p}")
     return float((np.abs(phys) ** p).sum() * f.grid.cell_area) ** (1.0 / p)
-
-
-def sup_norm(f):
-    return lp_norm(f, np.inf)
 
 
 def parseval_spectral_sum(f):

@@ -55,8 +55,8 @@ def state_from_mode_field(grid, seed, romega, band=4):
 
 def collect(state, t_end, diag_times, **kw):
     coll = TrajectoryCollector()
-    run(state, t_end, diag_times=diag_times, sink=[], collector=coll, **kw)
-    return coll.trajectory()
+    run(state, t_end, diag_times=diag_times, collector=coll, **kw)
+    return coll
 
 
 # ---------------------------------------------------------------- fixtures
@@ -212,7 +212,7 @@ def test_criterion_03_maximum_principle_and_monotonicity():
         )
         trace = []
         coll = TrajectoryCollector()
-        final = run(st, 5.0, diag_times=np.linspace(0, 5, 21), sink=[], collector=coll, sup_omega_trace=trace)
+        final = run(st, 5.0, diag_times=np.linspace(0, 5, 21), collector=coll, sup_omega_trace=trace)
         sups = np.array([v for _, v in trace])
         prev = np.concatenate(([st.m0_norm], sups[:-1]))
         worst_step = max(worst_step, float(((sups - prev) / st.m0_norm).max()))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cylflow.cli import main
+from cylflow.diagnostics import TrajectoryCollector
 from cylflow.io import read_csv_records
 
 
@@ -78,6 +79,25 @@ class TestReport:
         assert rep["provenance"]["M"] == pytest.approx(2.0, rel=1e-12)
         assert all(row["ratio"] <= 1.0 for row in rep["localized_energy"])
         assert rep["laminar"]["uhat_rate"] == pytest.approx(4 * np.pi**2, rel=0.01)
+
+    def test_report_builds_no_records(self, sim_dir, tmp_path, monkeypatch):
+        # the report reads the collected snapshots; the CSV records are not needed
+        def refuse(self):
+            raise AssertionError("report must not build diagnostics records")
+
+        monkeypatch.setattr(TrajectoryCollector, "finalize", refuse)
+        rep_path = str(tmp_path / "report.json")
+        const = str(tmp_path / "constants.json")
+        code = run_cli(
+            "report",
+            "--run-dir", sim_dir,
+            "--constants", const,
+            "--t-grid", "0.1,0.2",
+            "--laminar-window", "0.02,0.18",
+            "--out", rep_path,
+        )
+        assert code in (0, 1)
+        assert json.load(open(rep_path))["provenance"]["c3"] == json.load(open(const))["C3"]["value"]
 
 
 class TestAdvdiff:
@@ -163,6 +183,7 @@ class TestCleanFailures:
             (["simulate", "--config", "{cfg}"], "bogus_key"),
             (["advdiff", "--p-list", "1,2", "--q-list", "inf"], "pair up"),
             (["advdiff", "--p-list", "1", "--q-list", "inf", "--times", "0.1,abc"], "abc"),
+            (["advdiff", "--p-list", "0.5", "--q-list", "inf"], "1 <= p <= q"),
         ],
     )
     def test_bad_value(self, argv, word, tmp_path, capsys):
@@ -183,3 +204,17 @@ class TestCleanFailures:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and str(tmp_path / "snapshots") in err[0]
         assert not os.path.exists(rep_path)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--t-grid", "1,x"), ("--window", "1"), ("--laminar-window", "0.1")],
+    )
+    def test_report_bad_value_writes_nothing(self, flag, value, sim_dir, tmp_path, capsys):
+        # without --c3 the report would estimate C3 and write it to the ledger
+        rep_path = tmp_path / "report.json"
+        const = tmp_path / "constants.json"
+        argv = ["report", "--run-dir", sim_dir, "--constants", str(const), flag, value, "--out", str(rep_path)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "report" in err[0] and value.split(",")[-1] in err[0]
+        assert not const.exists() and not rep_path.exists()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cylflow.config import (
     serialize_config,
     update_constant,
 )
-from cylflow.diagnostics import DiagnosticsRecord
+from cylflow.diagnostics import CSV_COLUMNS, DiagnosticsRecord
 from cylflow.io import (
     read_csv_records,
     read_field,
@@ -113,6 +114,19 @@ class TestCsv:
         back = read_csv_records(path)
         for a, b in zip(recs, back):
             assert a.csv_values() == b.csv_values()
+
+    def test_record_fields_follow_csv_columns(self):
+        # csv_values and read_csv_records rely on this order
+        assert [f.name for f in fields(DiagnosticsRecord)] == [c.lower() for c in CSV_COLUMNS]
+
+    def test_short_row_rejected(self, tmp_path):
+        path = str(tmp_path / "short.csv")
+        write_csv_records([_record(0.0)], path)
+        text = open(path).read()
+        with open(path, "w") as fh:
+            fh.write(text.rstrip("\n").rsplit(",", 1)[0] + "\n")
+        with pytest.raises(ValueError, match="row with 11 values, expected 12"):
+            read_csv_records(path)
 
     def test_empty_is_header_only(self, tmp_path):
         path = str(tmp_path / "e.csv")

@@ -274,8 +274,8 @@ class TestTheoremChecks:
     def test_zero_initial_data(self, grid64):
         st = uniform_state(grid64, 0.0)
         coll = TrajectoryCollector()
-        run(st, 0.2, diag_times=np.linspace(0, 0.2, 5), sink=[], collector=coll)
-        rep = theorem_checks(coll.trajectory(), TheoremCheckConfig(c3=1.0, t_grid=(0.1, 0.2)))
+        run(st, 0.2, diag_times=np.linspace(0, 0.2, 5), collector=coll)
+        rep = theorem_checks(coll, TheoremCheckConfig(c3=1.0, t_grid=(0.1, 0.2)))
         assert rep["velocity_bound"]["ratio"] == 0.0
         assert rep["vorticity_decay"]["ratio"] == 0.0
         assert rep["smoothing"]["max_ratio"] == 0.0
@@ -287,9 +287,9 @@ class TestTheoremChecks:
         A = 4 * np.pi**2 * 0.1
         st = shear_state(grid64, A)
         coll = TrajectoryCollector()
-        run(st, 0.55, diag_times=np.arange(0, 0.551, 0.025), sink=[], collector=coll)
+        run(st, 0.55, diag_times=np.arange(0, 0.551, 0.025), collector=coll)
         rep = theorem_checks(
-            coll.trajectory(), TheoremCheckConfig(c3=1.0, t_grid=(0.5,), laminar_window=(0.05, 0.5))
+            coll, TheoremCheckConfig(c3=1.0, t_grid=(0.5,), laminar_window=(0.05, 0.5))
         )
         lam = rep["laminar"]
         assert lam["kappa"] == pytest.approx(0.1, rel=1e-10)
@@ -301,6 +301,6 @@ class TestTheoremChecks:
     def test_missing_horizon_rejected(self, grid64):
         st = shear_state(grid64, 1.0)
         coll = TrajectoryCollector()
-        run(st, 0.2, diag_times=[0.0, 0.1, 0.2], sink=[], collector=coll)
+        run(st, 0.2, diag_times=[0.0, 0.1, 0.2], collector=coll)
         with pytest.raises(ValueError):
-            theorem_checks(coll.trajectory(), TheoremCheckConfig(c3=1.0, t_grid=(0.15,)))
+            theorem_checks(coll, TheoremCheckConfig(c3=1.0, t_grid=(0.15,)))

@@ -128,14 +128,14 @@ class TestFluxBoundConstants:
     def _trajectory(self, grid, spec, t_end=0.3):
         st = make_initial_data(spec, grid)
         coll = TrajectoryCollector()
-        run(st, t_end, diag_times=np.linspace(0, t_end, 7), sink=[], collector=coll)
-        return coll.trajectory()
+        run(st, t_end, diag_times=np.linspace(0, t_end, 7), collector=coll)
+        return coll
 
     def test_zero_trajectory_empty(self, grid64):
         st = FlowState(grid=grid64, omega=ScalarField.zeros(grid64, "spectral"))
         coll = TrajectoryCollector()
-        run(st, 0.1, diag_times=[0.0, 0.05, 0.1], sink=[], collector=coll)
-        reps = flux_bound_constants(coll.trajectory())
+        run(st, 0.1, diag_times=[0.0, 0.05, 0.1], collector=coll)
+        reps = flux_bound_constants(coll)
         assert reps["C3"].samples == 0 and reps["C3"].max_ratio == 0.0
 
     def test_shear_eigenmode_no_horizontal_flux(self, grid64):
@@ -161,8 +161,8 @@ class TestFluxBoundConstants:
                         grid64,
                     )
                     coll = TrajectoryCollector()
-                    run(st, 0.12, diag_times=times, sink=[], collector=coll)
-                    reps = flux_bound_constants(coll.trajectory())
+                    run(st, 0.12, diag_times=times, collector=coll)
+                    reps = flux_bound_constants(coll)
                     for k in vals:
                         vals[k] = max(vals[k], reps[k].max_ratio)
             return vals
@@ -189,8 +189,8 @@ class TestFluxBoundConstants:
                     m0_norm=6.0,
                 )
                 coll = TrajectoryCollector()
-                run(st, 0.12, diag_times=np.linspace(0, 0.12, 7), sink=[], collector=coll)
-                reps = flux_bound_constants(coll.trajectory())
+                run(st, 0.12, diag_times=np.linspace(0, 0.12, 7), collector=coll)
+                reps = flux_bound_constants(coll)
                 for k in vals:
                     vals[k] = max(vals[k], reps[k].max_ratio)
             return vals

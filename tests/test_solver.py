@@ -1,8 +1,11 @@
+import ast
+import pathlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cylflow.solver
 from cylflow.advdiff import DriftSpec, advdiff_run, periodized_gaussian
 from cylflow.diagnostics import TrajectoryCollector
 from cylflow.solver import (
@@ -141,14 +144,16 @@ class TestStep:
 class TestRun:
     def test_no_steps_at_t_end(self, grid64):
         st = make_initial_data(InitialDataSpec(kind="shear_eigenmode", target_romega=1.0), grid64)
-        records = []
-        out = run(st, st.t, diag_times=[], sink=records)
+        coll = TrajectoryCollector()
+        out = run(st, st.t, diag_times=[], collector=coll)
+        records = coll.finalize()
         assert out is st and records == []
 
     def test_diag_decay_value(self, grid64):
         st = make_initial_data(InitialDataSpec(kind="shear_eigenmode", target_romega=1.0), grid64)
-        records = []
-        run(st, 0.1, diag_times=[0.1], sink=records)
+        coll = TrajectoryCollector()
+        run(st, 0.1, diag_times=[0.1], collector=coll)
+        records = coll.finalize()
         assert len(records) == 1
         assert records[0].t == 0.1
         assert records[0].sup_omega == pytest.approx(np.exp(-4 * np.pi**2 * 0.1), rel=1e-8)
@@ -158,10 +163,23 @@ class TestRun:
         outs = []
         for _ in range(2):
             st = make_initial_data(spec, grid64)
-            recs = []
-            run(st, 0.1, diag_times=[0.05, 0.1], sink=recs)
+            coll = TrajectoryCollector()
+            run(st, 0.1, diag_times=[0.05, 0.1], collector=coll)
+            recs = coll.finalize()
             outs.append([r.csv_values() for r in recs])
         assert outs[0] == outs[1]
+
+    def test_solver_does_not_import_diagnostics(self):
+        # run hands states to a collector it is given; it never builds one
+        tree = ast.parse(pathlib.Path(cylflow.solver.__file__).read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.append(node.module or "")
+                imported += [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [a.name for a in node.names]
+        assert not [m for m in imported if "diagnostics" in m.split(".")]
 
     def test_diag_times_validated(self, grid64):
         st = make_initial_data(InitialDataSpec(kind="shear_eigenmode", target_romega=1.0), grid64)
