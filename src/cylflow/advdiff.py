@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biotsavart import divergence_residual
 from .diagnostics import v_volume
 from .solver import _advection, _cfl_limit, _gradient_multipliers, _guarded_step, _march
 from .spectral import (
     PHYSICAL,
     ScalarField,
-    VelocityField,
     _as_physical_data,
     _as_spectral_data,
     _full,
@@ -29,7 +27,6 @@ from .spectral import (
     _inverse_half,
     circular_distance,
     lp_norm,
-    vertical_average,
 )
 
 __all__ = [
@@ -44,10 +41,7 @@ __all__ = [
     "duality_residual",
 ]
 
-DRIFT_KINDS = ("zero", "steady_shear_u1", "time_periodic_shear", "from_snapshot")
-
-# Fraction of the advective CFL limit taken per step.
-CFL_SAFETY = 0.9
+DRIFT_KINDS = ("zero", "steady_shear_u1", "time_periodic_shear")
 
 
 @dataclass
@@ -56,14 +50,12 @@ class DriftSpec:
 
     amplitude is the sup over time of |u1| (the constant M of the Gaussian
     bound).  time_periodic_shear modulates the steady shear by
-    cos(2 pi t / period).  from_snapshot carries an explicit velocity field,
-    validated at construction.
+    cos(2 pi t / period).
     """
 
     kind: str
     amplitude: float = 0.0
     period: float = 1.0
-    u: VelocityField = None
 
     def __post_init__(self):
         if self.kind not in DRIFT_KINDS:
@@ -72,16 +64,6 @@ class DriftSpec:
             raise ValueError("drift amplitude must be non-negative")
         if self.kind == "time_periodic_shear" and self.period <= 0:
             raise ValueError("period must be positive")
-        if self.kind == "from_snapshot":
-            if self.u is None:
-                raise ValueError("from_snapshot drift needs a velocity field")
-            if divergence_residual(self.u) > 1e-8:
-                raise ValueError("snapshot drift is not divergence-free")
-            mean_u1 = np.abs(vertical_average(self.u.u1).values).max()
-            sup = max(lp_norm(self.u.u1, np.inf), 1e-300)
-            if mean_u1 > 1e-8 * sup:
-                raise ValueError("snapshot drift has nonzero vertical average of u1")
-            object.__setattr__(self, "amplitude", lp_norm(self.u.u1, np.inf))
 
     def velocity(self, grid, t):
         """Physical (u1, u2) at time t."""
@@ -91,13 +73,9 @@ class DriftSpec:
         if self.kind == "steady_shear_u1":
             u1 = self.amplitude * np.sin(2.0 * np.pi * grid.x2)[None, :] * np.ones((grid.nx, 1))
             return u1, np.zeros((grid.nx, grid.ny))
-        if self.kind == "time_periodic_shear":
-            mod = math.cos(2.0 * np.pi * t / self.period)
-            u1 = self.amplitude * mod * np.sin(2.0 * np.pi * grid.x2)[None, :] * np.ones((grid.nx, 1))
-            return u1, np.zeros((grid.nx, grid.ny))
-        if self.u.grid != grid:
-            raise ValueError("snapshot drift grid does not match the field grid")
-        return _as_physical_data(self.u.u1), _as_physical_data(self.u.u2)
+        mod = math.cos(2.0 * np.pi * t / self.period)  # time_periodic_shear
+        u1 = self.amplitude * mod * np.sin(2.0 * np.pi * grid.x2)[None, :] * np.ones((grid.nx, 1))
+        return u1, np.zeros((grid.nx, grid.ny))
 
     def reversed(self, t_final):
         """Adjoint drift -u(t_final - t), used by the duality check."""
@@ -153,7 +131,7 @@ def _evolve(grid, w_hat, drift, t0, t1, dt_acc, capture=()):
         return _advection(grid, *drift.velocity(grid, t), *_inverse_half(grid, np.stack((d1 * w, d2 * w))))
 
     def limit(w, t):
-        return _cfl_limit(grid, *drift.sup_speed(grid, t), CFL_SAFETY, dt_acc)
+        return _cfl_limit(grid, *drift.sup_speed(grid, t), dt_acc)
 
     def advance(w, t, dt, t_new):
         return _guarded_step(grid, w, t, dt, tendency)

@@ -12,14 +12,11 @@ pair (c, m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .spectral import (
     PHYSICAL,
     SPECTRAL,
-    Profile,
     ScalarField,
     VelocityField,
     _as_physical_data,
@@ -35,11 +32,9 @@ from .spectral import (
 )
 
 __all__ = [
-    "Decomposition",
     "kernel_K",
     "grad_perp_K",
     "velocity_from_vorticity",
-    "decompose",
     "pressure_from_state",
     "divergence_identity_residual",
     "divergence_residual",
@@ -153,36 +148,6 @@ def divergence_residual(u):
     if scale == 0.0:
         return 0.0
     return float(np.abs(d).max() / scale)
-
-
-@dataclass
-class Decomposition:
-    """Velocity split u = (c, m(x1)) + u_hat with <u_hat_i> = 0 for every x1."""
-
-    c: float
-    m: Profile
-    u_hat: VelocityField
-
-
-def decompose(u, tol=1e-8):
-    """Split a divergence-free velocity into Galilean constant, mean flow
-    and the oscillating remainder.
-
-    Raises ValueError if <u1>(x1) is not constant in x1 beyond tol (relative),
-    which signals a non-divergence-free input.
-    """
-    g = u.grid
-    u1 = _as_physical_data(u.u1)
-    u2 = _as_physical_data(u.u2)
-    m1 = u1.mean(axis=1)
-    c = float(m1.mean())
-    scale = max(np.abs(u1).max(), np.abs(u2).max(), 1e-300)
-    if np.abs(m1 - c).max() > tol * scale:
-        raise ValueError("<u1> varies with x1; the input velocity is not divergence-free")
-    m = Profile(g, u2.mean(axis=1))
-    hat1 = ScalarField(g, u1 - m1[:, None])
-    hat2 = ScalarField(g, u2 - m.values[:, None])
-    return Decomposition(c=c, m=m, u_hat=VelocityField(hat1, hat2))
 
 
 def _pressure_rhs(grid, u1, w):

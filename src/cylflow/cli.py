@@ -69,7 +69,6 @@ def _load_config(args):
         "lam",
         "t_end",
         "dt_acc",
-        "safety",
         "diag_step",
         "diag_times",
         "kind",
@@ -118,7 +117,6 @@ def _cmd_simulate(args):
         cfg.t_end,
         diag_times=cfg.diag_schedule(),
         collector=collector,
-        safety=cfg.safety,
         dt_acc=cfg.dt_acc,
     )
     records = collector.finalize()
@@ -198,14 +196,30 @@ def _cmd_advdiff(args):
     return 1 if failures else 0
 
 
+def _parse_weights(text):
+    """A family=weight list: each family one of FIELD_FAMILIES, each weight a
+    finite float >= 0, and the weights summing to a positive total."""
+    families = ineq_mod.FIELD_FAMILIES
+    weights = {}
+    for part in text.split(","):
+        name, _, w = part.partition("=")
+        name = name.strip()
+        if name not in families:
+            raise ValueError(f"--weights: unknown family {name!r}, expected one of {', '.join(families)}")
+        weights[name] = float(w)
+        if not (math.isfinite(weights[name]) and weights[name] >= 0.0):
+            raise ValueError(f"--weights: {name} needs a finite weight >= 0, got {w.strip()!r}")
+    if not sum(weights.values()) > 0.0:
+        raise ValueError(f"--weights must sum to a positive total, got {text!r}")
+    return weights
+
+
 def _cmd_verify_inequalities(args):
     grid = _grid(args)
-    weights = None
-    if args.weights:
-        weights = {}
-        for part in args.weights.split(","):
-            name, _, w = part.partition("=")
-            weights[name.strip()] = float(w)
+    with _bad_values():
+        weights = _parse_weights(args.weights) if args.weights else None
+    if args.samples < 2:
+        raise _UsageError(f"--samples must be >= 2 for the split-half check, got {args.samples}")
     rows, report = ineq_mod.nash_suite(grid, args.samples, args.seed, weights)
     os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "nash_samples.csv"), "w", encoding="utf-8") as fh:
@@ -318,26 +332,31 @@ def _cmd_report(args):
     for s in states:
         collector.add(s)
 
+    estimated = False
     if args.c3 is not None:
         c3 = args.c3
     else:
         try:
             c3 = get_constant(args.constants_path, "C3")
         except KeyError:
-            # estimate the flux constant from this run and record it
+            # estimate the flux constant from this run; it is recorded below
             c3 = ineq_mod.flux_bound_constants(collector)["C3"].max_ratio
-            g = states[0].grid
-            update_constant(
-                args.constants_path,
-                EstimatedConstant(
-                    "C3", c3, {"nx": g.nx, "ny": g.ny, "lambda": g.lam, "run_dir": args.run_dir}
-                ),
-            )
-            print(f"report: estimated C3={c3:.4g} from the run and recorded it in {args.constants_path}")
+            estimated = True
     cfg = diag_mod.TheoremCheckConfig(
         c3=c3, window=window, t_grid=t_grid, tau=args.tau, laminar_window=laminar_window
     )
-    report = diag_mod.theorem_checks(collector, cfg)
+    # a --t-grid time between snapshots fails here, before anything is written
+    with _bad_values():
+        report = diag_mod.theorem_checks(collector, cfg)
+    if estimated:
+        g = states[0].grid
+        update_constant(
+            args.constants_path,
+            EstimatedConstant(
+                "C3", c3, {"nx": g.nx, "ny": g.ny, "lambda": g.lam, "run_dir": args.run_dir}
+            ),
+        )
+        print(f"report: estimated C3={c3:.4g} from the run and recorded it in {args.constants_path}")
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, default=float)
         fh.write("\n")
@@ -373,7 +392,6 @@ def _build_parser():
     sim.add_argument("--lambda", dest="lam", type=float)
     sim.add_argument("--t-end", dest="t_end", type=float)
     sim.add_argument("--dt-acc", dest="dt_acc", type=float)
-    sim.add_argument("--safety", type=float)
     sim.add_argument("--diag-step", dest="diag_step", type=float)
     sim.add_argument("--diag-times", dest="diag_times")
     sim.add_argument("--kind")
@@ -388,7 +406,7 @@ def _build_parser():
     sim.set_defaults(fn=_cmd_simulate)
 
     adv = sub.add_parser("advdiff", help="linear advection-diffusion checks")
-    adv.add_argument("--drift", default="zero", choices=["zero", "steady_shear_u1", "time_periodic_shear"])
+    adv.add_argument("--drift", default="zero", choices=advdiff_mod.DRIFT_KINDS)
     adv.add_argument("--amplitude", type=float, default=1.0)
     adv.add_argument("--period", type=float, default=1.0)
     adv.add_argument("--nx", type=int, default=128)

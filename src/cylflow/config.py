@@ -33,7 +33,6 @@ class RunConfig:
     lam: float = 16.0
     t_end: float = 1.0
     dt_acc: float = 1e-3
-    safety: float = 0.9
     diag_step: float = 0.05
     diag_times: str = ""  # explicit comma list; overrides diag_step when set
     kind: str = "random_bandlimited"
@@ -56,8 +55,6 @@ class RunConfig:
             raise ValueError("t_end must be positive")
         if self.dt_acc <= 0:
             raise ValueError("dt_acc must be positive")
-        if not (0 < self.safety <= 1):
-            raise ValueError("safety must lie in (0, 1]")
         if self.diag_step <= 0:
             raise ValueError("diag_step must be positive")
         if self.target_ru < 0 or self.target_romega < 0:

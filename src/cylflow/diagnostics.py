@@ -3,8 +3,7 @@
 All profile quantities are vertical averages of pointwise products of
 band-limited fields.  They are evaluated on a 2x zero-padded grid, which
 makes the quadratic and cubic vertical means and the x1-derivatives of
-profiles exact for dealiased states; the public profile bundles subsample
-the padded grid back onto the state's grid.
+profiles exact for dealiased states.
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "EnergyProfiles",
-    "EnstrophyProfiles",
-    "OscillatoryProfiles",
     "DiagnosticsRecord",
     "RateFit",
     "DiagnosticsOptions",
@@ -39,13 +35,7 @@ __all__ = [
     "TheoremCheckConfig",
     "CSV_COLUMNS",
     "v_volume",
-    "sup_norms_and_reynolds",
-    "energy_profiles",
-    "enstrophy_profiles",
-    "oscillatory_profiles",
     "localized_sum",
-    "localized_sums",
-    "balance_residuals",
     "ul2_norm",
     "fit_decay_rate",
     "theorem_checks",
@@ -72,31 +62,6 @@ def v_volume(t):
     if t <= 0:
         raise ValueError("v_volume requires t > 0")
     return min(t, math.sqrt(t))
-
-
-@dataclass
-class EnergyProfiles:
-    e: Profile
-    h: Profile
-    d: Profile
-    f: Profile  # f = d1 e - h
-
-
-@dataclass
-class EnstrophyProfiles:
-    eps: Profile
-    zeta: Profile
-    delta: Profile
-    phi: Profile  # phi = d1 eps - zeta
-
-
-@dataclass
-class OscillatoryProfiles:
-    e_hat: Profile
-    h_hat: Profile
-    d_hat: Profile
-    f_hat: Profile  # f_hat = d1 e_hat - h_hat
-    g_hat: Profile  # g_hat = (d1 m) <u_hat_1 u_hat_2>
 
 
 @dataclass
@@ -219,34 +184,6 @@ def _coarse_sups(ff):
     return sup_u, sup_w, sup_uhat
 
 
-def sup_norms_and_reynolds(state):
-    """Grid-max norms of |u|, |omega|, |u_hat| and the running Reynolds pair.
-
-    In the dimensionless frame the Reynolds numbers equal the sup norms.
-    """
-    sup_u, sup_w, sup_uhat = _coarse_sups(_FineFields(state))
-    return sup_u, sup_w, sup_uhat, sup_u, sup_w
-
-
-def _profile_bundle(cls, state):
-    """A profile dataclass filled from the fine-grid profiles of one state,
-    subsampled onto the state's grid."""
-    pr = _FineFields(state).profiles()
-    return cls(**{f.name: Profile(state.grid, pr[f.name][::2]) for f in fields(cls)})
-
-
-def energy_profiles(state):
-    return _profile_bundle(EnergyProfiles, state)
-
-
-def enstrophy_profiles(state):
-    return _profile_bundle(EnstrophyProfiles, state)
-
-
-def oscillatory_profiles(state):
-    return _profile_bundle(OscillatoryProfiles, state)
-
-
 def _chi(x1, a, rho, lam):
     return np.exp(-rho * circular_distance(x1, a, lam))
 
@@ -260,35 +197,14 @@ def localized_sum(profile, rho, a):
     return float((w * profile.values).sum() * g.dx)
 
 
-def localized_sums(profiles, rho, a):
-    """Weighted integrals of several profiles with a shared weight."""
-    return [localized_sum(p, rho, a) for p in profiles]
-
-
 def _localized_sum_fine(grid, values, rho, a):
     return localized_sum(Profile(_padded_grid(grid), values), rho, a)
 
 
-def balance_residuals(states):
-    """L2-in-x1 residuals of the three local dissipation laws.
-
-    Takes >= 3 equally spaced consecutive snapshots and evaluates the
-    centered time difference at the central one, against the exact spatial
-    terms.  Returns (residual_energy, residual_enstrophy,
-    residual_oscillatory).
-    """
-    if len(states) < 3:
-        raise ValueError("balance_residuals needs at least 3 snapshots")
-    ts = np.array([s.t for s in states])
-    hs = np.diff(ts)
-    if np.abs(hs - hs[0]).max() > 1e-9 * max(hs[0], 1e-300):
-        raise ValueError("snapshots are not equally spaced")
-    mid = len(states) // 2
-    prs = [_FineFields(s).profiles() for s in (states[mid - 1], states[mid], states[mid + 1])]
-    return _residual_triple(states[mid].grid, prs[0], prs[1], prs[2], hs[0])
-
-
 def _residual_triple(grid, pr_lo, pr_mid, pr_hi, h):
+    """L2-in-x1 residuals (energy, enstrophy, oscillatory) of the three
+    local dissipation laws at the middle of three snapshots h apart: the
+    centered time difference against the exact spatial terms."""
     fine = _padded_grid(grid)
 
     def l2(v):

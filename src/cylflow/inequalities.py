@@ -31,9 +31,7 @@ __all__ = [
     "InequalityReport",
     "NashCheck",
     "nash_check",
-    "psi_nash_check",
     "poincare_check",
-    "kappa_of",
     "flux_bound_constants",
     "sample_test_field",
     "nash_suite",
@@ -58,7 +56,9 @@ class NashCheck:
     rhs_branch1: float  # ||grad f||^(1/3) ||f||_1^(2/3)
     rhs_branch2: float  # ||grad f||^(1/2) ||f||_1^(1/2)
     ratio: float  # lhs / max(branches)
-    psi_c: float  # the psi-form constant, see psi_nash_check
+    # the psi-form constant: the largest C with ||grad f||_2 >= C ||f||_2 min(x, x^2),
+    # x = ||f||_2 / ||f||_1
+    psi_c: float
 
 
 def _grad_l2(f):
@@ -84,12 +84,6 @@ def nash_check(f):
     )
 
 
-def psi_nash_check(f):
-    """Admissible constant of the psi form: the largest C with
-    ||grad f||_2 >= C ||f||_2 min(||f||_2/||f||_1, (||f||_2/||f||_1)^2)."""
-    return nash_check(f).psi_c
-
-
 def poincare_check(f, tol=1e-10):
     """Poincare-Wirtinger ratio int f^2 / ((1/4pi^2) int |d2 f|^2).
 
@@ -106,11 +100,6 @@ def poincare_check(f, tol=1e-10):
     num = float((phys**2).sum() * g.cell_area)
     den = lp_norm(spectral_derivative(f, 2), 2) ** 2 / (4.0 * np.pi**2)
     return num / den
-
-
-def kappa_of(omega0):
-    """Laminar-regime parameter: sup |omega0| / (4 pi^2)."""
-    return lp_norm(omega0, np.inf) / (4.0 * np.pi**2)
 
 
 def _quantiles(vals):

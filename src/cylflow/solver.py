@@ -40,6 +40,7 @@ __all__ = [
     "reconstruct_velocity",
     "mean_flow_profile",
     "cfl_dt",
+    "ifrk4_step",
     "step",
     "run",
     "momentum_residual",
@@ -48,6 +49,9 @@ __all__ = [
 INITIAL_DATA_KINDS = ("shear_eigenmode", "vertical_shear", "random_bandlimited", "laminar_small")
 
 DEFAULT_DT_ACC = 1e-3
+
+# Fraction of the advective CFL limit taken per step, by `run` and advdiff.
+CFL_SAFETY = 0.9
 
 
 class InstabilityError(RuntimeError):
@@ -178,27 +182,26 @@ def ifrk4_step(grid, w_hat, t, dt, tendency):
     return E2 * w_hat + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
 
 
-def _cfl_limit(grid, s1, s2, safety, dt_acc):
+def _cfl_limit(grid, s1, s2, dt_acc):
     """Advective CFL step for sup speeds (s1, s2), capped by dt_acc."""
     dt = dt_acc
     if s1 > 0.0:
-        dt = min(dt, safety * grid.dx / s1)
+        dt = min(dt, CFL_SAFETY * grid.dx / s1)
     if s2 > 0.0:
-        dt = min(dt, safety * grid.dy / s2)
+        dt = min(dt, CFL_SAFETY * grid.dy / s2)
     return float(dt)
 
 
-def cfl_dt(state, safety, dt_acc=DEFAULT_DT_ACC):
-    """Advective CFL limit capped by the fixed accuracy step dt_acc.
+def cfl_dt(state, dt_acc=DEFAULT_DT_ACC):
+    """The fraction CFL_SAFETY of the advective CFL limit, capped by the
+    fixed accuracy step dt_acc.
 
     Diffusion imposes no restriction (it is integrated exactly).  Returns
     dt_acc when the velocity vanishes.
     """
-    if not (0.0 < safety <= 1.0):
-        raise ValueError("safety must lie in (0, 1]")
     g = state.grid
     u1, u2 = _velocity_arrays(g, state.omega.data, state.c, state.m_mean)
-    return _cfl_limit(g, np.abs(u1).max(), np.abs(u2).max(), safety, dt_acc)
+    return _cfl_limit(g, np.abs(u1).max(), np.abs(u2).max(), dt_acc)
 
 
 def _full_l2(w_half):
@@ -268,7 +271,6 @@ def run(
     t_end,
     diag_times=(),
     *,
-    safety=0.9,
     dt_acc=DEFAULT_DT_ACC,
     collector=None,
     sup_omega_trace=None,
@@ -297,7 +299,7 @@ def run(
             collector.add(state)
 
     return _march(
-        state0, state0.t, t_end, diag_times, lambda s, t: cfl_dt(s, safety, dt_acc), advance, visit
+        state0, state0.t, t_end, diag_times, lambda s, t: cfl_dt(s, dt_acc=dt_acc), advance, visit
     )
 
 

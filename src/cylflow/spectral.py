@@ -34,7 +34,6 @@ __all__ = [
     "vertical_average",
     "integral",
     "lp_norm",
-    "parseval_spectral_sum",
     "profile_derivative",
     "circular_distance",
 ]
@@ -336,12 +335,6 @@ def lp_norm(f, p):
     if p <= 0:
         raise ValueError(f"p must be positive or inf, got {p}")
     return float((np.abs(phys) ** p).sum() * f.grid.cell_area) ** (1.0 / p)
-
-
-def parseval_spectral_sum(f):
-    """Spectral side of the Parseval identity: lam * sum |F|^2."""
-    spec = _as_spectral_data(f)
-    return float(f.grid.lam * (np.abs(spec) ** 2).sum())
 
 
 def profile_derivative(p, order=1):

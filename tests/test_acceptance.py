@@ -25,7 +25,6 @@ from cylflow.config import EstimatedConstant, get_constant, update_constant
 from cylflow.diagnostics import (
     TheoremCheckConfig,
     TrajectoryCollector,
-    balance_residuals,
     fit_decay_rate,
     theorem_checks,
 )
@@ -236,7 +235,11 @@ def test_criterion_04_balance_law_refinement():
         a = run(st, 0.2 - h, dt_acc=dt_acc)
         b = run(a, 0.2, dt_acc=dt_acc)
         c = run(b, 0.2 + h, dt_acc=dt_acc)
-        return balance_residuals([a, b, c])
+        coll = TrajectoryCollector()
+        for s in (a, b, c):
+            coll.add(s)
+        r = coll.finalize()[1]
+        return r.residual_energy, r.residual_enstrophy, r.residual_oscillatory
 
     coarse = residuals(0.02, 1e-3)
     fine = residuals(0.01, 5e-4)

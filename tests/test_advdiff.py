@@ -10,7 +10,7 @@ from cylflow.advdiff import (
     fundamental_solution,
     periodized_gaussian,
 )
-from cylflow.spectral import ScalarField, VelocityField, integral, lp_norm, make_grid
+from cylflow.spectral import ScalarField, integral, lp_norm, make_grid
 
 
 DT = 2e-3  # linear runs; RK4 error is far below the test tolerances
@@ -43,20 +43,6 @@ class TestDriftSpec:
             DriftSpec(kind="steady_shear_u1", amplitude=-1.0)
         with pytest.raises(ValueError):
             DriftSpec(kind="from_snapshot")
-
-    def test_snapshot_drift_validation(self, grid):
-        # u1 with nonzero vertical average is rejected
-        bad = VelocityField(
-            ScalarField(grid, np.ones((grid.nx, grid.ny))), ScalarField.zeros(grid)
-        )
-        with pytest.raises(ValueError):
-            DriftSpec(kind="from_snapshot", u=bad)
-        ok = VelocityField(
-            ScalarField.from_function(grid, lambda x1, x2: np.sin(2 * np.pi * x2)),
-            ScalarField.zeros(grid),
-        )
-        spec = DriftSpec(kind="from_snapshot", u=ok)
-        assert spec.amplitude == pytest.approx(1.0, abs=1e-3)
 
     def test_amplitude_is_sup_over_time(self, grid):
         d = DriftSpec(kind="time_periodic_shear", amplitude=2.0, period=0.5)

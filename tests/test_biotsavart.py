@@ -3,7 +3,6 @@ import pytest
 
 from cylflow.biotsavart import (
     curl,
-    decompose,
     divergence_identity_residual,
     divergence_residual,
     grad_perp_K,
@@ -12,6 +11,8 @@ from cylflow.biotsavart import (
     velocity_by_kernel_quadrature,
     velocity_from_vorticity,
 )
+from cylflow.diagnostics import TrajectoryCollector
+from cylflow.solver import FlowState, InitialDataSpec, make_initial_data
 from cylflow.spectral import (
     ScalarField,
     VelocityField,
@@ -105,57 +106,46 @@ class TestVelocityFromVorticity:
 
 
 class TestDecompose:
+    """The split u = (c, m(x1)) + u_hat with <u_hat_i> = 0 for every x1, as
+    the collector makes it: e - M^2/2 = (c^2 + m^2)/2 + e_hat pointwise."""
+
+    @staticmethod
+    def split(state):
+        coll = TrajectoryCollector()
+        coll.add(state)
+        s = coll.snapshots[0]
+        mean_part = s.fine["e"] - 0.5 * state.m0_norm**2 - s.fine["e_hat"]
+        return s, mean_part, np.arange(2 * state.grid.nx) * state.grid.dx / 2
+
     def test_pure_vertical_shear(self, grid64):
-        u = VelocityField(
-            ScalarField.zeros(grid64),
-            ScalarField.from_function(grid64, lambda x1, x2: np.sin(2 * np.pi * x1 / 16.0) * np.ones_like(x2)),
-        )
-        dec = decompose(u)
-        assert dec.c == pytest.approx(0.0, abs=1e-15)
-        assert np.abs(dec.m.values - np.sin(2 * np.pi * grid64.x1 / 16.0)).max() < 1e-14
-        assert np.abs(dec.u_hat.u1.data).max() < 1e-14
-        assert np.abs(dec.u_hat.u2.data).max() < 1e-14
+        st = make_initial_data(InitialDataSpec(kind="vertical_shear", target_romega=2 * np.pi / 16.0), grid64)
+        s, mean_part, x1 = self.split(st)
+        assert st.c == 0.0
+        assert np.abs(mean_part - 0.5 * np.sin(2 * np.pi * x1 / 16.0) ** 2).max() < 1e-14
+        assert s.sup_uhat < 1e-14
 
     def test_constant_flow(self, grid64):
-        u = VelocityField(ScalarField(grid64, np.full((64, 64), 3.0)), ScalarField.zeros(grid64))
-        dec = decompose(u)
-        assert dec.c == pytest.approx(3.0, rel=1e-15)
-        assert np.abs(dec.m.values).max() < 1e-14
+        st = FlowState(grid=grid64, omega=ScalarField.zeros(grid64, "spectral"), c=3.0)
+        s, mean_part, _ = self.split(st)
+        assert s.sup_u == pytest.approx(3.0, rel=1e-15)
+        assert np.abs(mean_part - 4.5).max() < 1e-14
+        assert s.sup_uhat < 1e-14
 
     def test_horizontal_shear(self, grid64):
-        u = VelocityField(
-            ScalarField.from_function(grid64, lambda x1, x2: np.sin(2 * np.pi * x2) * np.ones_like(x1)),
-            ScalarField.zeros(grid64),
-        )
-        dec = decompose(u)
-        assert dec.c == pytest.approx(0.0, abs=1e-15)
-        assert np.abs(dec.m.values).max() < 1e-14
-        assert np.abs(dec.u_hat.u1.data - u.u1.data).max() < 1e-14
+        st = make_initial_data(InitialDataSpec(kind="shear_eigenmode", target_romega=2 * np.pi), grid64)
+        s, mean_part, _ = self.split(st)
+        assert np.abs(mean_part).max() < 1e-14
+        assert s.sup_uhat == pytest.approx(s.sup_u, abs=1e-14)
 
     def test_reassembly_identity(self, grid64):
         w = oscillatory_vorticity(grid64, seed=8)
-        u = velocity_from_vorticity(w)
-        up = VelocityField(to_physical(u.u1), to_physical(u.u2))
-        up = VelocityField(
-            ScalarField(grid64, up.u1.data + 1.5),
-            ScalarField(grid64, up.u2.data + np.cos(2 * np.pi * grid64.x1 / 16.0)[:, None]),
-        )
-        dec = decompose(up)
-        re1 = dec.c + dec.u_hat.u1.data
-        re2 = dec.m.values[:, None] + dec.u_hat.u2.data
-        scale = max(np.abs(up.u1.data).max(), np.abs(up.u2.data).max())
-        assert np.abs(re1 - up.u1.data).max() < 1e-12 * scale
-        assert np.abs(re2 - up.u2.data).max() < 1e-12 * scale
-        assert np.abs(vertical_average(dec.u_hat.u1).values).max() < 1e-12 * scale
-        assert np.abs(vertical_average(dec.u_hat.u2).values).max() < 1e-12 * scale
-
-    def test_rejects_varying_mean(self, grid64):
-        u = VelocityField(
-            ScalarField.from_function(grid64, lambda x1, x2: np.sin(2 * np.pi * x1 / 16.0) * np.ones_like(x2)),
-            ScalarField.zeros(grid64),
-        )
-        with pytest.raises(ValueError):
-            decompose(u)
+        # m(x1) = cos(2 pi x1 / 16) enters through its n = 0 vorticity d1 m
+        d1m = ScalarField.from_function(grid64, lambda x1, x2: -np.pi / 8 * np.sin(np.pi * x1 / 8))
+        st = FlowState(grid=grid64, omega=ScalarField(grid64, w.data + to_spectral(d1m).data, "spectral"), c=1.5)
+        s, mean_part, x1 = self.split(st)
+        scale = s.sup_u
+        expect = 0.5 * (1.5**2 + np.cos(2 * np.pi * x1 / 16.0) ** 2)
+        assert np.abs(mean_part - expect).max() < 1e-12 * scale**2
 
 
 class TestPressure:

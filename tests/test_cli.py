@@ -184,6 +184,11 @@ class TestCleanFailures:
             (["advdiff", "--p-list", "1,2", "--q-list", "inf"], "pair up"),
             (["advdiff", "--p-list", "1", "--q-list", "inf", "--times", "0.1,abc"], "abc"),
             (["advdiff", "--p-list", "0.5", "--q-list", "inf"], "1 <= p <= q"),
+            (["verify-inequalities", "--weights", "broad=x"], "'x'"),
+            (["verify-inequalities", "--weights", "bogus=1"], "bogus"),
+            (["verify-inequalities", "--weights", "broad=0"], "positive"),
+            (["verify-inequalities", "--weights", "broad=-1,narrow=1"], "-1"),
+            (["verify-inequalities", "--samples", "1"], "--samples"),
         ],
     )
     def test_bad_value(self, argv, word, tmp_path, capsys):
@@ -207,7 +212,7 @@ class TestCleanFailures:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--t-grid", "1,x"), ("--window", "1"), ("--laminar-window", "0.1")],
+        [("--t-grid", "1,x"), ("--window", "1"), ("--laminar-window", "0.1"), ("--t-grid", "0.1,0.13")],
     )
     def test_report_bad_value_writes_nothing(self, flag, value, sim_dir, tmp_path, capsys):
         # without --c3 the report would estimate C3 and write it to the ledger

@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylflow.diagnostics import TrajectoryCollector
+from cylflow.diagnostics import TheoremCheckConfig, TrajectoryCollector, theorem_checks
 from cylflow.inequalities import (
     flux_bound_constants,
-    kappa_of,
     nash_check,
     nash_suite,
     poincare_check,
-    psi_nash_check,
     sample_test_field,
 )
 from cylflow.solver import FlowState, InitialDataSpec, make_initial_data, run
@@ -70,7 +68,7 @@ class TestPsiNash:
             gl2 = chk.rhs_branch2**4 / chk.rhs_branch1**3
             x = chk.lhs / l1
             expect = gl2 / (chk.lhs * min(x, x * x))
-            assert psi_nash_check(f) == pytest.approx(expect, rel=1e-10)
+            assert nash_check(f).psi_c == pytest.approx(expect, rel=1e-10)
 
     def test_single_mode_closed_form(self, grid64):
         f = ScalarField.from_function(grid64, lambda x1, x2: np.cos(2 * np.pi * x2))
@@ -80,7 +78,7 @@ class TestPsiNash:
         gl2 = 2 * np.pi * l2
         x = l2 / l1
         # the L1 quadrature of |cos| carries a kink error of ~1e-3
-        assert psi_nash_check(f) == pytest.approx(gl2 / (l2 * min(x, x * x)), rel=5e-3)
+        assert nash_check(f).psi_c == pytest.approx(gl2 / (l2 * min(x, x * x)), rel=5e-3)
 
     @settings(max_examples=20, deadline=None)
     @given(scale=st.floats(0.01, 100.0), seed=st.integers(0, 1000))
@@ -88,7 +86,7 @@ class TestPsiNash:
         g = make_grid(32, 32, 8.0)
         f = random_band_limited(g, seed=seed, band=9)
         f2 = ScalarField(g, scale * f.data)
-        assert psi_nash_check(f2) == pytest.approx(psi_nash_check(f), rel=1e-9)
+        assert nash_check(f2).psi_c == pytest.approx(nash_check(f).psi_c, rel=1e-9)
         assert nash_check(f2).ratio == pytest.approx(nash_check(f).ratio, rel=1e-9)
 
     def test_translation_invariance(self, grid64):
@@ -119,9 +117,15 @@ class TestPoincare:
 
 class TestKappa:
     def test_values(self, grid64):
-        assert kappa_of(ScalarField.zeros(grid64)) == 0.0
-        assert kappa_of(ScalarField(grid64, np.full((64, 64), 4 * np.pi**2))) == pytest.approx(1.0)
-        assert kappa_of(ScalarField(grid64, np.full((64, 64), 2 * np.pi**2))) == pytest.approx(0.5)
+        # the report's laminar parameter: sup |omega0| / (4 pi^2)
+        def kappa(romega):
+            coll = TrajectoryCollector()
+            coll.add(make_initial_data(InitialDataSpec(kind="shear_eigenmode", target_romega=romega), grid64))
+            return theorem_checks(coll, TheoremCheckConfig(c3=1.0, t_grid=()))["laminar"]["kappa"]
+
+        assert kappa(0.0) == 0.0
+        assert kappa(4 * np.pi**2) == pytest.approx(1.0)
+        assert kappa(2 * np.pi**2) == pytest.approx(0.5)
 
 
 class TestFluxBoundConstants:

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import pathlib
 
 import numpy as np
@@ -17,7 +19,6 @@ from cylflow.spectral import (
     integral,
     lp_norm,
     make_grid,
-    parseval_spectral_sum,
     profile_derivative,
     spectral_derivative,
     to_physical,
@@ -168,7 +169,8 @@ def test_parseval(seed):
     g = make_grid(32, 32, 8.0)
     f = random_band_limited(g, seed=seed, band=9)
     quad = integral(ScalarField(g, f.data**2))
-    assert quad == pytest.approx(parseval_spectral_sum(f), rel=1e-12, abs=1e-300)
+    parseval = g.lam * (np.abs(to_spectral(f).data) ** 2).sum()
+    assert quad == pytest.approx(parseval, rel=1e-12, abs=1e-300)
 
 
 @settings(max_examples=25, deadline=None)
@@ -265,3 +267,21 @@ def test_only_spectral_module_calls_numpy_fft():
             if uses_fft:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "module", ["spectral", "solver", "biotsavart", "diagnostics", "inequalities", "advdiff", "io", "config", "cli"]
+)
+def test_all_lists_the_public_names(module):
+    """`__all__` names only what exists, and every public function or class
+    the module defines."""
+    mod = importlib.import_module(f"cylflow.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    defined = [
+        name
+        for name, obj in vars(mod).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == mod.__name__
+    ]
+    assert [name for name in defined if name not in mod.__all__] == []
