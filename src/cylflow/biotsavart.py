@@ -12,6 +12,8 @@ pair (c, m).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .spectral import (
@@ -90,21 +92,43 @@ def grad_perp_K(x1, x2):
     return -d2, d1
 
 
-def _biot_savart(grid, w_hat, c, m_mean):
-    """Spectral velocity (u1_hat, u2_hat) of vorticity coefficients, full
-    (nx, ny) or half spectrum (nx, ny//2+1): the grid tables are cut to the
-    columns of w_hat.
+@lru_cache(maxsize=16)
+def _biot_savart_tables(grid, ncols):
+    """Read-only (-1/|k|^2, -i k2, i k1) on the first ncols columns.
+
+    Each negation sits on a table, where it is exact: -1/|k|^2 is held as
+    the negated complex table, so that w * (-1/|k|^2) has the bits of
+    (-w) * (1/|k|^2), signed zeros included.
+    """
+    cols = slice(None, ncols)
+    tables = (
+        -grid.inv_ksq[:, cols].astype(np.complex128),
+        -_derivative_multiplier(grid, 2)[:, cols],
+        _derivative_multiplier(grid, 1),
+    )
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _biot_savart(grid, w_hat, c, m_mean, out=None):
+    """Spectral velocity, stacked as (u1_hat, u2_hat) in one (2, ...) array,
+    of vorticity coefficients, full (nx, ny) or half spectrum (nx, ny//2+1):
+    the grid tables are cut to the columns of w_hat.  `out`, if given,
+    receives the result.
 
     u_hat = (-d2 psi, d1 psi) with lap psi = omega; the (0, 0) slots carry
     the constants c = <u1> and m_mean, which the vorticity cannot fix.
     """
-    cols = slice(None, w_hat.shape[-1])
-    psi = -w_hat * grid.inv_ksq[:, cols]
-    u1h = -_derivative_multiplier(grid, 2)[:, cols] * psi
-    u2h = _derivative_multiplier(grid, 1) * psi
-    u1h[0, 0] = c
-    u2h[0, 0] = m_mean
-    return u1h, u2h
+    neg_inv, neg_d2, d1 = _biot_savart_tables(grid, w_hat.shape[-1])
+    if out is None:
+        out = np.empty((2,) + w_hat.shape, dtype=np.complex128)
+    psi = w_hat * neg_inv
+    np.multiply(neg_d2, psi, out=out[0])
+    np.multiply(d1, psi, out=out[1])
+    out[0, 0, 0] = c
+    out[1, 0, 0] = m_mean
+    return out
 
 
 def velocity_from_vorticity(omega_osc):

@@ -220,6 +220,8 @@ def _cmd_verify_inequalities(args):
         weights = _parse_weights(args.weights) if args.weights else None
     if args.samples < 2:
         raise _UsageError(f"--samples must be >= 2 for the split-half check, got {args.samples}")
+    if args.poincare_samples < 1:
+        raise _UsageError(f"--poincare-samples must be >= 1, got {args.poincare_samples}")
     rows, report = ineq_mod.nash_suite(grid, args.samples, args.seed, weights)
     os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "nash_samples.csv"), "w", encoding="utf-8") as fh:

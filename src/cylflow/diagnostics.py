@@ -405,6 +405,11 @@ def theorem_checks(collector, config):
     configured horizons with rho = 1/sqrt(beta T); (d) laminar-regime decay
     rates when kappa < 1; (e) the ul2-to-sup smoothing ratio at lag tau.
     """
+    if not (math.isfinite(config.c3) and config.c3 > 0.0):
+        raise ValueError(f"C3 must be finite and > 0, got {config.c3!r}")
+    for T in config.t_grid:
+        if not T > 0.0:
+            raise ValueError(f"every t-grid time must be > 0, got {T!r}")
     if not collector.snapshots:
         raise ValueError("empty trajectory")
     first = collector.snapshots[0]

@@ -11,7 +11,7 @@ are conserved quantities carried alongside the spectral vorticity.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,6 +85,12 @@ class FlowState:
         if self.t < 0:
             raise ValueError("time must be non-negative")
 
+    @cached_property
+    def _stage_a(self):
+        """(tendency, (sup|u1|, sup|u2|)) of this state: stage a of its next
+        step, computed by `cfl_dt` and taken over by `step`."""
+        return _nonlinear_ns(self.grid, self.c, self.m_mean)(_half(self.omega.data), self.t, speeds=True)
+
 
 @dataclass(frozen=True)
 class InitialDataSpec:
@@ -114,7 +120,7 @@ class InitialDataSpec:
 def _velocity_arrays(grid, w_hat, c, m_mean):
     """Physical (u1, u2), stacked, from full spectral vorticity; one batched
     half-spectrum inverse."""
-    return _inverse_half(grid, np.stack(_biot_savart(grid, _half(w_hat), c, m_mean)))
+    return _inverse_half(grid, _biot_savart(grid, _half(w_hat), c, m_mean))
 
 
 def reconstruct_velocity(state):
@@ -137,12 +143,17 @@ def _gradient_multipliers(grid):
 
 def _advection(grid, u1, u2, wx, wy):
     """Dealiased half-spectrum tendency -u.grad(omega) from physical u and
-    grad(omega); one forward transform.
+    grad(omega); one forward transform.  wx and wy are overwritten.
 
     Its (0, 0) coefficient is zeroed: u.grad(omega) = div(u omega) has zero
     mean for divergence-free u, and roundoff must not move the mean.
     """
-    out = -_forward_half(u1 * wx + u2 * wy) * _half(grid.dealias_mask)
+    np.multiply(u1, wx, out=wx)
+    np.multiply(u2, wy, out=wy)
+    wx += wy
+    out = _forward_half(wx)
+    np.negative(out, out=out)
+    out *= _half(grid.dealias_mask)
     out[0, 0] = 0.0
     return out
 
@@ -150,12 +161,18 @@ def _advection(grid, u1, u2, wx, wy):
 def _nonlinear_ns(grid, c, m_mean):
     d1, d2 = _gradient_multipliers(grid)
 
-    def tendency(w_hat, t):
+    def tendency(w_hat, t, speeds=False):
+        """The tendency at w_hat; with speeds=True, the pair (tendency,
+        (sup|u1|, sup|u2|)), read off the same batched inverse."""
         fields = np.empty((4,) + w_hat.shape, dtype=np.complex128)
-        fields[0], fields[1] = _biot_savart(grid, w_hat, c, m_mean)
+        _biot_savart(grid, w_hat, c, m_mean, out=fields[:2])
         np.multiply(d1, w_hat, out=fields[2])
         np.multiply(d2, w_hat, out=fields[3])
-        return _advection(grid, *_inverse_half(grid, fields))
+        phys = _inverse_half(grid, fields)
+        if speeds:
+            sup = (np.abs(phys[0]).max(), np.abs(phys[1]).max())
+            return _advection(grid, *phys), sup
+        return _advection(grid, *phys)
 
     return tendency
 
@@ -168,14 +185,15 @@ def _exp_factors(grid, dt):
     return E, E * E
 
 
-def ifrk4_step(grid, w_hat, t, dt, tendency):
+def ifrk4_step(grid, w_hat, t, dt, tendency, a=None):
     """One integrating-factor RK4 step for dw/dt = tendency(w, t) - |k|^2 w,
-    on half-spectrum coefficients.
+    on half-spectrum coefficients.  `a`, if given, is tendency(w_hat, t).
 
     Diffusion is integrated exactly; only decaying exponentials appear.
     """
     E, E2 = _exp_factors(grid, dt)
-    a = tendency(w_hat, t)
+    if a is None:
+        a = tendency(w_hat, t)
     b = tendency(E * (w_hat + (0.5 * dt) * a), t + 0.5 * dt)
     c = tendency(E * w_hat + (0.5 * dt) * b, t + 0.5 * dt)
     d = tendency(E2 * w_hat + dt * (E * c), t + dt)
@@ -197,11 +215,10 @@ def cfl_dt(state, dt_acc=DEFAULT_DT_ACC):
     fixed accuracy step dt_acc.
 
     Diffusion imposes no restriction (it is integrated exactly).  Returns
-    dt_acc when the velocity vanishes.
+    dt_acc when the velocity vanishes.  The speeds come from stage a of the
+    state's next step, which `step` then reuses.
     """
-    g = state.grid
-    u1, u2 = _velocity_arrays(g, state.omega.data, state.c, state.m_mean)
-    return _cfl_limit(g, np.abs(u1).max(), np.abs(u2).max(), dt_acc)
+    return _cfl_limit(state.grid, *state._stage_a[1], dt_acc)
 
 
 def _full_l2(w_half):
@@ -211,11 +228,11 @@ def _full_l2(w_half):
     return float(np.sqrt(sq.sum() + sq[:, 1:-1].sum()))
 
 
-def _guarded_step(grid, w_hat, t, dt, tendency):
+def _guarded_step(grid, w_hat, t, dt, tendency, a=None):
     """ifrk4_step that raises InstabilityError if the coefficient L2 norm
     grows by more than 10x."""
     pre = _full_l2(w_hat)
-    w_new = ifrk4_step(grid, w_hat, t, dt, tendency)
+    w_new = ifrk4_step(grid, w_hat, t, dt, tendency, a)
     post = _full_l2(w_new)
     if not np.isfinite(post) or post > 10.0 * pre + 1e-300:
         raise InstabilityError(f"norm grew {post / max(pre, 1e-300):.3g}x in one step at t={t:.6g}", t=t)
@@ -226,13 +243,16 @@ def step(state, dt):
     """Advance the state by one step of the integrating-factor RK4 scheme.
 
     The velocity is reconstructed from the stage vorticity at every stage;
-    c and m_mean are conserved.  Raises InstabilityError if the vorticity
-    L2 norm grows by more than 10x.
+    c and m_mean are conserved.  Stage a is taken from `cfl_dt` if it ran
+    on this state, and dropped from the state either way.  Raises
+    InstabilityError if the vorticity L2 norm grows by more than 10x.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     g = state.grid
-    w_new = _guarded_step(g, _half(state.omega.data), state.t, dt, _nonlinear_ns(g, state.c, state.m_mean))
+    stage = state.__dict__.pop("_stage_a", None)
+    a = None if stage is None else stage[0]
+    w_new = _guarded_step(g, _half(state.omega.data), state.t, dt, _nonlinear_ns(g, state.c, state.m_mean), a)
     return replace(state, omega=ScalarField(g, _full(g, w_new), SPECTRAL), t=state.t + dt)
 
 

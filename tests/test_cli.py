@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cylflow.cli import main
+from cylflow.config import EstimatedConstant, update_constant
 from cylflow.diagnostics import TrajectoryCollector
 from cylflow.io import read_csv_records
 
@@ -189,6 +190,7 @@ class TestCleanFailures:
             (["verify-inequalities", "--weights", "broad=0"], "positive"),
             (["verify-inequalities", "--weights", "broad=-1,narrow=1"], "-1"),
             (["verify-inequalities", "--samples", "1"], "--samples"),
+            (["verify-inequalities", "--poincare-samples", "-3"], "-3"),
         ],
     )
     def test_bad_value(self, argv, word, tmp_path, capsys):
@@ -212,7 +214,16 @@ class TestCleanFailures:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--t-grid", "1,x"), ("--window", "1"), ("--laminar-window", "0.1"), ("--t-grid", "0.1,0.13")],
+        [
+            ("--t-grid", "1,x"),
+            ("--window", "1"),
+            ("--laminar-window", "0.1"),
+            ("--t-grid", "0.1,0.13"),
+            ("--t-grid", "0.02,0"),
+            ("--t-grid", "-0.1"),
+            ("--c3", "0"),
+            ("--c3", "-1"),
+        ],
     )
     def test_report_bad_value_writes_nothing(self, flag, value, sim_dir, tmp_path, capsys):
         # without --c3 the report would estimate C3 and write it to the ledger
@@ -223,3 +234,13 @@ class TestCleanFailures:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "report" in err[0] and value.split(",")[-1] in err[0]
         assert not const.exists() and not rep_path.exists()
+
+    def test_report_rejects_ledger_c3_of_zero(self, sim_dir, tmp_path, capsys):
+        const = tmp_path / "constants.json"
+        update_constant(str(const), EstimatedConstant("C3", 0.0))
+        before = const.read_bytes()
+        rep_path = tmp_path / "report.json"
+        assert run_cli("report", "--run-dir", sim_dir, "--constants", str(const), "--out", str(rep_path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "C3" in err[0] and "0.0" in err[0]
+        assert const.read_bytes() == before and not rep_path.exists()

@@ -98,6 +98,43 @@ class TestCfl:
         monkeypatch.setattr(cylflow.solver, "CFL_SAFETY", 0.25)
         assert cfl_dt(st) == pytest.approx(0.5 * half, rel=1e-12)
 
+    def test_step_reuses_the_stage_a_of_cfl_dt(self):
+        g = make_grid(64, 64, 4.0)
+        st = make_initial_data(
+            InitialDataSpec(kind="random_bandlimited", seed=2, target_romega=30.0, target_ru=35.0), g
+        )
+        uncached = replace(st)
+        u1, u2 = cylflow.solver._velocity_arrays(g, st.omega.data, st.c, st.m_mean)
+        dt = cfl_dt(st, dt_acc=1.0)
+        assert dt < 1.0
+        assert dt == cylflow.solver._cfl_limit(g, np.abs(u1).max(), np.abs(u2).max(), 1.0)
+        assert "_stage_a" in vars(st)
+        out = step(st, dt)
+        assert "_stage_a" not in vars(st)
+        ref = step(uncached, dt)
+        assert np.array_equal(out.omega.data, ref.omega.data)
+        assert out.omega.data.tobytes() == ref.omega.data.tobytes()
+
+    def test_run_calls_cfl_dt_then_step_once_per_step(self, grid32, monkeypatch):
+        # bench/tracing.py counts steps, their dt limits and their transforms
+        # on these two calls; a loop that bypasses them reads 0 there
+        calls = []
+
+        def wrap(name, fn):
+            def wrapper(state, *args, **kwargs):
+                calls.append((name, state))
+                return fn(state, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cylflow.solver, "cfl_dt", wrap("cfl_dt", cylflow.solver.cfl_dt))
+        monkeypatch.setattr(cylflow.solver, "step", wrap("step", cylflow.solver.step))
+        st = make_initial_data(InitialDataSpec(kind="shear_eigenmode", target_romega=1.0), grid32)
+        out = run(st, 0.01, diag_times=(0.005,), dt_acc=2e-3)
+        assert out.t == 0.01
+        assert [name for name, _ in calls] == ["cfl_dt", "step"] * 6  # 0.002 steps, landing on 0.005
+        assert all(calls[i][1] is calls[i + 1][1] for i in range(0, len(calls), 2))
+
 
 class TestStep:
     def test_exact_shear_decay(self, grid64):
@@ -362,14 +399,17 @@ class TestRealSpectrumCore:
         st = make_initial_data(InitialDataSpec(kind="random_bandlimited", target_romega=5.0), grid64)
         bump = ScalarField(grid64, to_spectral(periodized_gaussian(grid64, (8.0, 0.5), 0.4)).data, "spectral")
         drift = DriftSpec(kind="steady_shear_u1", amplitude=1.0)
+        fresh = replace(st)
         budget = {}
         for label, call in (
             ("step", lambda: step(st, 1e-3)),
             ("cfl_dt", lambda: cfl_dt(st)),
+            ("cfl_dt+step", lambda: step(fresh, cfl_dt(fresh))),
             ("advdiff_step", lambda: advdiff_run(bump, drift, 1e-3, dt_acc=1e-3)),
             ("add", lambda: TrajectoryCollector().add(st)),
         ):
             calls.clear()
             call()
             budget[label] = len(calls)
-        assert budget == {"step": 8, "cfl_dt": 1, "advdiff_step": 8, "add": 3}
+        # cfl_dt computes stage a of the next step, and step reuses it
+        assert budget == {"step": 8, "cfl_dt": 2, "cfl_dt+step": 8, "advdiff_step": 8, "add": 3}
