@@ -15,16 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import v_volume
-from .solver import _advection, _cfl_limit, _gradient_multipliers, _guarded_step, _march
+from .solver import _advection, _cfl_limit, _guarded_step, _march
 from .spectral import (
     PHYSICAL,
+    SPECTRAL,
     ScalarField,
     _as_physical_data,
     _as_spectral_data,
-    _full,
-    _half,
+    _derivative_multiplier,
     _inverse,
-    _inverse_half,
     circular_distance,
     lp_norm,
 )
@@ -122,13 +121,13 @@ class LpLqCheck:
 
 
 def _evolve(grid, w_hat, drift, t0, t1, dt_acc, capture=()):
-    """Advance full-spectrum coefficients from t0 to t1, landing exactly on
-    capture times; the steps run on the half spectrum."""
+    """Advance spectral coefficients from t0 to t1, landing exactly on
+    capture times."""
     captured = {}
-    d1, d2 = _gradient_multipliers(grid)
+    d1, d2 = _derivative_multiplier(grid, 1), _derivative_multiplier(grid, 2)
 
     def tendency(w, t):
-        return _advection(grid, *drift.velocity(grid, t), *_inverse_half(grid, np.stack((d1 * w, d2 * w))))
+        return _advection(grid, *drift.velocity(grid, t), *_inverse(grid, np.stack((d1 * w, d2 * w))))
 
     def limit(w, t):
         return _cfl_limit(grid, *drift.sup_speed(grid, t), dt_acc)
@@ -137,9 +136,9 @@ def _evolve(grid, w_hat, drift, t0, t1, dt_acc, capture=()):
         return _guarded_step(grid, w, t, dt, tendency)
 
     def visit(w, tc):
-        captured[tc] = _full(grid, w)
+        captured[tc] = w
 
-    return _full(grid, _march(_half(w_hat), t0, t1, capture, limit, advance, visit)), captured
+    return _march(w_hat, t0, t1, capture, limit, advance, visit), captured
 
 
 def advdiff_run(omega0, drift, t_end, *, dt_acc=1e-3):
@@ -151,7 +150,7 @@ def advdiff_run(omega0, drift, t_end, *, dt_acc=1e-3):
     w, _ = _evolve(g, w0, drift, 0.0, t_end, dt_acc)
     if omega0.repr == PHYSICAL:
         return ScalarField(g, _inverse(g, w), PHYSICAL)
-    return ScalarField(g, w, "spectral")
+    return ScalarField(g, w, SPECTRAL)
 
 
 def periodized_gaussian(grid, y, sigma):

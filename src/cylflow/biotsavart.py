@@ -24,10 +24,9 @@ from .spectral import (
     _as_physical_data,
     _as_spectral_data,
     _derivative_multiplier,
-    _forward_half,
-    _full,
-    _half,
-    _inverse_half,
+    _forward,
+    _inverse,
+    _parseval_l2,
     dealias,
     spectral_derivative,
     to_spectral,
@@ -93,17 +92,16 @@ def grad_perp_K(x1, x2):
 
 
 @lru_cache(maxsize=16)
-def _biot_savart_tables(grid, ncols):
-    """Read-only (-1/|k|^2, -i k2, i k1) on the first ncols columns.
+def _biot_savart_tables(grid):
+    """Read-only (-1/|k|^2, -i k2, i k1).
 
     Each negation sits on a table, where it is exact: -1/|k|^2 is held as
     the negated complex table, so that w * (-1/|k|^2) has the bits of
     (-w) * (1/|k|^2), signed zeros included.
     """
-    cols = slice(None, ncols)
     tables = (
-        -grid.inv_ksq[:, cols].astype(np.complex128),
-        -_derivative_multiplier(grid, 2)[:, cols],
+        -grid.inv_ksq.astype(np.complex128),
+        -_derivative_multiplier(grid, 2),
         _derivative_multiplier(grid, 1),
     )
     for t in tables:
@@ -113,14 +111,12 @@ def _biot_savart_tables(grid, ncols):
 
 def _biot_savart(grid, w_hat, c, m_mean, out=None):
     """Spectral velocity, stacked as (u1_hat, u2_hat) in one (2, ...) array,
-    of vorticity coefficients, full (nx, ny) or half spectrum (nx, ny//2+1):
-    the grid tables are cut to the columns of w_hat.  `out`, if given,
-    receives the result.
+    of vorticity coefficients.  `out`, if given, receives the result.
 
     u_hat = (-d2 psi, d1 psi) with lap psi = omega; the (0, 0) slots carry
     the constants c = <u1> and m_mean, which the vorticity cannot fix.
     """
-    neg_inv, neg_d2, d1 = _biot_savart_tables(grid, w_hat.shape[-1])
+    neg_inv, neg_d2, d1 = _biot_savart_tables(grid)
     if out is None:
         out = np.empty((2,) + w_hat.shape, dtype=np.complex128)
     psi = w_hat * neg_inv
@@ -175,14 +171,14 @@ def divergence_residual(u):
 
 
 def _pressure_rhs(grid, u1, w):
-    """Dealiased half-spectrum coefficients of lap(u1^2) + 2 d2(omega u1) from physical u1, omega."""
-    q1, q2 = _forward_half(np.stack((u1 * u1, w * u1))) * _half(grid.dealias_mask)
-    return -_half(grid.ksq) * q1 + 2.0 * _half(_derivative_multiplier(grid, 2)) * q2
+    """Dealiased spectral coefficients of lap(u1^2) + 2 d2(omega u1) from physical u1, omega."""
+    q1, q2 = _forward(np.stack((u1 * u1, w * u1))) * grid.dealias_mask
+    return -grid.ksq * q1 + 2.0 * _derivative_multiplier(grid, 2) * q2
 
 
 def _pressure_hat(grid, u1, w):
-    """Half-spectrum coefficients of the zero-mean pressure from physical u1, omega."""
-    p = _pressure_rhs(grid, u1, w) * _half(grid.inv_ksq)
+    """Spectral coefficients of the zero-mean pressure from physical u1, omega."""
+    p = _pressure_rhs(grid, u1, w) * grid.inv_ksq
     p[0, 0] = 0.0
     return p
 
@@ -195,7 +191,7 @@ def pressure_from_state(u, omega):
     """
     g = u.grid
     p = _pressure_hat(g, _as_physical_data(u.u1), _as_physical_data(omega))
-    return ScalarField(g, _inverse_half(g, p), PHYSICAL)
+    return ScalarField(g, _inverse(g, p), PHYSICAL)
 
 
 def divergence_identity_residual(u):
@@ -217,11 +213,10 @@ def divergence_identity_residual(u):
     grad = [[spectral_derivative(ScalarField(g, ui), axis).data for axis in (1, 2)] for ui in (u1, u2)]
     adv = [dealias(to_spectral(ScalarField(g, u1 * gi[0] + u2 * gi[1]))) for gi in grad]  # (u.grad) u
     lhs = spectral_derivative(adv[0], 1).data + spectral_derivative(adv[1], 2).data
-    rhs = _full(g, _pressure_rhs(g, u1, grad[1][0] - grad[0][1]))
+    rhs = _pressure_rhs(g, u1, grad[1][0] - grad[0][1])
 
     # L2 norm via Parseval on the coefficient difference
-    resid = float(np.sqrt(g.lam * (np.abs(lhs - rhs) ** 2).sum()))
-    return resid / sup**2
+    return np.sqrt(g.lam) * _parseval_l2(lhs - rhs) / sup**2
 
 
 def velocity_by_kernel_quadrature(omega_osc, n_images=8):

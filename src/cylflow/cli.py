@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -43,11 +43,11 @@ class _UsageError(Exception):
 
 @contextlib.contextmanager
 def _bad_values():
-    """Report a ValueError raised while checking command-line values as a
-    _UsageError."""
+    """Report a ValueError raised while checking command-line values, or an
+    OSError raised while reading an input file, as a _UsageError."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise _UsageError(str(exc)) from None
 
 
@@ -58,32 +58,13 @@ def _grid(args):
 
 def _load_config(args):
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh, _bad_values():
+        with _bad_values(), open(args.config, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
     else:
         cfg = RunConfig()
-    overrides = {}
-    for name in (
-        "nx",
-        "ny",
-        "lam",
-        "t_end",
-        "dt_acc",
-        "diag_step",
-        "diag_times",
-        "kind",
-        "seed",
-        "target_ru",
-        "target_romega",
-        "band",
-        "rho",
-        "center",
-        "out_dir",
-        "constants_path",
-    ):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = v
+    overrides = {
+        f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name, None) is not None
+    }
     if getattr(args, "no_snapshots", False):
         overrides["snapshots"] = False
     if overrides:
@@ -270,14 +251,22 @@ def _cmd_verify_inequalities(args):
     return 0 if ok else 1
 
 
-def _parse_lattice(text):
-    a, b, n = text.split(":")
-    return np.linspace(float(a), float(b), int(n))
+def _parse_lattice(text, flag):
+    """A start:stop:count lattice with count >= 1."""
+    try:
+        a, b, n = text.split(":")
+        a, b, n = float(a), float(b), int(n)
+    except ValueError:
+        raise ValueError(f"{flag} needs start:stop:count, got {text!r}") from None
+    if n < 1:
+        raise ValueError(f"{flag} needs a count >= 1, got {text!r}")
+    return np.linspace(a, b, n)
 
 
 def _cmd_kernel_table(args):
-    xs = _parse_lattice(args.x1)
-    ys = _parse_lattice(args.x2)
+    with _bad_values():
+        xs = _parse_lattice(args.x1, "--x1")
+        ys = _parse_lattice(args.x2, "--x2")
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
         out.write("x1,x2,K,gradperpK_1,gradperpK_2\n")
@@ -296,9 +285,10 @@ def _cmd_kernel_table(args):
 
 
 def _cmd_fit_rates(args):
-    records = read_csv_records(args.csv)
-    series = [(r.t, getattr(r, args.column)) for r in records]
-    fit = diag_mod.fit_decay_rate(series, (args.t_lo, args.t_hi), args.model)
+    col = diag_mod.CSV_COLUMNS.index(args.column)
+    with _bad_values():
+        series = [(r.t, r.csv_values()[col]) for r in read_csv_records(args.csv)]
+        fit = diag_mod.fit_decay_rate(series, (args.t_lo, args.t_hi), args.model)
     print(
         json.dumps(
             {
@@ -328,7 +318,8 @@ def _cmd_report(args):
     names = sorted(n for n in os.listdir(snap_dir) if n.endswith(".bin")) if os.path.isdir(snap_dir) else []
     if not names:
         raise _UsageError(f"no snapshots under {snap_dir}")
-    states = [read_state(os.path.join(snap_dir, n)) for n in names]
+    with _bad_values():
+        states = [read_state(os.path.join(snap_dir, n)) for n in names]
     states.sort(key=lambda s: s.t)
     collector = diag_mod.TrajectoryCollector()
     for s in states:
@@ -446,7 +437,7 @@ def _build_parser():
 
     fit = sub.add_parser("fit-rates", help="decay-rate fit on a diagnostics CSV column")
     fit.add_argument("--csv", required=True)
-    fit.add_argument("--column", default="sup_uhat")
+    fit.add_argument("--column", default="sup_uhat", choices=diag_mod.CSV_COLUMNS)
     fit.add_argument("--t-lo", dest="t_lo", type=float, required=True)
     fit.add_argument("--t-hi", dest="t_hi", type=float, required=True)
     fit.add_argument("--model", default="exponential", choices=["exponential", "power"])

@@ -43,7 +43,6 @@ class RunConfig:
     rho: float = 1.0
     center: str = "argmax_e"
     out_dir: str = "out"
-    constants_path: str = "constants.json"
     snapshots: bool = True
 
     def validate(self):

@@ -18,9 +18,7 @@ from .solver import FlowState
 from .spectral import (
     Profile,
     _as_physical_data,
-    _as_spectral_data,
     _derivative_multiplier,
-    _half,
     _inverse_padded,
     _padded_grid,
     circular_distance,
@@ -112,10 +110,10 @@ class _FineFields:
     def __init__(self, state):
         g = state.grid
         self.fine = _padded_grid(g)
-        w_hat = _half(_as_spectral_data(state.omega))
+        w_hat = state.omega.data
         u1h, u2h = _biot_savart(g, w_hat, state.c, state.m_mean)
         d1 = _derivative_multiplier(g, 1)
-        d2 = _half(_derivative_multiplier(g, 2))
+        d2 = _derivative_multiplier(g, 2)
         spectra = (u1h, u2h, w_hat, d1 * u1h, d2 * u1h, d1 * u2h, d2 * u2h, d1 * w_hat, d2 * w_hat)
         (self.u1, self.u2, self.w, self.d1u1, self.d2u1,
          self.d1u2, self.d2u2, self.d1w, self.d2w) = _inverse_padded(g, np.stack(spectra))

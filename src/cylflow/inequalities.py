@@ -19,6 +19,7 @@ from .spectral import (
     ScalarField,
     _as_physical_data,
     _as_spectral_data,
+    _band_mask,
     _derivative_multiplier,
     _forward,
     _inverse,
@@ -197,9 +198,8 @@ def sample_test_field(grid, rng, family):
             vals += rng.normal() * np.cos(2.0 * np.pi * n * x2 + rng.uniform(0, 2 * np.pi)) * np.ones_like(x1)
     elif family == "generic":
         band = max(2, min(grid.nx, grid.ny) // 6)
-        spec = _forward(grid, rng.standard_normal((grid.nx, grid.ny)))
-        keep = (np.abs(grid.j1)[:, None] <= band) & (np.abs(grid.j2)[None, :] <= band)
-        vals = _inverse(grid, spec * keep)
+        spec = _forward(rng.standard_normal((grid.nx, grid.ny)))
+        vals = _inverse(grid, spec * _band_mask(grid, band, band))
     else:
         raise ValueError(f"unknown field family {family!r}")
     vals = vals - vals.mean()

@@ -3,8 +3,9 @@
 Diagnostics rows use a fixed column order and 17 significant digits, so
 float64 values round-trip exactly and identical runs produce bitwise
 identical files.  Snapshots are raw little-endian float64, row-major with
-x1 outermost; spectral snapshots store the complex coefficients as
-interleaved (re, im) float64 pairs.  Each snapshot has a plain-text
+x1 outermost; spectral snapshots store the nx*(ny/2+1) complex
+coefficients of the rfft2 half spectrum as interleaved (re, im) float64
+pairs.  Each snapshot has a plain-text
 key=value sidecar at <path>.meta.
 """
 
@@ -112,16 +113,17 @@ def read_field(path):
     if rep not in (PHYSICAL, SPECTRAL):
         raise ValueError(f"snapshot {path} has unknown repr {rep!r}")
     try:
-        nx, ny = int(meta["nx"]), int(meta["ny"])
-        grid = SpectralGrid(nx, ny, float(meta["lambda"]))
+        grid = SpectralGrid(int(meta["nx"]), int(meta["ny"]), float(meta["lambda"]))
     except ValueError as exc:
         raise ValueError(f"snapshot sidecar {path}.meta: {exc}") from exc
     with open(path, "rb") as fh:
         raw = fh.read()
     dtype = np.dtype("<f8" if rep == PHYSICAL else "<c16")
-    if len(raw) != nx * ny * dtype.itemsize:
-        raise ValueError(f"snapshot {path} holds {len(raw)} bytes, expected {nx * ny * dtype.itemsize}")
-    data = np.frombuffer(raw, dtype=dtype).reshape(nx, ny).copy()
+    shape = grid.shape(rep)
+    expected = shape[0] * shape[1] * dtype.itemsize
+    if len(raw) != expected:
+        raise ValueError(f"snapshot {path} holds {len(raw)} bytes, expected {expected}")
+    data = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return ScalarField(grid, data, rep), meta
 
 

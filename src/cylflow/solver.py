@@ -21,13 +21,11 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VelocityField,
+    _band_mask,
     _derivative_multiplier,
     _forward,
-    _forward_half,
-    _full,
-    _half,
     _inverse,
-    _inverse_half,
+    _parseval_l2,
     _profile_inverse,
     spectral_derivative,
 )
@@ -66,10 +64,10 @@ class InstabilityError(RuntimeError):
 class FlowState:
     """Immutable simulation state.
 
-    omega holds the full spectral vorticity; c is the (conserved) vertical
-    average of u1; m_mean the (conserved) spatial mean of the mean vertical
-    flow m; m0_norm records the sup norm of the initial vorticity, used by
-    the diagnostics as the constant M.
+    omega holds the spectral vorticity, its n = 0 slice included; c is the
+    (conserved) vertical average of u1; m_mean the (conserved) spatial mean
+    of the mean vertical flow m; m0_norm records the sup norm of the
+    initial vorticity, used by the diagnostics as the constant M.
     """
 
     grid: SpectralGrid
@@ -89,7 +87,7 @@ class FlowState:
     def _stage_a(self):
         """(tendency, (sup|u1|, sup|u2|)) of this state: stage a of its next
         step, computed by `cfl_dt` and taken over by `step`."""
-        return _nonlinear_ns(self.grid, self.c, self.m_mean)(_half(self.omega.data), self.t, speeds=True)
+        return _nonlinear_ns(self.grid, self.c, self.m_mean)(self.omega.data, self.t, speeds=True)
 
 
 @dataclass(frozen=True)
@@ -118,9 +116,9 @@ class InitialDataSpec:
 
 
 def _velocity_arrays(grid, w_hat, c, m_mean):
-    """Physical (u1, u2), stacked, from full spectral vorticity; one batched
-    half-spectrum inverse."""
-    return _inverse_half(grid, _biot_savart(grid, _half(w_hat), c, m_mean))
+    """Physical (u1, u2), stacked, from spectral vorticity; one batched
+    inverse."""
+    return _inverse(grid, _biot_savart(grid, w_hat, c, m_mean))
 
 
 def reconstruct_velocity(state):
@@ -136,13 +134,8 @@ def mean_flow_profile(state):
     return _profile_inverse(u2h[:, 0])
 
 
-def _gradient_multipliers(grid):
-    """Half-spectrum (i k1, i k2) multipliers, broadcastable over (nx, ny//2+1)."""
-    return tuple(_half(_derivative_multiplier(grid, axis)) for axis in (1, 2))
-
-
 def _advection(grid, u1, u2, wx, wy):
-    """Dealiased half-spectrum tendency -u.grad(omega) from physical u and
+    """Dealiased spectral tendency -u.grad(omega) from physical u and
     grad(omega); one forward transform.  wx and wy are overwritten.
 
     Its (0, 0) coefficient is zeroed: u.grad(omega) = div(u omega) has zero
@@ -151,15 +144,15 @@ def _advection(grid, u1, u2, wx, wy):
     np.multiply(u1, wx, out=wx)
     np.multiply(u2, wy, out=wy)
     wx += wy
-    out = _forward_half(wx)
+    out = _forward(wx)
     np.negative(out, out=out)
-    out *= _half(grid.dealias_mask)
+    out *= grid.dealias_mask
     out[0, 0] = 0.0
     return out
 
 
 def _nonlinear_ns(grid, c, m_mean):
-    d1, d2 = _gradient_multipliers(grid)
+    d1, d2 = _derivative_multiplier(grid, 1), _derivative_multiplier(grid, 2)
 
     def tendency(w_hat, t, speeds=False):
         """The tendency at w_hat; with speeds=True, the pair (tendency,
@@ -168,7 +161,7 @@ def _nonlinear_ns(grid, c, m_mean):
         _biot_savart(grid, w_hat, c, m_mean, out=fields[:2])
         np.multiply(d1, w_hat, out=fields[2])
         np.multiply(d2, w_hat, out=fields[3])
-        phys = _inverse_half(grid, fields)
+        phys = _inverse(grid, fields)
         if speeds:
             sup = (np.abs(phys[0]).max(), np.abs(phys[1]).max())
             return _advection(grid, *phys), sup
@@ -181,13 +174,13 @@ def _nonlinear_ns(grid, c, m_mean):
 # serves dt_acc and the landing steps of runs that repeat them.
 @lru_cache(maxsize=4)
 def _exp_factors(grid, dt):
-    E = np.exp(-_half(grid.ksq) * (0.5 * dt))
+    E = np.exp(-grid.ksq * (0.5 * dt))
     return E, E * E
 
 
 def ifrk4_step(grid, w_hat, t, dt, tendency, a=None):
-    """One integrating-factor RK4 step for dw/dt = tendency(w, t) - |k|^2 w,
-    on half-spectrum coefficients.  `a`, if given, is tendency(w_hat, t).
+    """One integrating-factor RK4 step for dw/dt = tendency(w, t) - |k|^2 w
+    on spectral coefficients.  `a`, if given, is tendency(w_hat, t).
 
     Diffusion is integrated exactly; only decaying exponentials appear.
     """
@@ -221,19 +214,12 @@ def cfl_dt(state, dt_acc=DEFAULT_DT_ACC):
     return _cfl_limit(state.grid, *state._stage_a[1], dt_acc)
 
 
-def _full_l2(w_half):
-    """L2 norm of the full coefficient array of a half spectrum: columns
-    1..ny/2-1 stand for their conjugates too."""
-    sq = np.abs(w_half) ** 2
-    return float(np.sqrt(sq.sum() + sq[:, 1:-1].sum()))
-
-
 def _guarded_step(grid, w_hat, t, dt, tendency, a=None):
     """ifrk4_step that raises InstabilityError if the coefficient L2 norm
     grows by more than 10x."""
-    pre = _full_l2(w_hat)
+    pre = _parseval_l2(w_hat)
     w_new = ifrk4_step(grid, w_hat, t, dt, tendency, a)
-    post = _full_l2(w_new)
+    post = _parseval_l2(w_new)
     if not np.isfinite(post) or post > 10.0 * pre + 1e-300:
         raise InstabilityError(f"norm grew {post / max(pre, 1e-300):.3g}x in one step at t={t:.6g}", t=t)
     return w_new
@@ -252,8 +238,8 @@ def step(state, dt):
     g = state.grid
     stage = state.__dict__.pop("_stage_a", None)
     a = None if stage is None else stage[0]
-    w_new = _guarded_step(g, _half(state.omega.data), state.t, dt, _nonlinear_ns(g, state.c, state.m_mean), a)
-    return replace(state, omega=ScalarField(g, _full(g, w_new), SPECTRAL), t=state.t + dt)
+    w_new = _guarded_step(g, state.omega.data, state.t, dt, _nonlinear_ns(g, state.c, state.m_mean), a)
+    return replace(state, omega=ScalarField(g, w_new, SPECTRAL), t=state.t + dt)
 
 
 def _march(x, t0, t1, times, limit, advance, visit):
@@ -367,8 +353,8 @@ def _random_band_limited_vorticity(grid, rng, band):
     if band > grid.nx / 3.0 or band > grid.ny / 3.0:
         raise ValueError(f"band {band} exceeds the dealiased range of {grid!r}")
     phys = rng.standard_normal((grid.nx, grid.ny))
-    spec = _forward(grid, phys)
-    keep = (np.abs(grid.j1)[:, None] <= band) & (np.abs(grid.j2)[None, :] <= band)
+    spec = _forward(phys)
+    keep = _band_mask(grid, band, band)
     mod = np.abs(spec)
     spec = np.where(keep & (mod > 0.0), spec / np.where(mod > 0.0, mod, 1.0), 0.0)
     spec[0, 0] = 0.0
@@ -394,11 +380,11 @@ def make_initial_data(spec, grid):
     x1, x2 = g.meshgrid()
     if spec.kind == "shear_eigenmode":
         w_phys = np.cos(2.0 * np.pi * x2) * np.ones_like(x1)
-        w_hat = _forward(g, w_phys)
+        w_hat = _forward(w_phys)
         mean_flow_ok = False
     elif spec.kind == "vertical_shear":
         w_phys = (2.0 * np.pi / g.lam) * np.cos(2.0 * np.pi * x1 / g.lam) * np.ones_like(x2)
-        w_hat = _forward(g, w_phys)
+        w_hat = _forward(w_phys)
         mean_flow_ok = True
     elif spec.kind == "random_bandlimited":
         rng = np.random.default_rng(spec.seed)

@@ -4,13 +4,14 @@ The domain is a horizontally truncated cylinder: periodic with period
 ``lam`` in x1 (the long, "horizontal" direction) and period 1 in x2 (the
 "vertical" circle).  Fields live either on the physical grid (real64,
 shape (nx, ny), x1 along axis 0) or as normalized Fourier coefficients
-(complex128, same shape, numpy fft layout), so that
+(complex128), so that
 
     f(x) = sum_{j,n} F[j, n] * exp(i*(k1[j]*x1 + k2[n]*x2)),
 
 with k1[j] = 2*pi*j/lam and k2[n] = 2*pi*n.  Fields are real, so their
-coefficients are Hermitian, F[-j, -n] = conj(F[j, n]); the time stepping
-works on the half spectrum n = 0..ny/2 alone.
+coefficients are Hermitian, F[-j, -n] = conj(F[j, n]), and the columns
+n = 0..ny/2 determine them: spectral data are the normalized rfft2 half
+spectrum, shape (nx, ny//2+1), and so are the 2-D wavenumber tables.
 """
 
 from __future__ import annotations
@@ -65,18 +66,18 @@ class SpectralGrid:
         self.j2 = np.fft.fftfreq(self.ny, d=1.0 / self.ny).astype(np.int64)
         self.k1 = 2.0 * np.pi * self.j1 / self.lam
         self.k2 = 2.0 * np.pi * self.j2.astype(np.float64)
+        # the rfft2 half spectrum holds all rows j and the columns n = 0..ny/2
+        self._ncols = self.ny // 2 + 1
         # derivative tables with the Nyquist mode zeroed (odd derivatives only)
         self.k1_odd = self.k1.copy()
         self.k1_odd[self.nx // 2] = 0.0
         self.k2_odd = self.k2.copy()
         self.k2_odd[self.ny // 2] = 0.0
-        self.ksq = (self.k1**2)[:, None] + (self.k2**2)[None, :]
+        self.ksq = (self.k1**2)[:, None] + (self.k2[: self._ncols] ** 2)[None, :]
         self.inv_ksq = np.zeros_like(self.ksq)
         self.inv_ksq[self.ksq > 0.0] = 1.0 / self.ksq[self.ksq > 0.0]
         # two-thirds rule: keep |j| <= nx/3 and |n| <= ny/3
-        keep1 = np.abs(self.j1) <= self.nx / 3.0
-        keep2 = np.abs(self.j2) <= self.ny / 3.0
-        self.dealias_mask = keep1[:, None] & keep2[None, :]
+        self.dealias_mask = _band_mask(self, self.nx / 3.0, self.ny / 3.0)
 
     def __repr__(self):
         return f"SpectralGrid(nx={self.nx}, ny={self.ny}, lam={self.lam})"
@@ -96,6 +97,15 @@ class SpectralGrid:
         """Physical coordinates as broadcastable (nx,1), (1,ny) arrays."""
         return self.x1[:, None], self.x2[None, :]
 
+    def shape(self, repr=PHYSICAL):
+        """Array shape of a field: the grid, or the rfft2 half spectrum."""
+        return (self.nx, self.ny) if repr == PHYSICAL else (self.nx, self._ncols)
+
+
+def _band_mask(grid, band1, band2):
+    """Half-spectrum mask of the modes |j| <= band1, |n| <= band2."""
+    return (np.abs(grid.j1) <= band1)[:, None] & (np.abs(grid.j2[: grid._ncols]) <= band2)[None, :]
+
 
 def make_grid(nx, ny, lam):
     """Build a SpectralGrid; rejects odd or undersized grids and lam <= 0."""
@@ -109,8 +119,8 @@ class ScalarField:
         if repr not in (PHYSICAL, SPECTRAL):
             raise ValueError(f"unknown representation {repr!r}")
         data = np.asarray(data)
-        if data.shape != (grid.nx, grid.ny):
-            raise ValueError(f"data shape {data.shape} does not match grid {(grid.nx, grid.ny)}")
+        if data.shape != grid.shape(repr):
+            raise ValueError(f"{repr} data shape {data.shape} does not match {grid.shape(repr)} of {grid!r}")
         if repr == PHYSICAL:
             data = np.ascontiguousarray(data, dtype=np.float64)
         else:
@@ -128,13 +138,13 @@ class ScalarField:
     @classmethod
     def zeros(cls, grid, repr=PHYSICAL):
         dtype = np.float64 if repr == PHYSICAL else np.complex128
-        return cls(grid, np.zeros((grid.nx, grid.ny), dtype=dtype), repr)
+        return cls(grid, np.zeros(grid.shape(repr), dtype=dtype), repr)
 
     @classmethod
     def from_function(cls, grid, fn):
         """Sample fn(x1, x2) on the physical grid (fn must broadcast)."""
         x1, x2 = grid.meshgrid()
-        return cls(grid, np.broadcast_to(fn(x1, x2), (grid.nx, grid.ny)).astype(np.float64))
+        return cls(grid, np.broadcast_to(fn(x1, x2), grid.shape()).astype(np.float64))
 
 
 class VelocityField:
@@ -173,45 +183,25 @@ class Profile:
 
 # Every transform of the package goes through the helpers below; spectral
 # data are normalized coefficients (fft / number of samples).  The 2-D pair
-# works on the half spectrum (nx, ny//2+1) that rfft2 returns for a real
-# field; `_half` and `_full` convert to and from the full (nx, ny) layout of
-# ScalarField and FlowState.  Every spectral array is the transform of a real
-# field, hence Hermitian, so the half spectrum loses nothing.
+# maps a real field to and from its half spectrum (nx, ny//2+1).
 
 
-def _forward_half(phys):
-    """Half-spectrum coefficients of real physical data."""
+def _forward(phys):
+    """Half-spectrum coefficients of real physical data; leading axes are a batch."""
     return np.fft.rfft2(phys, norm="forward")
 
 
-def _inverse_half(grid, half):
-    """Physical data of half-spectrum coefficients; leading axes are a batch."""
-    return np.fft.irfft2(half, s=(grid.nx, grid.ny), norm="forward")
-
-
-def _half(a):
-    """Columns 0..ny/2 of a full-spectrum array or of a grid table (a table
-    that broadcasts along x2 is returned unchanged)."""
-    return a[..., : a.shape[-1] // 2 + 1]
-
-
-def _full(grid, half):
-    """Full-spectrum coefficients from a half spectrum, by the Hermitian
-    symmetry F[-j, -n] = conj(F[j, n])."""
-    h = grid.ny // 2 + 1
-    full = np.empty((grid.nx, grid.ny), dtype=np.complex128)
-    full[:, :h] = half
-    np.conjugate(half[:1, h - 2 : 0 : -1], out=full[:1, h:])
-    np.conjugate(half[:0:-1, h - 2 : 0 : -1], out=full[1:, h:])
-    return full
-
-
-def _forward(grid, phys):
-    return _full(grid, _forward_half(phys))
-
-
 def _inverse(grid, spec):
-    return _inverse_half(grid, _half(spec))
+    """Physical data of half-spectrum coefficients; leading axes are a batch."""
+    return np.fft.irfft2(spec, s=(grid.nx, grid.ny), norm="forward")
+
+
+def _parseval_l2(spec):
+    """L2 norm of the full coefficient array that a half spectrum stands for:
+    columns 1..ny/2-1 count for their conjugates too.  By Parseval, a
+    field's L2 norm is sqrt(lam) times this."""
+    sq = np.abs(spec) ** 2
+    return float(np.sqrt(sq.sum() + sq[:, 1:-1].sum()))
 
 
 def _profile_forward(values):
@@ -237,7 +227,7 @@ def _inverse_padded(grid, half):
     big[..., -h:, :] = half[..., h:, :]
     big[..., [h, -h], :] *= 0.5
     big[..., -1] *= 0.5
-    return _inverse_half(_padded_grid(grid), big)
+    return _inverse(_padded_grid(grid), big)
 
 
 @lru_cache(maxsize=8)
@@ -248,14 +238,14 @@ def _padded_grid(grid):
 
 @lru_cache(maxsize=32)
 def _derivative_multiplier(grid, axis, order=1):
-    """(i*k_axis)**order, broadcastable over (nx, ny) and read-only; the
-    Nyquist mode is zeroed for odd orders."""
+    """(i*k_axis)**order, broadcastable over the half spectrum and
+    read-only; the Nyquist mode is zeroed for odd orders."""
     if axis == 1:
         k = grid.k1_odd if order % 2 else grid.k1
         mult = ((1j * k) ** order)[:, None]
     else:
         k = grid.k2_odd if order % 2 else grid.k2
-        mult = ((1j * k) ** order)[None, :]
+        mult = ((1j * k[: grid._ncols]) ** order)[None, :]
     mult.setflags(write=False)
     return mult
 
@@ -264,7 +254,7 @@ def to_spectral(f):
     """Forward transform; rejects fields already in spectral representation."""
     if f.repr != PHYSICAL:
         raise ValueError("to_spectral expects a physical-representation field")
-    return ScalarField(f.grid, _forward(f.grid, f.data), SPECTRAL)
+    return ScalarField(f.grid, _forward(f.data), SPECTRAL)
 
 
 def to_physical(f):
@@ -277,7 +267,7 @@ def to_physical(f):
 def _as_spectral_data(f):
     if f.repr == SPECTRAL:
         return f.data
-    return _forward(f.grid, f.data)
+    return _forward(f.data)
 
 
 def _as_physical_data(f):

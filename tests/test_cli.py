@@ -1,13 +1,16 @@
 import json
 import os
+import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from cylflow.cli import main
-from cylflow.config import EstimatedConstant, update_constant
+from cylflow.cli import _build_parser, main
+from cylflow.config import EstimatedConstant, RunConfig, update_constant
 from cylflow.diagnostics import TrajectoryCollector
-from cylflow.io import read_csv_records
+from cylflow.io import read_csv_records, read_state
+from cylflow.spectral import to_physical
 
 
 def run_cli(*argv):
@@ -53,6 +56,11 @@ class TestSimulate:
         a = open(os.path.join(sim_dir, "diagnostics.csv"), "rb").read()
         b = open(os.path.join(out2, "diagnostics.csv"), "rb").read()
         assert a == b
+
+    def test_every_config_field_has_a_flag(self):
+        # the overrides are read by field name; --no-snapshots sets snapshots
+        args = _build_parser().parse_args(["simulate"])
+        assert [f.name for f in fields(RunConfig) if not hasattr(args, f.name)] == ["snapshots"]
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -147,6 +155,21 @@ class TestFitRates:
         out = json.loads(capsys.readouterr().out)
         assert out["exponent_or_rate"] == pytest.approx(4 * np.pi**2, rel=1e-6)
 
+    @pytest.mark.parametrize("column", ["E_rho", "D_rho", "Ens_rho", "EnsD_rho"])
+    def test_columns_by_csv_header_name(self, column, sim_dir, capsys):
+        csv = os.path.join(sim_dir, "diagnostics.csv")
+        assert run_cli("fit-rates", "--csv", csv, "--column", column, "--t-lo", "0", "--t-hi", "0.2") == 0
+        rate = json.loads(capsys.readouterr().out)["exponent_or_rate"]
+        if column == "Ens_rho":  # 0.5 omega^2 of the decaying shear mode
+            assert rate == pytest.approx(8 * np.pi**2, rel=1e-6)
+        assert np.isfinite(rate)
+
+    def test_unknown_column_is_a_usage_error(self, sim_dir):
+        csv = os.path.join(sim_dir, "diagnostics.csv")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit-rates", "--csv", csv, "--column", "e_rho", "--t-lo", "0", "--t-hi", "0.2")
+        assert exc.value.code == 2
+
 
 class TestVerifyInequalities:
     def test_runs_and_writes(self, tmp_path):
@@ -191,13 +214,15 @@ class TestCleanFailures:
             (["verify-inequalities", "--weights", "broad=-1,narrow=1"], "-1"),
             (["verify-inequalities", "--samples", "1"], "--samples"),
             (["verify-inequalities", "--poincare-samples", "-3"], "-3"),
+            (["simulate", "--config", "{missing}"], "missing.cfg"),
         ],
     )
     def test_bad_value(self, argv, word, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus_key = 1\n")
         out = tmp_path / "out"
-        assert run_cli(*[a.format(cfg=cfg) for a in argv], "--out", str(out)) == 2
+        argv = [a.format(cfg=cfg, missing=tmp_path / "missing.cfg") for a in argv]
+        assert run_cli(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and argv[0] in err[0] and word in err[0]
         assert not out.exists()
@@ -244,3 +269,50 @@ class TestCleanFailures:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "C3" in err[0] and "0.0" in err[0]
         assert const.read_bytes() == before and not rep_path.exists()
+
+
+class TestInputFaults:
+    """Unreadable inputs and malformed lattices end with exit code 2 and one
+    stderr line, before anything is written."""
+
+    def _one_line(self, capsys, *words):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and all(w in err[0] for w in words), err
+
+    def test_fit_rates_missing_csv(self, tmp_path, capsys):
+        csv = str(tmp_path / "none.csv")
+        assert run_cli("fit-rates", "--csv", csv, "--t-lo", "0", "--t-hi", "1") == 2
+        self._one_line(capsys, "fit-rates", "none.csv")
+
+    def test_fit_rates_short_window(self, sim_dir, capsys):
+        csv = os.path.join(sim_dir, "diagnostics.csv")
+        assert run_cli("fit-rates", "--csv", csv, "--t-lo", "0", "--t-hi", "0.05") == 2
+        self._one_line(capsys, "fit-rates", "8 samples")
+
+    @pytest.mark.parametrize("flag, value", [("--x1", "0:4"), ("--x1", "0:4:x"), ("--x2", "0:1:0")])
+    def test_kernel_table_bad_lattice(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "k.csv"
+        argv = {"--x1": "0:1:2", "--x2": "0:1:2", flag: value}
+        assert run_cli("kernel-table", *[a for kv in argv.items() for a in kv], "--out", str(out)) == 2
+        self._one_line(capsys, "kernel-table", flag, value)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["truncated", "full_layout", "no_meta"])
+    def test_report_bad_snapshot(self, fault, sim_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(os.path.join(sim_dir, "snapshots"), run_dir / "snapshots")
+        bad = run_dir / "snapshots" / "state_00002.bin"
+        if fault == "truncated":
+            bad.write_bytes(bad.read_bytes()[:100])
+        elif fault == "full_layout":
+            # the full (nx, ny) fft2 coefficients that older snapshots held
+            w = to_physical(read_state(str(bad)).omega).data
+            bad.write_bytes((np.fft.fft2(w) / w.size).astype("<c16").tobytes())
+        else:
+            os.remove(f"{bad}.meta")
+        rep_path = tmp_path / "report.json"
+        const = tmp_path / "constants.json"
+        argv = ["report", "--run-dir", str(run_dir), "--constants", str(const), "--out", str(rep_path)]
+        assert run_cli(*argv) == 2
+        self._one_line(capsys, "report", "state_00002.bin")
+        assert not const.exists() and not rep_path.exists()

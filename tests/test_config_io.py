@@ -48,6 +48,11 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown key 'dt'"):
             parse_config("dt = 0.1\n")
 
+    def test_constants_path_is_unknown(self):
+        # the ledger path is a flag of the commands that use the ledger
+        with pytest.raises(ValueError, match="unknown key 'constants_path'"):
+            parse_config("constants_path = constants.json\n")
+
     def test_round_trip(self):
         cfg = RunConfig(nx=32, ny=48, lam=12.0, seed=9, diag_times="0.1,0.25", kind="laminar_small")
         assert parse_config(serialize_config(cfg)) == cfg

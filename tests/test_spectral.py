@@ -12,9 +12,9 @@ import cylflow
 from cylflow.spectral import (
     Profile,
     ScalarField,
-    _forward_half,
-    _half,
+    _forward,
     _inverse_padded,
+    _parseval_l2,
     dealias,
     integral,
     lp_norm,
@@ -55,10 +55,12 @@ class TestTransforms:
         assert rest < 1e-12
 
     def test_pure_mode(self, grid64):
+        # the half spectrum holds n = 0..32; the (0, -1) partner is implied
         f = ScalarField.from_function(grid64, lambda x1, x2: np.cos(2 * np.pi * x2))
         spec = to_spectral(f).data
+        assert spec.shape == (64, 33)
         nz = np.argwhere(np.abs(spec) > 1e-12)
-        assert {(int(i), int(j)) for i, j in nz} == {(0, 1), (0, 63)}
+        assert {(int(i), int(j)) for i, j in nz} == {(0, 1)}
 
     def test_round_trip(self, grid64):
         f = random_band_limited(grid64, seed=11, band=10)
@@ -74,9 +76,14 @@ class TestTransforms:
             to_spectral(to_spectral(f))
 
     def test_hermitian_symmetry(self, grid64):
-        spec = to_spectral(random_band_limited(grid64, seed=3)).data
-        conj = np.conj(spec[(-np.arange(64)) % 64][:, (-np.arange(64)) % 64])
+        # columns n = 0 and n = ny/2 are their own mirror, so they carry both +-j
+        spec = to_spectral(random_band_limited(grid64, seed=3)).data[:, [0, 32]]
+        conj = np.conj(spec[(-np.arange(64)) % 64])
         assert np.abs(spec - conj).max() < 1e-15
+
+    def test_full_layout_rejected(self, grid64):
+        with pytest.raises(ValueError, match=r"\(64, 33\)"):
+            ScalarField(grid64, np.zeros((64, 64), dtype=complex), "spectral")
 
 
 class TestDerivative:
@@ -109,13 +116,13 @@ class TestDerivative:
 class TestDealias:
     def test_retained_band_unchanged(self, grid64):
         rng = np.random.default_rng(5)
-        spec = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        spec = rng.standard_normal((64, 33)) + 1j * rng.standard_normal((64, 33))
         spec *= grid64.dealias_mask  # exactly supported in the retained band
         f = ScalarField(grid64, spec, "spectral")
         assert np.array_equal(dealias(f).data, f.data)
 
     def test_nyquist_mode_zeroed(self, grid64):
-        spec = np.zeros((64, 64), dtype=complex)
+        spec = np.zeros((64, 33), dtype=complex)
         spec[32, 0] = 1.0  # horizontal Nyquist
         f = ScalarField(grid64, spec, "spectral")
         assert np.abs(dealias(f).data).max() == 0.0
@@ -129,7 +136,7 @@ class TestDealias:
     def test_exact_band(self, grid64):
         f = to_spectral(random_band_limited(grid64, seed=7, band=31))
         out = dealias(f).data
-        inside = (np.abs(grid64.j1)[:, None] <= 64 / 3) & (np.abs(grid64.j2)[None, :] <= 64 / 3)
+        inside = (np.abs(grid64.j1)[:, None] <= 64 / 3) & (np.arange(33)[None, :] <= 64 / 3)
         assert np.array_equal(out[inside], f.data[inside])
         assert np.abs(out[~inside]).max() == 0.0
 
@@ -169,7 +176,7 @@ def test_parseval(seed):
     g = make_grid(32, 32, 8.0)
     f = random_band_limited(g, seed=seed, band=9)
     quad = integral(ScalarField(g, f.data**2))
-    parseval = g.lam * (np.abs(to_spectral(f).data) ** 2).sum()
+    parseval = g.lam * _parseval_l2(to_spectral(f).data) ** 2
     assert quad == pytest.approx(parseval, rel=1e-12, abs=1e-300)
 
 
@@ -204,9 +211,10 @@ class TestInversePadded:
     def test_matches_trigonometric_interpolant(self):
         g = make_grid(16, 12, 3.0)
         specs = [to_spectral(random_band_limited(g, seed=s, band=4)).data for s in (1, 2)]
-        fine = _inverse_padded(g, _half(np.stack(specs)))
+        fine = _inverse_padded(g, np.stack(specs))
         assert fine.shape == (2, 32, 24)
-        # explicit sum over the retained modes |j|, |n| <= 4 at the fine points
+        # explicit sum over the retained modes |j|, |n| <= 4 at the fine points;
+        # a mode n < 0 is the conjugate of the stored mode (-j, -n)
         x1 = np.arange(32)[:, None] * (g.lam / 32)
         x2 = np.arange(24)[None, :] / 24
         for spec, got in zip(specs, fine):
@@ -214,13 +222,14 @@ class TestInversePadded:
             for j in range(-4, 5):
                 for n in range(-4, 5):
                     phase = 2 * np.pi * (j * x1 / g.lam + n * x2)
-                    want += (spec[j, n] * np.exp(1j * phase)).real
+                    coef = spec[j, n] if n >= 0 else np.conj(spec[-j, -n])
+                    want += (coef * np.exp(1j * phase)).real
             assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
 
     def test_rough_field_is_real_and_interpolates(self):
         g = make_grid(16, 12, 3.0)
         rough = np.random.default_rng(4).standard_normal((3, 16, 12))
-        fine = _inverse_padded(g, _forward_half(rough))
+        fine = _inverse_padded(g, _forward(rough))
         assert fine.dtype == np.float64 and fine.shape == (3, 32, 24)
         assert np.abs(fine[:, ::2, ::2] - rough).max() < 1e-13
 
