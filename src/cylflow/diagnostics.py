@@ -1,9 +1,12 @@
 """Energy, enstrophy and oscillatory-energy diagnostics along trajectories.
 
-All profile quantities are vertical averages of pointwise products of
-band-limited fields.  They are evaluated on a 2x zero-padded grid, which
-makes the quadratic and cubic vertical means and the x1-derivatives of
-profiles exact for dealiased states.
+All profile quantities are vertical averages of pointwise products of at
+most three band-limited fields.  They are evaluated on the zero-padded grid
+`spectral._padded_grid`: x1 doubled, which makes the x1-derivatives of
+profiles exact, and x2 doubled only when 3 divides ny.  For a dealiased
+state (|n| <= ny/3) a cubic product reaches |n| = 3*floor(ny/3), which is
+below ny unless 3 divides ny, so its mean over the ny coarse x2 samples is
+already exact.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .biotsavart import _biot_savart, _pressure_hat
 from .solver import FlowState
 from .spectral import (
     Profile,
-    _as_physical_data,
     _derivative_multiplier,
     _inverse_padded,
     _padded_grid,
@@ -34,7 +36,6 @@ __all__ = [
     "CSV_COLUMNS",
     "v_volume",
     "localized_sum",
-    "ul2_norm",
     "fit_decay_rate",
     "theorem_checks",
 ]
@@ -103,13 +104,15 @@ class DiagnosticsOptions:
 
 
 class _FineFields:
-    """All profile ingredients of one state, sampled on the 2x padded grid:
-    one batched padded inverse of the velocity, the vorticity and their
-    first derivatives, and one of the pressure."""
+    """All profile ingredients of one state, sampled on the padded grid
+    `_padded_grid(state.grid)`: one batched padded inverse of the velocity,
+    the vorticity and their first derivatives, and one of the pressure."""
 
     def __init__(self, state):
         g = state.grid
         self.fine = _padded_grid(g)
+        # the fine samples at this stride are the state's own grid values
+        self.coarse = np.s_[::2, :: self.fine.ny // g.ny]
         w_hat = state.omega.data
         u1h, u2h = _biot_savart(g, w_hat, state.c, state.m_mean)
         d1 = _derivative_multiplier(g, 1)
@@ -121,8 +124,7 @@ class _FineFields:
         self.uh1 = self.u1 - self.u1.mean(axis=1, keepdims=True)
         self.uh2 = self.u2 - self.u2.mean(axis=1, keepdims=True)
         self.d1m = self.d1u2.mean(axis=1)
-        # the even samples of the padded grid are the state's own grid
-        self.p = _inverse_padded(g, _pressure_hat(g, self.u1[::2, ::2], self.w[::2, ::2]))
+        self.p = _inverse_padded(g, _pressure_hat(g, self.u1[self.coarse], self.w[self.coarse]))
         self.M = state.m0_norm
 
     def profiles(self):
@@ -174,11 +176,10 @@ class _FineFields:
 
 def _coarse_sups(ff):
     """Sup norms on the state's own grid (fine samples subsample exactly)."""
-    u1 = ff.u1[::2, ::2]
-    u2 = ff.u2[::2, ::2]
-    sup_u = float(np.sqrt(u1**2 + u2**2).max())
-    sup_w = float(np.abs(ff.w[::2, ::2]).max())
-    sup_uhat = float(np.sqrt(ff.uh1[::2, ::2] ** 2 + ff.uh2[::2, ::2] ** 2).max())
+    s = ff.coarse
+    sup_u = float(np.sqrt(ff.u1[s] ** 2 + ff.u2[s] ** 2).max())
+    sup_w = float(np.abs(ff.w[s]).max())
+    sup_uhat = float(np.sqrt(ff.uh1[s] ** 2 + ff.uh2[s] ** 2).max())
     return sup_u, sup_w, sup_uhat
 
 
@@ -220,21 +221,12 @@ def _residual_triple(grid, pr_lo, pr_mid, pr_hi, h):
     return r_e, r_eps, r_osc
 
 
-def ul2_norm(u_hat):
-    """Uniformly local L2 norm: sup over window centers of the |u_hat|^2 mass
-    in the strip x1 in [a-1, a+1], square-rooted.
-
-    The window length rounds to the nearest grid multiple; requires a
-    horizontal period of at least 2.
-    """
-    g = u_hat.grid
-    if g.lam < 2.0:
-        raise ValueError("ul2_norm requires a horizontal period >= 2")
-    q = (_as_physical_data(u_hat.u1) ** 2 + _as_physical_data(u_hat.u2) ** 2).mean(axis=1)
-    return _ul2_from_profile(g.dx, q)
-
-
 def _ul2_from_profile(dx, q):
+    """Uniformly local L2 norm from the profile q = <|u|^2>: the sup over
+    window centers of the mass of q on [a-1, a+1], square-rooted.  The
+    window length rounds to the nearest grid multiple.  The window needs a
+    horizontal period of at least 2; on a narrower box the collector
+    records 0."""
     n = q.shape[0]
     w = max(1, int(round(1.0 / dx)))
     idx = (np.arange(n)[:, None] - w + np.arange(2 * w)[None, :]) % n

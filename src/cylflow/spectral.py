@@ -213,27 +213,38 @@ def _profile_inverse(spec):
 
 
 def _inverse_padded(grid, half):
-    """Sample half-spectrum coefficients (leading axes are a batch) on the
-    grid twice as fine along both axes, by zero padding.
+    """Sample half-spectrum coefficients (leading axes are a batch) on
+    `_padded_grid(grid)`, by zero padding.
 
-    The x1 rows are padded here, in the middle; the x2 columns are padded by
-    the inverse itself.  The Nyquist row and column are split in half
-    between +-N/2, so the samples are those of the real trigonometric
-    interpolant and the even samples are the input's own grid values.
+    The x1 rows are padded here, in the middle; the x2 columns, when that
+    grid doubles them, are padded by the inverse itself.  A padded Nyquist
+    row or column is split in half between +-N/2, so the samples are those
+    of the real trigonometric interpolant and every other row (and column)
+    holds the input's own grid values.
     """
+    fine = _padded_grid(grid)
     h = grid.nx // 2
-    big = np.zeros(half.shape[:-2] + (2 * grid.nx, half.shape[-1]), dtype=np.complex128)
+    big = np.zeros(half.shape[:-2] + (fine.nx, half.shape[-1]), dtype=np.complex128)
     big[..., : h + 1, :] = half[..., : h + 1, :]
     big[..., -h:, :] = half[..., h:, :]
     big[..., [h, -h], :] *= 0.5
-    big[..., -1] *= 0.5
-    return _inverse(_padded_grid(grid), big)
+    if fine.ny > grid.ny:
+        big[..., -1] *= 0.5
+    return _inverse(fine, big)
 
 
 @lru_cache(maxsize=8)
 def _padded_grid(grid):
-    """The grid that `_inverse_padded` samples on."""
-    return SpectralGrid(2 * grid.nx, 2 * grid.ny, grid.lam)
+    """The grid that `_inverse_padded` samples on: x1 doubled, and x2
+    doubled only when 3 divides ny.
+
+    The diagnostics take vertical means of products of at most three
+    dealiased fields (|n| <= ny/3 each), which reach |n| = 3*floor(ny/3).
+    A mean over ny samples is exact below |n| = ny, so it needs no x2
+    padding unless 3 divides ny.  The profiles' x1 derivatives always need
+    the x1 padding.
+    """
+    return SpectralGrid(2 * grid.nx, grid.ny if grid.ny % 3 else 2 * grid.ny, grid.lam)
 
 
 @lru_cache(maxsize=32)

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
+from cylflow import diagnostics
+from cylflow.biotsavart import _biot_savart
 from cylflow.diagnostics import (
     DiagnosticsOptions,
     Profile,
     TheoremCheckConfig,
     TrajectoryCollector,
+    _ul2_from_profile,
     fit_decay_rate,
     localized_sum,
     theorem_checks,
-    ul2_norm,
     v_volume,
 )
 from cylflow.solver import FlowState, InitialDataSpec, make_initial_data, run
-from cylflow.spectral import ScalarField, VelocityField, make_grid
+from cylflow.spectral import ScalarField, SpectralGrid, VelocityField, _inverse, make_grid
 from conftest import vertical_average_quadrature
 
 
@@ -213,9 +215,16 @@ class TestBalanceResiduals:
 
 
 class TestUl2Norm:
+    """`_ul2_from_profile(dx, q)`, the collector's only ul2 path, on q = <|u|^2>."""
+
+    @staticmethod
+    def ul2(u):
+        q = (u.u1.data**2 + u.u2.data**2).mean(axis=1)
+        return _ul2_from_profile(u.grid.dx, q)
+
     def test_zero(self, grid64):
         u = VelocityField(ScalarField.zeros(grid64), ScalarField.zeros(grid64))
-        assert ul2_norm(u) == 0.0
+        assert self.ul2(u) == 0.0
 
     def test_constant_speed(self, grid64):
         k = 2.3
@@ -223,7 +232,7 @@ class TestUl2Norm:
             ScalarField.from_function(grid64, lambda x1, x2: np.sqrt(k) * np.sin(2 * np.pi * x2)),
             ScalarField.from_function(grid64, lambda x1, x2: np.sqrt(k) * np.cos(2 * np.pi * x2)),
         )
-        assert ul2_norm(u) == pytest.approx(np.sqrt(2 * k), rel=1e-12)
+        assert self.ul2(u) == pytest.approx(np.sqrt(2 * k), rel=1e-12)
 
     def test_localized_bump_window(self):
         g = make_grid(256, 16, 16.0)
@@ -234,13 +243,72 @@ class TestUl2Norm:
         )
         # profile of <|u|^2> is the bump; mass inside any +-1 window around 5
         oracle = np.sqrt(bump.sum() * g.dx)  # window [4, 6] captures ~all of it
-        assert ul2_norm(u) == pytest.approx(oracle, rel=1e-3)
+        assert self.ul2(u) == pytest.approx(oracle, rel=1e-3)
 
     def test_narrow_box_rejected(self):
+        # no [a-1, a+1] window fits a period below 2: the collector records 0
         g = make_grid(16, 16, 1.5)
-        u = VelocityField(ScalarField.zeros(g), ScalarField.zeros(g))
-        with pytest.raises(ValueError):
-            ul2_norm(u)
+        s = snapshot(shear_state(g, 1.0))
+        assert s.sup_uhat > 0.1 and s.ul2_uhat == 0.0
+
+
+def padded_reference(grid, half, fine):
+    """Sample half spectra on `fine` by explicit zero padding of both axes:
+    a padded Nyquist row or column is split between +-N/2."""
+    h, ncols = grid.nx // 2, grid.ny // 2 + 1
+    big = np.zeros(half.shape[:-2] + fine.shape("spectral"), dtype=np.complex128)
+    big[..., : h + 1, :ncols] = half[..., : h + 1, :]
+    big[..., -h:, :ncols] = half[..., h:, :]
+    big[..., [h, -h], :] *= 0.5
+    if fine.ny > grid.ny:
+        big[..., ncols - 1] *= 0.5
+    return _inverse(fine, big)
+
+
+class TestPaddingIsExact:
+    """The collector pads x2 only when 3 divides ny; every quantity of `add`
+    equals the one sampled on the 2x2 padded grid."""
+
+    KEYS = ("e", "h", "d", "f", "eps", "zeta", "delta", "phi", "e_hat", "h_hat",
+            "d_hat", "f_hat", "g_hat", "q12", "forcing", "d1e", "d1eps", "d1e_hat")
+
+    @staticmethod
+    def state(n):
+        g = make_grid(n, n, 16.0)
+        spec = InitialDataSpec(kind="random_bandlimited", seed=3, target_romega=5.0, target_ru=8.0, band=n // 3)
+        return make_initial_data(spec, g)
+
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_profiles_match_2x2_padding(self, n, monkeypatch):
+        st = self.state(n)
+        assert st.m_mean != 0.0
+        got = snapshot(st)
+        fine = SpectralGrid(2 * n, 2 * n, st.grid.lam)
+        monkeypatch.setattr(diagnostics, "_padded_grid", lambda g: fine)
+        monkeypatch.setattr(diagnostics, "_inverse_padded", lambda g, half: padded_reference(g, half, fine))
+        want = snapshot(st)
+        assert sorted(got.fine) == sorted(self.KEYS)
+        for key in self.KEYS:
+            scale = np.abs(want.fine[key]).max()
+            assert scale > 0.0 and np.abs(got.fine[key] - want.fine[key]).max() <= 1e-13 * scale, key
+        for key in ("sup_u", "sup_omega", "sup_uhat", "ul2_uhat"):
+            assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-13, abs=0.0), key
+
+    def test_x2_padding_needed_when_3_divides_ny(self):
+        # at 48x48 the band |n| <= 16 makes w^2 u1 reach |n| = 48 = ny, which
+        # a mean over ny samples aliases onto the profile
+        st = self.state(48)
+        g = st.grid
+        u1h, _ = _biot_savart(g, st.omega.data, st.c, st.m_mean)
+        spectra = np.stack((u1h, st.omega.data))
+
+        def zeta(fine):
+            u1, w = padded_reference(g, spectra, fine)
+            return 0.5 * (w**2 * u1).mean(axis=1)
+
+        want = zeta(SpectralGrid(96, 96, g.lam))
+        unpadded = zeta(SpectralGrid(96, 48, g.lam))
+        assert np.abs(unpadded - want).max() > 1e-3 * np.abs(want).max()
 
 
 class TestFitDecayRate:

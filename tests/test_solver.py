@@ -394,7 +394,7 @@ class TestRealSpectrumCore:
             fn = getattr(np.fft, name)
 
             def counted(*args, _fn=fn, **kwargs):
-                calls.append(_fn.__name__)
+                calls.append((_fn.__name__, kwargs.get("s")))
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
@@ -402,7 +402,7 @@ class TestRealSpectrumCore:
         bump = ScalarField(grid64, to_spectral(periodized_gaussian(grid64, (8.0, 0.5), 0.4)).data, "spectral")
         drift = DriftSpec(kind="steady_shear_u1", amplitude=1.0)
         fresh = replace(st)
-        budget = {}
+        budget, samples = {}, {}
         for label, call in (
             ("step", lambda: step(st, 1e-3)),
             ("cfl_dt", lambda: cfl_dt(st)),
@@ -413,5 +413,8 @@ class TestRealSpectrumCore:
             calls.clear()
             call()
             budget[label] = len(calls)
+            samples[label] = [s for name, s in calls if name == "irfft2"]
         # cfl_dt computes stage a of the next step, and step reuses it
         assert budget == {"step": 8, "cfl_dt": 2, "cfl_dt+step": 8, "advdiff_step": 8, "add": 3}
+        # add pads x1 only at 64x64, since 3 does not divide ny
+        assert samples["add"] == [(128, 64), (128, 64)]

@@ -206,24 +206,30 @@ def test_profile_shape_guard(grid32):
 
 
 class TestInversePadded:
-    """The 2x padded sampler of the diagnostics, on a 16x12 grid."""
+    """The padded sampler of the diagnostics: x1 doubled, x2 doubled only
+    when 3 divides ny (16x12), else left at ny (16x16)."""
+
+    @staticmethod
+    def interpolant(spec, lam, shape, band):
+        """Explicit sum over the retained modes |j|, |n| <= band at the fine
+        points; a mode n < 0 is the conjugate of the stored mode (-j, -n)."""
+        x1 = np.arange(shape[0])[:, None] * (lam / shape[0])
+        x2 = np.arange(shape[1])[None, :] / shape[1]
+        want = np.zeros(shape)
+        for j in range(-band, band + 1):
+            for n in range(-band, band + 1):
+                phase = 2 * np.pi * (j * x1 / lam + n * x2)
+                coef = spec[j, n] if n >= 0 else np.conj(spec[-j, -n])
+                want += (coef * np.exp(1j * phase)).real
+        return want
 
     def test_matches_trigonometric_interpolant(self):
         g = make_grid(16, 12, 3.0)
         specs = [to_spectral(random_band_limited(g, seed=s, band=4)).data for s in (1, 2)]
         fine = _inverse_padded(g, np.stack(specs))
         assert fine.shape == (2, 32, 24)
-        # explicit sum over the retained modes |j|, |n| <= 4 at the fine points;
-        # a mode n < 0 is the conjugate of the stored mode (-j, -n)
-        x1 = np.arange(32)[:, None] * (g.lam / 32)
-        x2 = np.arange(24)[None, :] / 24
         for spec, got in zip(specs, fine):
-            want = np.zeros((32, 24))
-            for j in range(-4, 5):
-                for n in range(-4, 5):
-                    phase = 2 * np.pi * (j * x1 / g.lam + n * x2)
-                    coef = spec[j, n] if n >= 0 else np.conj(spec[-j, -n])
-                    want += (coef * np.exp(1j * phase)).real
+            want = self.interpolant(spec, g.lam, (32, 24), 4)
             assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
 
     def test_rough_field_is_real_and_interpolates(self):
@@ -232,6 +238,20 @@ class TestInversePadded:
         fine = _inverse_padded(g, _forward(rough))
         assert fine.dtype == np.float64 and fine.shape == (3, 32, 24)
         assert np.abs(fine[:, ::2, ::2] - rough).max() < 1e-13
+
+    def test_x2_unpadded_when_3_does_not_divide_ny(self):
+        g = make_grid(16, 16, 3.0)
+        specs = [to_spectral(random_band_limited(g, seed=s, band=4)).data for s in (1, 2)]
+        fine = _inverse_padded(g, np.stack(specs))
+        assert fine.shape == (2, 32, 16)
+        for spec, got in zip(specs, fine):
+            want = self.interpolant(spec, g.lam, (32, 16), 4)
+            assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+        # the Nyquist column of a rough field keeps its coarse values too
+        rough = np.random.default_rng(4).standard_normal((3, 16, 16))
+        fine = _inverse_padded(g, _forward(rough))
+        assert fine.dtype == np.float64 and fine.shape == (3, 32, 16)
+        assert np.abs(fine[:, ::2, :] - rough).max() < 1e-13
 
 
 def test_only_spectral_module_calls_numpy_fft():
