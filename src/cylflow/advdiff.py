@@ -59,10 +59,10 @@ class DriftSpec:
     def __post_init__(self):
         if self.kind not in DRIFT_KINDS:
             raise ValueError(f"unknown drift kind {self.kind!r}")
-        if self.amplitude < 0:
-            raise ValueError("drift amplitude must be non-negative")
-        if self.kind == "time_periodic_shear" and self.period <= 0:
-            raise ValueError("period must be positive")
+        if not (0 <= self.amplitude < math.inf):
+            raise ValueError(f"drift amplitude must be finite and non-negative, got {self.amplitude}")
+        if self.kind == "time_periodic_shear" and not (0 < self.period < math.inf):
+            raise ValueError(f"period must be finite and positive, got {self.period}")
 
     def velocity(self, grid, t):
         """Physical (u1, u2) at time t."""
@@ -168,21 +168,45 @@ def periodized_gaussian(grid, y, sigma):
     return ScalarField(grid, out)
 
 
+def _check_sigma0(grid, sigma0):
+    """sigma0 must be at least twice the largest cell size so the bump is
+    resolved on the grid."""
+    floor = 2.0 * max(grid.dx, grid.dy)
+    if not sigma0 >= floor:
+        raise ValueError(f"sigma0={sigma0} under grid resolution (need >= {floor})")
+
+
 def fundamental_solution(drift, y, t, sigma0, grid=None, *, dt_acc=1e-3):
     """Approximate fundamental solution: evolve a width-sigma0 unit-mass
-    Gaussian centered at y up to time t.
-
-    sigma0 must be at least twice the largest cell size so the bump is
-    resolved on the grid.
-    """
+    Gaussian centered at y up to time t."""
     if grid is None:
         raise ValueError("fundamental_solution needs an explicit grid")
-    if sigma0 < 2.0 * max(grid.dx, grid.dy):
-        raise ValueError(f"sigma0={sigma0} under grid resolution (need >= {2*max(grid.dx, grid.dy)})")
+    _check_sigma0(grid, sigma0)
     if t <= 0:
         raise ValueError("t must be positive")
     bump = periodized_gaussian(grid, y, sigma0)
     return advdiff_run(bump, drift, t, dt_acc=dt_acc)
+
+
+def _evolve_fields(omega0, drift, times, dt_acc):
+    """One evolution of omega0 from t = 0 to the last of `times`; returns
+    {t: physical omega(t)} for each of them."""
+    g = omega0.grid
+    _, captured = _evolve(g, _as_spectral_data(omega0), drift, 0.0, max(times), dt_acc, capture=times)
+    return {t: ScalarField(g, _inverse(g, w)) for t, w in captured.items()}
+
+
+def _lp_lq_check(omega0, p, q, times, fields):
+    """check_lp_lq's result at the sorted `times`, from the evolved fields
+    {t: omega(t)} of `_evolve_fields`."""
+    denom = lp_norm(omega0, p)
+    pw = 1.0 / p - (0.0 if q == np.inf else 1.0 / q)
+    ratios = []
+    for t in times:
+        nq = lp_norm(fields[t], q)
+        ratios.append(nq * v_volume(t) ** pw / denom if t > 0 else nq / denom)
+    ratios = np.asarray(ratios)
+    return LpLqCheck(times=np.asarray(times), ratios=ratios, k1=float(ratios.max()))
 
 
 def check_lp_lq(drift, omega0, p, q, times, *, dt_acc=1e-3):
@@ -190,22 +214,12 @@ def check_lp_lq(drift, omega0, p, q, times, *, dt_acc=1e-3):
     ||omega(t)||_q V(t)^(1/p - 1/q) / ||omega0||_p."""
     if not (1 <= p <= q):
         raise ValueError("need 1 <= p <= q")
-    g = omega0.grid
-    w0 = _as_spectral_data(omega0)
-    denom = lp_norm(omega0, p)
-    if denom == 0.0:
+    if not np.any(omega0.data):
         raise ValueError("zero initial data")
     times = sorted(float(t) for t in times)
-    _, captured = _evolve(g, w0, drift, 0.0, times[-1], dt_acc, capture=times)
-    ratios = []
-    for t in times:
-        fld = ScalarField(g, _inverse(g, captured[t]))
-        nq = lp_norm(fld, q)
-        pw = 1.0 / p - (0.0 if q == np.inf else 1.0 / q)
-        v = v_volume(t) if t > 0 else 1.0
-        ratios.append(nq * v**pw / denom if t > 0 else nq / denom)
-    ratios = np.asarray(ratios)
-    return LpLqCheck(times=np.asarray(times), ratios=ratios, k1=float(ratios.max()))
+    if not times:
+        raise ValueError("check_lp_lq needs at least one time")
+    return _lp_lq_check(omega0, p, q, times, _evolve_fields(omega0, drift, times, dt_acc))
 
 
 def check_gaussian_envelope(gamma, y, t, M, lam):

@@ -133,23 +133,42 @@ def _cmd_advdiff(args):
         drift = advdiff_mod.DriftSpec(kind=args.drift, amplitude=args.amplitude, period=args.period)
         ps = _parse_floats(args.p_list)
         qs = [np.inf if s.strip() in ("inf", "oo") else float(s) for s in args.q_list.split(",") if s.strip()]
-        times = _parse_floats(args.times)
+        times = sorted(_parse_floats(args.times))
         env_times = _parse_floats(args.envelope_times)
     if len(ps) != len(qs):
         raise _UsageError(f"--p-list and --q-list must pair up, got {len(ps)} and {len(qs)} values")
     for p, q in zip(ps, qs):
         if not (1 <= p <= q):
             raise _UsageError(f"--p-list and --q-list need 1 <= p <= q, got p={p:g}, q={q:g}")
-    sigma0 = args.sigma0 if args.sigma0 > 0 else 2.0 * max(grid.dx, grid.dy)
+    if ps and not times:
+        raise _UsageError("--times needs at least one time when --p-list is given")
+    if not all(0.0 <= t < math.inf for t in times):
+        raise _UsageError(f"--times must be finite and >= 0, got {args.times!r}")
+    if not all(0.0 < t < math.inf for t in env_times):
+        raise _UsageError(f"--envelope-times must be finite and positive, got {args.envelope_times!r}")
+    if env_times and not (0.0 < args.envelope_lambda < 1.0):
+        raise _UsageError(f"--envelope-lambda must lie in (0, 1), got {args.envelope_lambda:g}")
+    if not (0.0 < args.dt_acc < math.inf):
+        raise _UsageError(f"--dt-acc must be finite and positive, got {args.dt_acc:g}")
     y = (args.y1 if args.y1 is not None else grid.lam / 2.0, args.y2)
+    if not all(math.isfinite(c) for c in y):
+        raise _UsageError(f"--y1 and --y2 must be finite, got {y[0]:g}, {y[1]:g}")
+    sigma0 = args.sigma0 or 2.0 * max(grid.dx, grid.dy)
+    with _bad_values():
+        advdiff_mod._check_sigma0(grid, sigma0)
     os.makedirs(args.out_dir, exist_ok=True)
     failures = 0
 
+    # one evolution of the bump serves every smoothing ratio and envelope fit
+    bump = advdiff_mod.periodized_gaussian(grid, y, sigma0)
+    lp_times = times if ps else []
+    if lp_times or env_times:
+        fields = advdiff_mod._evolve_fields(bump, drift, lp_times + env_times, args.dt_acc)
+
     rows = []
     if ps:
-        bump = advdiff_mod.periodized_gaussian(grid, y, sigma0)
         for p, q in zip(ps, qs):
-            res = advdiff_mod.check_lp_lq(drift, bump, p, q, times, dt_acc=args.dt_acc)
+            res = advdiff_mod._lp_lq_check(bump, p, q, times, fields)
             for t, r in zip(res.times, res.ratios):
                 rows.append((p, q, t, r))
         with open(os.path.join(args.out_dir, "lplq.csv"), "w", encoding="utf-8") as fh:
@@ -161,8 +180,7 @@ def _cmd_advdiff(args):
     env_rows = []
     if env_times:
         for t in env_times:
-            gam = advdiff_mod.fundamental_solution(drift, y, t, sigma0, grid=grid, dt_acc=args.dt_acc)
-            fit = advdiff_mod.check_gaussian_envelope(gam, y, t, drift.amplitude, args.envelope_lambda)
+            fit = advdiff_mod.check_gaussian_envelope(fields[t], y, t, drift.amplitude, args.envelope_lambda)
             env_rows.append((t, fit))
             if not fit.passed:
                 failures += 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -52,8 +53,8 @@ class RunConfig:
             raise ValueError("lambda must be positive")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        if self.dt_acc <= 0:
-            raise ValueError("dt_acc must be positive")
+        if not (0 < self.dt_acc < math.inf):
+            raise ValueError(f"dt_acc must be finite and positive, got {self.dt_acc}")
         if self.diag_step <= 0:
             raise ValueError("diag_step must be positive")
         if self.target_ru < 0 or self.target_romega < 0:

@@ -23,6 +23,7 @@ from .spectral import (
     _derivative_multiplier,
     _forward,
     _inverse,
+    _parseval_l2,
     circular_distance,
     lp_norm,
     spectral_derivative,
@@ -63,10 +64,11 @@ class NashCheck:
 
 
 def _grad_l2(f):
+    """||grad f||_2 from the coefficients by Parseval; no transform."""
     g = f.grid
     spec = _as_spectral_data(f)
-    sq = sum((_inverse(g, _derivative_multiplier(g, axis) * spec) ** 2).sum() for axis in (1, 2))
-    return float(np.sqrt(sq * g.cell_area))
+    norms = (_parseval_l2(_derivative_multiplier(g, axis) * spec) for axis in (1, 2))
+    return math.sqrt(g.lam) * math.hypot(*norms)
 
 
 def nash_check(f):

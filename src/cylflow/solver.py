@@ -10,6 +10,7 @@ are conserved quantities carried alongside the spectral vorticity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -248,7 +249,8 @@ def _march(x, t0, t1, times, limit, advance, visit):
     Advances x from t0 to t1 in steps of at most limit(x, t), shortened to
     land exactly on each of `times`; advance(x, t, dt, t_new) returns the
     next x.  visit(x, tc) is called once for each requested time tc (at the
-    start for times equal to t0).  Returns the final x.
+    start for times equal to t0).  Returns the final x.  Raises ValueError
+    if limit returns a step that is not positive and finite.
     """
     stops = sorted(set(float(t) for t in times))
     if any(tc < t0 - 1e-12 or tc > t1 + 1e-12 for tc in stops):
@@ -260,7 +262,10 @@ def _march(x, t0, t1, times, limit, advance, visit):
     t = t0
     while t < t1 - 1e-14:
         stop = stops[0] if stops else t1
-        dt = min(limit(x, t), stop - t)
+        dt_max = limit(x, t)
+        if not (0.0 < dt_max < math.inf):
+            raise ValueError(f"step limit must be positive and finite, got {dt_max} at t={t:.6g}")
+        dt = min(dt_max, stop - t)
         landing = t + dt >= stop - 1e-14
         if landing:
             dt = stop - t

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import cylflow.advdiff
+import cylflow.solver
 from cylflow.advdiff import (
     DriftSpec,
     advdiff_run,
@@ -10,6 +12,7 @@ from cylflow.advdiff import (
     fundamental_solution,
     periodized_gaussian,
 )
+from cylflow.cli import main
 from cylflow.spectral import ScalarField, integral, lp_norm, make_grid
 
 
@@ -43,6 +46,10 @@ class TestDriftSpec:
             DriftSpec(kind="steady_shear_u1", amplitude=-1.0)
         with pytest.raises(ValueError):
             DriftSpec(kind="from_snapshot")
+        with pytest.raises(ValueError):
+            DriftSpec(kind="steady_shear_u1", amplitude=np.inf)
+        with pytest.raises(ValueError):
+            DriftSpec(kind="time_periodic_shear", amplitude=1.0, period=np.nan)
 
     def test_amplitude_is_sup_over_time(self, grid):
         d = DriftSpec(kind="time_periodic_shear", amplitude=2.0, period=0.5)
@@ -143,6 +150,10 @@ class TestLpLq:
         with pytest.raises(ValueError):
             check_lp_lq(drift_zero, blob(grid), 3, 2, [0.5])
 
+    def test_needs_a_time(self, grid, drift_zero):
+        with pytest.raises(ValueError, match="at least one time"):
+            check_lp_lq(drift_zero, blob(grid), 1, 2, [])
+
 
 class TestEnvelope:
     def test_pure_heat_slope(self, grid, drift_zero):
@@ -185,3 +196,76 @@ def test_duality(grid, drift_shear):
     assert duality_residual(drift_shear, f, w0, 0.5, dt_acc=DT) < 1e-8
     periodic = DriftSpec(kind="time_periodic_shear", amplitude=1.0, period=0.37)
     assert duality_residual(periodic, f, w0, 0.5, dt_acc=DT) < 1e-8
+
+
+class TestSingleEvolution:
+    """`cylflow advdiff` evolves the bump once per invocation: every (p, q)
+    pair and every envelope time reads the states of that one run."""
+
+    LP_TIMES, ENV_TIMES = (0.05, 0.1, 0.15), (0.05, 0.15)
+
+    @pytest.fixture
+    def cli_run(self, tmp_path, monkeypatch):
+        counts = {"steps": 0, "evolutions": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cylflow.solver, "ifrk4_step", counted(cylflow.solver.ifrk4_step, "steps"))
+        monkeypatch.setattr(cylflow.advdiff, "_evolve", counted(cylflow.advdiff._evolve, "evolutions"))
+        out = tmp_path / "adv"
+        code = main([
+            "advdiff", "--drift", "steady_shear_u1", "--nx", "32", "--ny", "16", "--lambda", "8",
+            "--p-list", "1,2", "--q-list", "inf,2", "--times", ",".join(map(str, self.LP_TIMES)),
+            "--envelope-times", ",".join(map(str, self.ENV_TIMES)), "--out", str(out),
+        ])
+        assert code in (0, 1)
+        cli_counts = dict(counts)
+        counts.update(steps=0, evolutions=0)
+        g = make_grid(32, 16, 8.0)
+        y, sigma0 = (g.lam / 2.0, 0.5), 2.0 * max(g.dx, g.dy)
+        ctx = dict(grid=g, drift=DriftSpec(kind="steady_shear_u1", amplitude=1.0), y=y, sigma0=sigma0,
+                   bump=periodized_gaussian(g, y, sigma0), counts=counts)
+        return out, cli_counts, ctx
+
+    @staticmethod
+    def rows(path):
+        lines = path.read_text().splitlines()
+        return [line.split(",") for line in lines[1:]]
+
+    def test_steps_of_one_run_to_the_last_time(self, cli_run):
+        _, cli_counts, ctx = cli_run
+        advdiff_run(ctx["bump"], ctx["drift"], max(self.LP_TIMES + self.ENV_TIMES))
+        assert cli_counts["evolutions"] == 1
+        assert cli_counts["steps"] == ctx["counts"]["steps"] > 0
+
+    def test_lplq_is_check_lp_lq_to_the_bit(self, cli_run):
+        out, _, ctx = cli_run
+        rows = self.rows(out / "lplq.csv")
+        assert len(rows) == 6
+        for i, (p, q) in enumerate([(1.0, np.inf), (2.0, 2.0)]):
+            res = check_lp_lq(ctx["drift"], ctx["bump"], p, q, self.LP_TIMES)
+            got = rows[3 * i: 3 * i + 3]
+            assert [float(r[2]) for r in got] == list(res.times)
+            assert [float(r[3]) for r in got] == list(res.ratios)
+
+    def test_envelope_matches_fundamental_solution(self, cli_run):
+        out, _, ctx = cli_run
+        rows = self.rows(out / "envelope.csv")
+        assert [float(r[0]) for r in rows] == list(self.ENV_TIMES)
+        for i, t in enumerate(self.ENV_TIMES):
+            gam = fundamental_solution(ctx["drift"], ctx["y"], t, ctx["sigma0"], grid=ctx["grid"])
+            fit = check_gaussian_envelope(gam, ctx["y"], t, 1.0, 0.9)
+            expect = [fit.slope, fit.K2_est, fit.lambda_eff]
+            got = [float(v) for v in rows[i][1:4]]
+            if i == 0:
+                # the earliest capture: the same steps as a run to t alone
+                assert got == expect
+            else:
+                # later captures follow landing steps at the earlier times
+                assert got == pytest.approx(expect, rel=1e-8)
+            assert rows[i][4] == str(int(fit.passed))

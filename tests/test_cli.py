@@ -215,6 +215,17 @@ class TestCleanFailures:
             (["verify-inequalities", "--samples", "1"], "--samples"),
             (["verify-inequalities", "--poincare-samples", "-3"], "-3"),
             (["simulate", "--config", "{missing}"], "missing.cfg"),
+            (["advdiff", "--p-list", "1", "--q-list", "inf", "--times", "-0.1"], "--times"),
+            (["advdiff", "--p-list", "1", "--q-list", "inf", "--times", ","], "--times"),
+            (["advdiff", "--envelope-times", "0"], "--envelope-times"),
+            (["advdiff", "--envelope-times", "0.1", "--sigma0", "0.01"], "sigma0"),
+            (["advdiff", "--envelope-times", "0.1", "--envelope-lambda", "1"], "--envelope-lambda"),
+            (["advdiff", "--envelope-times", "0.1", "--dt-acc", "0"], "--dt-acc"),
+            (["advdiff", "--envelope-times", "0.1", "--dt-acc", "nan"], "--dt-acc"),
+            (["advdiff", "--envelope-times", "0.1", "--y1", "nan"], "--y1"),
+            (["advdiff", "--envelope-times", "0.1", "--amplitude", "inf"], "amplitude"),
+            (["simulate", "--dt-acc", "0"], "dt_acc"),
+            (["simulate", "--dt-acc", "nan"], "dt_acc"),
         ],
     )
     def test_bad_value(self, argv, word, tmp_path, capsys):

@@ -57,6 +57,11 @@ class TestParseConfig:
         cfg = RunConfig(nx=32, ny=48, lam=12.0, seed=9, diag_times="0.1,0.25", kind="laminar_small")
         assert parse_config(serialize_config(cfg)) == cfg
 
+    @pytest.mark.parametrize("dt_acc", ["0", "-1e-3", "nan", "inf"])
+    def test_dt_acc_finite_and_positive(self, dt_acc):
+        with pytest.raises(ValueError, match="dt_acc must be finite and positive"):
+            parse_config(f"dt_acc = {dt_acc}\n")
+
     def test_schedule_strictly_increasing(self):
         with pytest.raises(ValueError):
             parse_config("diag_times = 0.2,0.1\n")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from cylflow.diagnostics import TheoremCheckConfig, TrajectoryCollector, theorem_checks
 from cylflow.inequalities import (
+    FIELD_FAMILIES,
+    _grad_l2,
     flux_bound_constants,
     nash_check,
     nash_suite,
@@ -12,7 +16,7 @@ from cylflow.inequalities import (
     sample_test_field,
 )
 from cylflow.solver import FlowState, InitialDataSpec, make_initial_data, run
-from cylflow.spectral import ScalarField, integral, make_grid
+from cylflow.spectral import ScalarField, integral, lp_norm, make_grid, spectral_derivative
 from conftest import random_band_limited
 
 
@@ -55,6 +59,37 @@ class TestNashCheck:
     def test_zero_field_rejected(self, grid64):
         with pytest.raises(ValueError):
             nash_check(ScalarField.zeros(grid64))
+
+
+class TestGradL2:
+    """nash_check takes ||grad f||_2 from the coefficients by Parseval; it
+    must equal the grid quadrature of the spectral derivatives."""
+
+    @staticmethod
+    def quadrature(f):
+        return math.hypot(*(lp_norm(spectral_derivative(f, axis), 2) for axis in (1, 2)))
+
+    @pytest.mark.parametrize("family", FIELD_FAMILIES)
+    def test_matches_quadrature(self, family, grid64):
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            f = sample_test_field(grid64, rng, family)
+            assert _grad_l2(f) == pytest.approx(self.quadrature(f), rel=1e-12)
+
+    def test_nyquist_row_and_column(self):
+        # white noise plus pure Nyquist-row and Nyquist-column modes: the
+        # inverse transform keeps only the Hermitian part of those modes, so
+        # the two agree only if the multipliers zero the Nyquist mode
+        g = make_grid(16, 12, 4.0)
+        rng = np.random.default_rng(5)
+        x1, x2 = g.meshgrid()
+        data = (
+            rng.standard_normal((g.nx, g.ny))
+            + 3.0 * np.cos(np.pi * g.nx * x1 / g.lam) * np.sin(2 * np.pi * x2)
+            + 2.0 * np.cos(np.pi * g.ny * x2) * np.cos(2 * np.pi * x1 / g.lam)
+        )
+        f = ScalarField(g, data)
+        assert _grad_l2(f) == pytest.approx(self.quadrature(f), rel=1e-12)
 
 
 class TestPsiNash:

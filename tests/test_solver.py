@@ -12,6 +12,7 @@ from cylflow.solver import (
     FlowState,
     InitialDataSpec,
     InstabilityError,
+    _march,
     cfl_dt,
     make_initial_data,
     mean_flow_profile,
@@ -216,6 +217,20 @@ class TestRun:
             elif isinstance(node, ast.Import):
                 imported += [a.name for a in node.names]
         assert not [m for m in imported if "diagnostics" in m.split(".")]
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_march_rejects_a_bad_step_limit(self, bad):
+        # a zero step used to loop forever; the limit fails the test on its
+        # second call instead of hanging the suite if that comes back
+        calls = []
+
+        def limit(x, t):
+            calls.append(t)
+            assert len(calls) == 1, "the loop kept stepping"
+            return bad
+
+        with pytest.raises(ValueError, match="step limit must be positive and finite"):
+            _march(0.0, 0.0, 1.0, (), limit, lambda x, t, dt, t_new: x, lambda x, tc: None)
 
     def test_diag_times_validated(self, grid64):
         st = make_initial_data(InitialDataSpec(kind="shear_eigenmode", target_romega=1.0), grid64)
