@@ -49,21 +49,21 @@ class RunConfig:
     def validate(self):
         if self.nx < 8 or self.ny < 8 or self.nx % 2 or self.ny % 2:
             raise ValueError(f"nx, ny must be even and >= 8, got {self.nx}, {self.ny}")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if not (0 < self.dt_acc < math.inf):
-            raise ValueError(f"dt_acc must be finite and positive, got {self.dt_acc}")
-        if self.diag_step <= 0:
-            raise ValueError("diag_step must be positive")
-        if self.target_ru < 0 or self.target_romega < 0:
-            raise ValueError("Reynolds targets must be non-negative")
+        for name in ("lam", "t_end", "dt_acc", "diag_step", "rho"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                label = "lambda" if name == "lam" else name
+                raise ValueError(f"{label} must be finite and positive, got {value}")
+        if not (0 <= self.target_ru < math.inf and 0 <= self.target_romega < math.inf):
+            raise ValueError(
+                "Reynolds targets must be finite and non-negative, "
+                f"got {self.target_ru}, {self.target_romega}"
+            )
         if self.band < 1:
             raise ValueError("band must be >= 1")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
         sched = self.diag_schedule()
+        if not all(math.isfinite(t) for t in sched):
+            raise ValueError(f"diagnostic times must be finite, got {self.diag_times}")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("diagnostic schedule must be strictly increasing")
         return self

@@ -1,9 +1,12 @@
 """Energy, enstrophy and oscillatory-energy diagnostics along trajectories.
 
 All profile quantities are vertical averages of pointwise products of at
-most three band-limited fields.  They are evaluated on the zero-padded grid
-`spectral._padded_grid`: x1 doubled, which makes the x1-derivatives of
-profiles exact, and x2 doubled only when 3 divides ny.  For a dealiased
+most three band-limited fields, at the x1 points of the zero-padded grid
+`spectral._padded_grid` (x1 doubled, which makes the x1-derivatives of
+profiles exact).  A mean of two fields is taken by Parseval in x2 from
+coefficients transformed along x1 only (`spectral._x2_mean_weights`),
+which is exact for any input.  Only the three-field means sample x2, on
+the padded grid, which doubles x2 only when 3 divides ny: for a dealiased
 state (|n| <= ny/3) a cubic product reaches |n| = 3*floor(ny/3), which is
 below ny unless 3 divides ny, so its mean over the ny coarse x2 samples is
 already exact.
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,8 +25,10 @@ from .solver import FlowState
 from .spectral import (
     Profile,
     _derivative_multiplier,
-    _inverse_padded,
     _padded_grid,
+    _x1_padded,
+    _x2_inverse,
+    _x2_mean_weights,
     circular_distance,
     profile_derivative,
 )
@@ -103,10 +109,30 @@ class DiagnosticsOptions:
             raise ValueError(f"unknown center policy {self.center!r}")
 
 
+@lru_cache(maxsize=8)
+def _mean_weights(grid):
+    """Read-only (3, 2*(ny//2+1)) weights on interleaved mixed coefficients
+    (`spectral._x2_mean_weights`), whose rows give the vertical mean of a
+    product of two fields, of their oscillatory parts (column 0 dropped),
+    and of their x2-derivatives (k2**2, with the Nyquist column zeroed as
+    in `_derivative_multiplier`)."""
+    w = _x2_mean_weights(grid)
+    osc = w.copy()
+    osc[:2] = 0.0
+    weights = np.stack((w, osc, w * np.repeat(grid.k2_odd[: grid._ncols] ** 2, 2)))
+    weights.setflags(write=False)
+    return weights
+
+
 class _FineFields:
-    """All profile ingredients of one state, sampled on the padded grid
-    `_padded_grid(state.grid)`: one batched padded inverse of the velocity,
-    the vorticity and their first derivatives, and one of the pressure."""
+    """All profile ingredients of one state on the padded x1 grid of
+    `_padded_grid(state.grid)`.
+
+    One batched x1 stage gives the mixed coefficients (x1 sampled, x2
+    spectral) of the velocity, the vorticity and their x1-derivatives, and
+    one x2 inverse samples only u1, u2 and omega, for the three-field
+    means and the sup norms.  The pressure goes through the x1 stage only.
+    """
 
     def __init__(self, state):
         g = state.grid
@@ -116,55 +142,66 @@ class _FineFields:
         w_hat = state.omega.data
         u1h, u2h = _biot_savart(g, w_hat, state.c, state.m_mean)
         d1 = _derivative_multiplier(g, 1)
-        d2 = _derivative_multiplier(g, 2)
-        spectra = (u1h, u2h, w_hat, d1 * u1h, d2 * u1h, d1 * u2h, d2 * u2h, d1 * w_hat, d2 * w_hat)
-        (self.u1, self.u2, self.w, self.d1u1, self.d2u1,
-         self.d1u2, self.d2u2, self.d1w, self.d2w) = _inverse_padded(g, np.stack(spectra))
+        mixed = _x1_padded(g, np.stack((u1h, u2h, w_hat, d1 * u1h, d1 * u2h, d1 * w_hat)))
+        self.u1, self.u2, self.w = _x2_inverse(g, mixed[:3])
         # on the fine grid a vertical mean is the exact n = 0 profile
         self.uh1 = self.u1 - self.u1.mean(axis=1, keepdims=True)
         self.uh2 = self.u2 - self.u2.mean(axis=1, keepdims=True)
-        self.d1m = self.d1u2.mean(axis=1)
-        self.p = _inverse_padded(g, _pressure_hat(g, self.u1[self.coarse], self.w[self.coarse]))
+        p = _x1_padded(g, _pressure_hat(g, self.u1[self.coarse], self.w[self.coarse]))
+        # interleaved (re, im) mixed coefficients, for `_means`
+        self.mixed = dict(zip(("u1", "u2", "w", "d1u1", "d1u2", "d1w"), mixed.view(np.float64)))
+        self.mixed["p"] = p.view(np.float64)
+        self.weights = _mean_weights(g)
         self.M = state.m0_norm
+
+    def _means(self, a, b):
+        """Vertical means of f_a * f_b by Parseval in x2: of the full
+        fields, of their oscillatory parts, and of their x2-derivatives."""
+        return self.weights @ (self.mixed[a] * self.mixed[b]).T
 
     def profiles(self):
         """Exact fine-grid profiles as a dict of length-2nx arrays."""
-        u1, u2, uh1, uh2, w, p = self.u1, self.u2, self.uh1, self.uh2, self.w, self.p
-        M = self.M
-        e = 0.5 * (u1**2 + u2**2).mean(axis=1) + 0.5 * M**2
-        d1e = (u1 * self.d1u1 + u2 * self.d1u2).mean(axis=1)
-        d = (self.d1u1**2 + self.d2u1**2 + self.d1u2**2 + self.d2u2**2).mean(axis=1)
-        h = ((p + 0.5 * (u1**2 + u2**2)) * u1).mean(axis=1)
-        f = d1e - h
-        eps = 0.5 * (w**2).mean(axis=1)
-        d1eps = (w * self.d1w).mean(axis=1)
+        u1, u2, uh1, uh2, w = self.u1, self.u2, self.uh1, self.uh2, self.w
+        m = self._means
+        uu, uu_osc, uu_d2 = m("u1", "u1")
+        vv, vv_osc, vv_d2 = m("u2", "u2")
+        ww, _, ww_d2 = m("w", "w")
+        u_d1u, u_d1u_osc, _ = m("u1", "d1u1")
+        v_d1v, v_d1v_osc, _ = m("u2", "d1u2")
+        d1v_d1v, d1v_d1v_osc, _ = m("d1u2", "d1u2")
+        pu, pu_osc, _ = m("p", "u1")
+        # the x1-derivative of the constant mean c of u1 is zero, so
+        # d1u1 is oscillatory
+        d1u_d1u = m("d1u1", "d1u1")[0]
+        e = 0.5 * (uu + vv) + 0.5 * self.M**2
+        d1e = u_d1u + v_d1v
+        d = d1u_d1u + uu_d2 + d1v_d1v + vv_d2
+        h = pu + 0.5 * ((u1**2 + u2**2) * u1).mean(axis=1)
+        eps = 0.5 * ww
+        d1eps = m("w", "d1w")[0]
         zeta = 0.5 * (w**2 * u1).mean(axis=1)
-        delta = (self.d1w**2 + self.d2w**2).mean(axis=1)
-        phi = d1eps - zeta
-        # the mean part of u1 is the constant c and of u2 is m(x1), so the
-        # oscillatory derivatives reuse the full ones minus the m' profile
-        d1uh2 = self.d1u2 - self.d1m[:, None]
-        e_hat = 0.5 * (uh1**2 + uh2**2).mean(axis=1)
-        d1e_hat = (uh1 * self.d1u1 + uh2 * d1uh2).mean(axis=1)
-        d_hat = (self.d1u1**2 + self.d2u1**2 + d1uh2**2 + self.d2u2**2).mean(axis=1)
-        h_hat = ((p + 0.5 * (uh1**2 + uh2**2)) * uh1).mean(axis=1)
-        f_hat = d1e_hat - h_hat
-        q12 = (uh1 * uh2).mean(axis=1)
-        g_hat = self.d1m * q12
-        forcing = (self.d1u1 * uh2 + uh1 * d1uh2).mean(axis=1)
+        delta = m("d1w", "d1w")[0] + ww_d2
+        e_hat = 0.5 * (uu_osc + vv_osc)
+        d1e_hat = u_d1u_osc + v_d1v_osc
+        d_hat = d1u_d1u + uu_d2 + d1v_d1v_osc + vv_d2
+        h_hat = pu_osc + 0.5 * ((uh1**2 + uh2**2) * uh1).mean(axis=1)
+        q12 = m("u1", "u2")[1]
+        # m' is column 0 of the mixed d1u2
+        g_hat = self.mixed["d1u2"][:, 0] * q12
+        forcing = m("d1u1", "u2")[1] + m("u1", "d1u2")[1]
         return {
             "e": e,
             "h": h,
             "d": d,
-            "f": f,
+            "f": d1e - h,
             "eps": eps,
             "zeta": zeta,
             "delta": delta,
-            "phi": phi,
+            "phi": d1eps - zeta,
             "e_hat": e_hat,
             "h_hat": h_hat,
             "d_hat": d_hat,
-            "f_hat": f_hat,
+            "f_hat": d1e_hat - h_hat,
             "g_hat": g_hat,
             "q12": q12,
             "forcing": forcing,

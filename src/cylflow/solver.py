@@ -110,8 +110,11 @@ class InitialDataSpec:
     def __post_init__(self):
         if self.kind not in INITIAL_DATA_KINDS:
             raise ValueError(f"unknown initial data kind {self.kind!r}")
-        if self.target_ru < 0 or self.target_romega < 0:
-            raise ValueError("Reynolds targets must be non-negative")
+        if not (0 <= self.target_ru < math.inf and 0 <= self.target_romega < math.inf):
+            raise ValueError(
+                "Reynolds targets must be finite and non-negative, "
+                f"got {self.target_ru}, {self.target_romega}"
+            )
         if self.band < 1:
             raise ValueError("band must be >= 1")
 
@@ -253,7 +256,7 @@ def _march(x, t0, t1, times, limit, advance, visit):
     if limit returns a step that is not positive and finite.
     """
     stops = sorted(set(float(t) for t in times))
-    if any(tc < t0 - 1e-12 or tc > t1 + 1e-12 for tc in stops):
+    if any(not (t0 - 1e-12 <= tc <= t1 + 1e-12) for tc in stops):
         raise ValueError(f"requested times must lie within [{t0:g}, {t1:g}]")
     for tc in stops:
         if tc <= t0 + 1e-14:

@@ -214,23 +214,58 @@ def _profile_inverse(spec):
 
 def _inverse_padded(grid, half):
     """Sample half-spectrum coefficients (leading axes are a batch) on
-    `_padded_grid(grid)`, by zero padding.
+    `_padded_grid(grid)`, by zero padding: `_x2_inverse` of `_x1_padded`,
+    which is how numpy's irfft2 is composed."""
+    return _x2_inverse(grid, _x1_padded(grid, half))
 
-    The x1 rows are padded here, in the middle; the x2 columns, when that
-    grid doubles them, are padded by the inverse itself.  A padded Nyquist
-    row or column is split in half between +-N/2, so the samples are those
-    of the real trigonometric interpolant and every other row (and column)
-    holds the input's own grid values.
+
+def _x1_padded(grid, half):
+    """Mixed coefficients (..., 2nx, ny//2+1) of half-spectrum coefficients:
+    x1 sampled on `_padded_grid(grid)` by zero padding, x2 still spectral.
+
+    A padded Nyquist row is split in half between +-nx/2, so the samples
+    are those of the real trigonometric interpolant and every other row
+    holds the input's own grid values.  Columns 0 and ny/2 of the result
+    are real for a real field.
     """
-    fine = _padded_grid(grid)
     h = grid.nx // 2
-    big = np.zeros(half.shape[:-2] + (fine.nx, half.shape[-1]), dtype=np.complex128)
+    big = np.zeros(half.shape[:-2] + (2 * grid.nx, half.shape[-1]), dtype=np.complex128)
     big[..., : h + 1, :] = half[..., : h + 1, :]
     big[..., -h:, :] = half[..., h:, :]
     big[..., [h, -h], :] *= 0.5
+    # in place: a second array of this size costs more in page faults
+    # than the transform itself
+    return np.fft.ifft(big, axis=-2, norm="forward", out=big)
+
+
+def _x2_inverse(grid, mixed):
+    """Samples on `_padded_grid(grid)` of mixed coefficients from
+    `_x1_padded`.  When that grid doubles x2, the Nyquist column is split
+    in half between +-ny/2, as `_x1_padded` splits the Nyquist row."""
+    fine = _padded_grid(grid)
     if fine.ny > grid.ny:
-        big[..., -1] *= 0.5
-    return _inverse(fine, big)
+        mixed = mixed.copy()
+        mixed[..., -1] *= 0.5
+    return np.fft.irfft(mixed, n=fine.ny, axis=-1, norm="forward")
+
+
+@lru_cache(maxsize=8)
+def _x2_mean_weights(grid):
+    """Read-only weights w with which the vertical mean <f g>(x1) of two
+    fields on `_padded_grid(grid)` is (F.view(float64) * G.view(float64)) @ w,
+    for F, G their mixed coefficients from `_x1_padded`.
+
+    This is discrete Parseval in x2, exact for any input: column 0 counts
+    once, columns 1..ny/2-1 twice (for their conjugates), and the Nyquist
+    column once, or a half when `_padded_grid` doubles x2 and `_x2_inverse`
+    splits it.  Each weight is repeated for the real and imaginary parts.
+    """
+    w = np.full(grid._ncols, 2.0)
+    w[0] = 1.0
+    w[-1] = 0.5 if _padded_grid(grid).ny > grid.ny else 1.0
+    w = np.repeat(w, 2)
+    w.setflags(write=False)
+    return w
 
 
 @lru_cache(maxsize=8)
@@ -238,11 +273,12 @@ def _padded_grid(grid):
     """The grid that `_inverse_padded` samples on: x1 doubled, and x2
     doubled only when 3 divides ny.
 
-    The diagnostics take vertical means of products of at most three
-    dealiased fields (|n| <= ny/3 each), which reach |n| = 3*floor(ny/3).
-    A mean over ny samples is exact below |n| = ny, so it needs no x2
-    padding unless 3 divides ny.  The profiles' x1 derivatives always need
-    the x1 padding.
+    The diagnostics take vertical means of products of three dealiased
+    fields (|n| <= ny/3 each) over x2 samples; such a product reaches
+    |n| = 3*floor(ny/3).  A mean over ny samples is exact below |n| = ny,
+    so it needs no x2 padding unless 3 divides ny.  Means of two fields go
+    by `_x2_mean_weights` and are exact on either grid.  The profiles' x1
+    derivatives always need the x1 padding.
     """
     return SpectralGrid(2 * grid.nx, grid.ny if grid.ny % 3 else 2 * grid.ny, grid.lam)
 

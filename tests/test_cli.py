@@ -226,6 +226,15 @@ class TestCleanFailures:
             (["advdiff", "--envelope-times", "0.1", "--amplitude", "inf"], "amplitude"),
             (["simulate", "--dt-acc", "0"], "dt_acc"),
             (["simulate", "--dt-acc", "nan"], "dt_acc"),
+            (["simulate", "--rho", "nan"], "rho"),
+            (["simulate", "--rho", "inf"], "rho"),
+            (["simulate", "--target-romega", "nan"], "Reynolds"),
+            (["simulate", "--target-ru", "inf"], "Reynolds"),
+            (["simulate", "--diag-step", "inf"], "diag_step"),
+            (["simulate", "--t-end", "inf"], "t_end"),
+            (["simulate", "--t-end", "nan"], "t_end"),
+            (["simulate", "--lambda", "nan"], "lambda"),
+            (["simulate", "--diag-times", "nan"], "diagnostic times"),
         ],
     )
     def test_bad_value(self, argv, word, tmp_path, capsys):

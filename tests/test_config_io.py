@@ -62,6 +62,15 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="dt_acc must be finite and positive"):
             parse_config(f"dt_acc = {dt_acc}\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["lambda = nan\n", "t_end = inf\n", "diag_step = inf\n", "rho = nan\n", "rho = inf\n",
+         "target_ru = inf\n", "target_romega = nan\n", "diag_times = 0,nan\n", "diag_times = 0,inf\n"],
+    )
+    def test_values_finite(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_config(text)
+
     def test_schedule_strictly_increasing(self):
         with pytest.raises(ValueError):
             parse_config("diag_times = 0.2,0.1\n")

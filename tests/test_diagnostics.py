@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from cylflow import diagnostics
-from cylflow.biotsavart import _biot_savart
+from cylflow.biotsavart import _biot_savart, _pressure_hat
 from cylflow.diagnostics import (
     DiagnosticsOptions,
     Profile,
@@ -15,7 +14,7 @@ from cylflow.diagnostics import (
     v_volume,
 )
 from cylflow.solver import FlowState, InitialDataSpec, make_initial_data, run
-from cylflow.spectral import ScalarField, SpectralGrid, VelocityField, _inverse, make_grid
+from cylflow.spectral import ScalarField, SpectralGrid, VelocityField, _derivative_multiplier, _inverse, make_grid
 from conftest import vertical_average_quadrature
 
 
@@ -265,9 +264,63 @@ def padded_reference(grid, half, fine):
     return _inverse(fine, big)
 
 
+def reference_snapshot(state, fine):
+    """Profiles and sup norms of one state by their physical-space formulas,
+    on `padded_reference` samples of nine fields and the pressure."""
+    g = state.grid
+    w_hat = state.omega.data
+    u1h, u2h = _biot_savart(g, w_hat, state.c, state.m_mean)
+    d1, d2 = _derivative_multiplier(g, 1), _derivative_multiplier(g, 2)
+    spectra = (u1h, u2h, w_hat, d1 * u1h, d2 * u1h, d1 * u2h, d2 * u2h, d1 * w_hat, d2 * w_hat)
+    u1, u2, w, d1u1, d2u1, d1u2, d2u2, d1w, d2w = padded_reference(g, np.stack(spectra), fine)
+    coarse = np.s_[:: fine.nx // g.nx, :: fine.ny // g.ny]
+    p = padded_reference(g, _pressure_hat(g, u1[coarse], w[coarse]), fine)
+    uh1 = u1 - u1.mean(axis=1, keepdims=True)
+    uh2 = u2 - u2.mean(axis=1, keepdims=True)
+    d1m = d1u2.mean(axis=1)
+    e = 0.5 * (u1**2 + u2**2).mean(axis=1) + 0.5 * state.m0_norm**2
+    d1e = (u1 * d1u1 + u2 * d1u2).mean(axis=1)
+    h = ((p + 0.5 * (u1**2 + u2**2)) * u1).mean(axis=1)
+    d1eps = (w * d1w).mean(axis=1)
+    zeta = 0.5 * (w**2 * u1).mean(axis=1)
+    d1uh2 = d1u2 - d1m[:, None]
+    e_hat = 0.5 * (uh1**2 + uh2**2).mean(axis=1)
+    d1e_hat = (uh1 * d1u1 + uh2 * d1uh2).mean(axis=1)
+    h_hat = ((p + 0.5 * (uh1**2 + uh2**2)) * uh1).mean(axis=1)
+    q12 = (uh1 * uh2).mean(axis=1)
+    profiles = {
+        "e": e,
+        "h": h,
+        "d": (d1u1**2 + d2u1**2 + d1u2**2 + d2u2**2).mean(axis=1),
+        "f": d1e - h,
+        "eps": 0.5 * (w**2).mean(axis=1),
+        "zeta": zeta,
+        "delta": (d1w**2 + d2w**2).mean(axis=1),
+        "phi": d1eps - zeta,
+        "e_hat": e_hat,
+        "h_hat": h_hat,
+        "d_hat": (d1u1**2 + d2u1**2 + d1uh2**2 + d2u2**2).mean(axis=1),
+        "f_hat": d1e_hat - h_hat,
+        "g_hat": d1m * q12,
+        "q12": q12,
+        "forcing": (d1u1 * uh2 + uh1 * d1uh2).mean(axis=1),
+        "d1e": d1e,
+        "d1eps": d1eps,
+        "d1e_hat": d1e_hat,
+    }
+    sups = {
+        "sup_u": np.sqrt(u1[coarse] ** 2 + u2[coarse] ** 2).max(),
+        "sup_omega": np.abs(w[coarse]).max(),
+        "sup_uhat": np.sqrt(uh1[coarse] ** 2 + uh2[coarse] ** 2).max(),
+        "ul2_uhat": _ul2_from_profile(fine.dx, 2.0 * e_hat),
+    }
+    return profiles, sups
+
+
 class TestPaddingIsExact:
-    """The collector pads x2 only when 3 divides ny; every quantity of `add`
-    equals the one sampled on the 2x2 padded grid."""
+    """The collector samples x2 only for its three-field means, padded only
+    when 3 divides ny, and takes the others by Parseval; every quantity of
+    `add` equals the one sampled on the 2x2 padded grid."""
 
     KEYS = ("e", "h", "d", "f", "eps", "zeta", "delta", "phi", "e_hat", "h_hat",
             "d_hat", "f_hat", "g_hat", "q12", "forcing", "d1e", "d1eps", "d1e_hat")
@@ -279,20 +332,17 @@ class TestPaddingIsExact:
         return make_initial_data(spec, g)
 
     @pytest.mark.parametrize("n", [48, 64])
-    def test_profiles_match_2x2_padding(self, n, monkeypatch):
+    def test_profiles_match_2x2_padding(self, n):
         st = self.state(n)
         assert st.m_mean != 0.0
         got = snapshot(st)
-        fine = SpectralGrid(2 * n, 2 * n, st.grid.lam)
-        monkeypatch.setattr(diagnostics, "_padded_grid", lambda g: fine)
-        monkeypatch.setattr(diagnostics, "_inverse_padded", lambda g, half: padded_reference(g, half, fine))
-        want = snapshot(st)
+        want, sups = reference_snapshot(st, SpectralGrid(2 * n, 2 * n, st.grid.lam))
         assert sorted(got.fine) == sorted(self.KEYS)
         for key in self.KEYS:
-            scale = np.abs(want.fine[key]).max()
-            assert scale > 0.0 and np.abs(got.fine[key] - want.fine[key]).max() <= 1e-13 * scale, key
-        for key in ("sup_u", "sup_omega", "sup_uhat", "ul2_uhat"):
-            assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-13, abs=0.0), key
+            scale = np.abs(want[key]).max()
+            assert scale > 0.0 and np.abs(got.fine[key] - want[key]).max() <= 1e-13 * scale, key
+        for key, value in sups.items():
+            assert getattr(got, key) == pytest.approx(value, rel=1e-13, abs=0.0), key
 
     def test_x2_padding_needed_when_3_divides_ny(self):
         # at 48x48 the band |n| <= 16 makes w^2 u1 reach |n| = 48 = ny, which

@@ -237,6 +237,12 @@ class TestRun:
         with pytest.raises(ValueError):
             run(st, 0.1, diag_times=[0.5])
 
+    def test_nan_requested_time_rejected(self):
+        # a NaN stop used to pass the range check and never land
+        with pytest.raises(ValueError, match="requested times"):
+            _march(0.0, 0.0, 1.0, [0.5, float("nan")], lambda x, t: 0.1,
+                   lambda x, t, dt, t_new: x, lambda x, tc: None)
+
     def test_mean_vorticity_stays_exactly_zero(self, grid64):
         st = make_initial_data(InitialDataSpec(kind="random_bandlimited", target_romega=7.0), grid64)
         assert st.omega.data[0, 0] == 0.0
@@ -408,16 +414,16 @@ class TestRealSpectrumCore:
                      "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"):
             fn = getattr(np.fft, name)
 
-            def counted(*args, _fn=fn, **kwargs):
-                calls.append((_fn.__name__, kwargs.get("s")))
-                return _fn(*args, **kwargs)
+            def counted(a, *args, _fn=fn, **kwargs):
+                calls.append((_fn.__name__, np.shape(a), kwargs.get("s", kwargs.get("n"))))
+                return _fn(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
         st = make_initial_data(InitialDataSpec(kind="random_bandlimited", target_romega=5.0), grid64)
         bump = ScalarField(grid64, to_spectral(periodized_gaussian(grid64, (8.0, 0.5), 0.4)).data, "spectral")
         drift = DriftSpec(kind="steady_shear_u1", amplitude=1.0)
         fresh = replace(st)
-        budget, samples = {}, {}
+        budget = {}
         for label, call in (
             ("step", lambda: step(st, 1e-3)),
             ("cfl_dt", lambda: cfl_dt(st)),
@@ -428,8 +434,14 @@ class TestRealSpectrumCore:
             calls.clear()
             call()
             budget[label] = len(calls)
-            samples[label] = [s for name, s in calls if name == "irfft2"]
         # cfl_dt computes stage a of the next step, and step reuses it
-        assert budget == {"step": 8, "cfl_dt": 2, "cfl_dt+step": 8, "advdiff_step": 8, "add": 3}
-        # add pads x1 only at 64x64, since 3 does not divide ny
-        assert samples["add"] == [(128, 64), (128, 64)]
+        assert budget == {"step": 8, "cfl_dt": 2, "cfl_dt+step": 8, "advdiff_step": 8, "add": 4}
+        # calls still holds add's: one x1 stage of six fields, one x2 stage
+        # of three (unpadded at 64x64, since 3 does not divide ny), the
+        # pressure and its x1 stage
+        assert calls == [
+            ("ifft", (6, 128, 33), None),
+            ("irfft", (3, 128, 33), 64),
+            ("rfft2", (2, 64, 64), None),
+            ("ifft", (128, 33), None),
+        ]

@@ -15,6 +15,8 @@ from cylflow.spectral import (
     _forward,
     _inverse_padded,
     _parseval_l2,
+    _x1_padded,
+    _x2_mean_weights,
     dealias,
     integral,
     lp_norm,
@@ -252,6 +254,23 @@ class TestInversePadded:
         fine = _inverse_padded(g, _forward(rough))
         assert fine.dtype == np.float64 and fine.shape == (3, 32, 16)
         assert np.abs(fine[:, ::2, :] - rough).max() < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (12, 12)])
+def test_x2_mean_weights_match_padded_samples(shape):
+    """Parseval in x2 on mixed coefficients gives the vertical mean of a
+    product of two rough fields sampled by `_inverse_padded`: the Nyquist
+    column weighs 1 on 16x16 and 1/2 on 12x12, where x2 is padded."""
+    g = make_grid(*shape, 3.0)
+    half = _forward(np.random.default_rng(6).standard_normal((2,) + shape))
+    assert np.abs(half[:, g.nx // 2, :]).min() > 0.0 and np.abs(half[..., -1]).min() > 0.0
+    fa, fb = _x1_padded(g, half)
+    got = (fa.view(np.float64) * fb.view(np.float64)) @ _x2_mean_weights(g)
+    want = np.prod(_inverse_padded(g, half), axis=0).mean(axis=1)
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-13 * scale
+    # the Nyquist column alone is far above that tolerance
+    assert np.abs(fa[:, -1].real * fb[:, -1].real).max() > 1e-3 * scale
 
 
 def test_only_spectral_module_calls_numpy_fft():
