@@ -6,6 +6,14 @@ integrating-factor scheme: diffusion is applied exactly through
 exp(-|k|^2 dt) and the dealiased advection term is advanced with classical
 four-stage Runge-Kutta.  The Galilean constant c and the spatial mean of m
 are conserved quantities carried alongside the spectral vorticity.
+
+The advection term is taken in Basdevant's form: for divergence-free u,
+
+    -u.grad(omega) = -d1 d2 (u2^2 - u1^2) - (d1^2 - d2^2) (u1 u2),
+
+so a tendency makes one batched inverse of (u1, u2) and one batched
+forward transform of the two products, both through the banded pair of
+`spectral`.  It reads only the dealiased band of omega.
 """
 
 from __future__ import annotations
@@ -23,9 +31,10 @@ from .spectral import (
     SpectralGrid,
     VelocityField,
     _band_mask,
-    _derivative_multiplier,
     _forward,
+    _forward_banded,
     _inverse,
+    _inverse_banded,
     _parseval_l2,
     _profile_inverse,
     spectral_derivative,
@@ -155,21 +164,48 @@ def _advection(grid, u1, u2, wx, wy):
     return out
 
 
+@lru_cache(maxsize=16)
+def _basdevant_tables(grid):
+    """Read-only (k1 k2, k1^2 - k2^2) on the dealiased band and zero
+    elsewhere, so that -u.grad(omega) has the coefficients
+    k1 k2 Q0_hat + (k1^2 - k2^2) Q1_hat for Q0 = u2^2 - u1^2, Q1 = u1 u2.
+
+    Both vanish at (0, 0): the tendency has zero mean, to the bit.  Along
+    an axis whose size 3 does not divide, products of band modes alias onto
+    no band mode, so where 3 divides neither nx nor ny the tendency equals
+    the u.grad(omega) form of `_advection` on every mode, up to roundoff.
+    Where 3 divides a size, products of band-edge modes alias onto the
+    opposite edge, in either form but with different weights.
+    """
+    k1 = grid.k1[:, None]
+    k2 = grid.k2[None, : grid.ny // 2 + 1]
+    tables = tuple((t * grid.dealias_mask).astype(np.complex128) for t in (k1 * k2, k1**2 - k2**2))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def _nonlinear_ns(grid, c, m_mean):
-    d1, d2 = _derivative_multiplier(grid, 1), _derivative_multiplier(grid, 2)
+    t0, t1 = _basdevant_tables(grid)
 
     def tendency(w_hat, t, speeds=False):
         """The tendency at w_hat; with speeds=True, the pair (tendency,
-        (sup|u1|, sup|u2|)), read off the same batched inverse."""
-        fields = np.empty((4,) + w_hat.shape, dtype=np.complex128)
-        _biot_savart(grid, w_hat, c, m_mean, out=fields[:2])
-        np.multiply(d1, w_hat, out=fields[2])
-        np.multiply(d2, w_hat, out=fields[3])
-        phys = _inverse(grid, fields)
-        if speeds:
-            sup = (np.abs(phys[0]).max(), np.abs(phys[1]).max())
-            return _advection(grid, *phys), sup
-        return _advection(grid, *phys)
+        (sup|u1|, sup|u2|)), read off the same batched inverse.
+
+        Only the dealiased band of w_hat is read: modes outside it neither
+        move the tendency nor the speeds.
+        """
+        u = _inverse_banded(grid, _biot_savart(grid, w_hat, c, m_mean))
+        sup = (np.abs(u[0]).max(), np.abs(u[1]).max()) if speeds else None
+        q = np.empty_like(u)
+        np.multiply(u[0], u[1], out=q[1])
+        u *= u
+        np.subtract(u[1], u[0], out=q[0])
+        q_hat = _forward_banded(grid, q)
+        out = t0 * q_hat[0]
+        q_hat[1] *= t1
+        out += q_hat[1]
+        return (out, sup) if speeds else out
 
     return tendency
 
@@ -187,14 +223,43 @@ def ifrk4_step(grid, w_hat, t, dt, tendency, a=None):
     on spectral coefficients.  `a`, if given, is tendency(w_hat, t).
 
     Diffusion is integrated exactly; only decaying exponentials appear.
+    The stage inputs and the final combination are formed in one scratch
+    block of two arrays, with the roundings of
+
+        b = tendency(E (w + dt/2 a)),  c = tendency(E w + dt/2 b),
+        d = tendency(E2 w + dt (E c)),
+        w_new = E2 w + dt/6 (E2 a + 2E (b + c) + d)
+
+    evaluated left to right: each operation is the formula's, up to the
+    order of its two operands.  tendency must neither keep nor return its
+    argument, which is overwritten.
     """
     E, E2 = _exp_factors(grid, dt)
     if a is None:
         a = tendency(w_hat, t)
-    b = tendency(E * (w_hat + (0.5 * dt) * a), t + 0.5 * dt)
-    c = tendency(E * w_hat + (0.5 * dt) * b, t + 0.5 * dt)
-    d = tendency(E2 * w_hat + dt * (E * c), t + dt)
-    return E2 * w_hat + (dt / 6.0) * (E2 * a + 2.0 * E * (b + c) + d)
+    x, y = np.empty((2,) + w_hat.shape, dtype=np.complex128)
+    np.multiply(a, 0.5 * dt, out=x)
+    x += w_hat
+    x *= E
+    b = tendency(x, t + 0.5 * dt)
+    np.multiply(E, w_hat, out=x)
+    np.multiply(b, 0.5 * dt, out=y)
+    x += y
+    c = tendency(x, t + 0.5 * dt)
+    np.multiply(E, c, out=y)
+    y *= dt
+    np.multiply(E2, w_hat, out=x)
+    x += y
+    d = tendency(x, t + dt)
+    np.add(b, c, out=x)
+    x *= 2.0 * E
+    np.multiply(E2, a, out=y)
+    y += x
+    y += d
+    y *= dt / 6.0
+    w_new = E2 * w_hat
+    w_new += y
+    return w_new
 
 
 def _cfl_limit(grid, s1, s2, dt_acc):
@@ -237,8 +302,8 @@ def step(state, dt):
     on this state, and dropped from the state either way.  Raises
     InstabilityError if the vorticity L2 norm grows by more than 10x.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (0.0 < dt < math.inf):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     g = state.grid
     stage = state.__dict__.pop("_stage_a", None)
     a = None if stage is None else stage[0]

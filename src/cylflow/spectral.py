@@ -182,8 +182,9 @@ class Profile:
 
 
 # Every transform of the package goes through the helpers below; spectral
-# data are normalized coefficients (fft / number of samples).  The 2-D pair
-# maps a real field to and from its half spectrum (nx, ny//2+1).
+# data are normalized coefficients (fft / number of samples), and every
+# transform is called as an attribute of np.fft.  The 2-D pair maps a real
+# field to and from its half spectrum (nx, ny//2+1).
 
 
 def _forward(phys):
@@ -194,6 +195,37 @@ def _forward(phys):
 def _inverse(grid, spec):
     """Physical data of half-spectrum coefficients; leading axes are a batch."""
     return np.fft.irfft2(spec, s=(grid.nx, grid.ny), norm="forward")
+
+
+# The banded pair serves data that live on the dealiased band: its x1 stage
+# runs only on the columns n <= ny/3, the band's columns.  Its stages are
+# numpy's irfft2 and rfft2 stages, so on band data its output has the bits
+# of the 2-D pair's.
+
+
+def _inverse_banded(grid, spec):
+    """Physical data of the dealiased band of half-spectrum coefficients:
+    the bits of `_inverse(grid, spec * grid.dealias_mask)`.  Leading axes
+    are a batch; `spec` is left as it is."""
+    r, nb = grid.nx // 3, grid.ny // 3 + 1
+    mixed = np.zeros(spec.shape, dtype=np.complex128)
+    mixed[..., : r + 1, :nb] = spec[..., : r + 1, :nb]
+    mixed[..., -r:, :nb] = spec[..., -r:, :nb]
+    band = mixed[..., :nb]
+    np.fft.ifft(band, axis=-2, norm="forward", out=band)
+    return np.fft.irfft(mixed, n=grid.ny, axis=-1, norm="forward")
+
+
+def _forward_banded(grid, phys):
+    """Half-spectrum coefficients of real physical data on the columns
+    n <= ny/3, with the bits of `_forward`'s, and zero on the columns
+    beyond.  Leading axes are a batch."""
+    nb = grid.ny // 3 + 1
+    mixed = np.fft.rfft(phys, axis=-1, norm="forward")
+    band = mixed[..., :nb]
+    np.fft.fft(band, axis=-2, norm="forward", out=band)
+    mixed[..., nb:] = 0.0
+    return mixed
 
 
 def _parseval_l2(spec):

@@ -7,12 +7,15 @@ import pytest
 
 import cylflow.solver
 from cylflow.advdiff import DriftSpec, advdiff_run, periodized_gaussian
+from cylflow.biotsavart import _biot_savart
 from cylflow.diagnostics import TrajectoryCollector
 from cylflow.solver import (
     FlowState,
     InitialDataSpec,
     InstabilityError,
+    _advection,
     _march,
+    _nonlinear_ns,
     cfl_dt,
     make_initial_data,
     mean_flow_profile,
@@ -23,6 +26,10 @@ from cylflow.solver import (
 )
 from cylflow.spectral import (
     ScalarField,
+    _band_mask,
+    _derivative_multiplier,
+    _forward,
+    _inverse,
     make_grid,
     to_physical,
     to_spectral,
@@ -176,6 +183,18 @@ class TestStep:
         st = make_initial_data(InitialDataSpec(kind="shear_eigenmode", target_romega=1.0), grid64)
         with pytest.raises(ValueError):
             step(st, 0.0)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_rejects_non_finite_dt_before_any_work(self, grid64, dt, monkeypatch):
+        st = make_initial_data(InitialDataSpec(kind="shear_eigenmode", target_romega=1.0), grid64)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("step did work on a non-finite dt")
+
+        monkeypatch.setattr(cylflow.solver, "_guarded_step", no_work)
+        monkeypatch.setattr(cylflow.solver, "_nonlinear_ns", no_work)
+        with pytest.raises(ValueError, match="finite"):
+            step(st, dt)
 
 
 class TestRun:
@@ -350,6 +369,47 @@ class TestMomentumResidual:
         assert momentum_residual(st, dt=1e-4) < 1e-4
 
 
+class TestBasdevantTendency:
+    @pytest.mark.parametrize("shape", [(48, 48, 16.0), (64, 64, 16.0), (40, 50, 8.0)])
+    def test_matches_the_advective_form(self, shape):
+        """The Basdevant tendency equals the dealiased -u.grad(omega) of
+        `_advection`, with c and m_mean in the velocity.
+
+        omega fills the widest band whose products alias onto no retained
+        mode, |j| < nx/3 and |n| < ny/3: that is the dealias band unless 3
+        divides the size (48x48), where it is one row and column narrower.
+        """
+        g = make_grid(*shape)
+        rng = np.random.default_rng(11)
+        w = _forward(rng.standard_normal(g.shape())) * _band_mask(g, (g.nx - 1) / 3.0, (g.ny - 1) / 3.0)
+        w[0, 0] = 0.0
+        c, m_mean = 0.7, -1.3
+        got = _nonlinear_ns(g, c, m_mean)(w, 0.0)
+        d1, d2 = _derivative_multiplier(g, 1), _derivative_multiplier(g, 2)
+        fields = np.concatenate((_biot_savart(g, w, c, m_mean), np.stack((d1 * w, d2 * w))))
+        want = _advection(g, *_inverse(g, fields))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert got[0, 0] == 0.0
+        assert not got[~g.dealias_mask].any()
+
+    def test_reads_only_the_dealiased_band(self, grid64):
+        """A state may carry modes outside the dealias band; the tendency,
+        and the sup speeds that `cfl_dt` reads, do not see them."""
+        st = make_initial_data(
+            InitialDataSpec(kind="random_bandlimited", seed=2, target_romega=5.0, target_ru=6.0), grid64
+        )
+        st = replace(st, c=0.3)
+        noise = _forward(np.random.default_rng(3).standard_normal(grid64.shape()))
+        outside = noise * ~grid64.dealias_mask * np.abs(st.omega.data).max() / np.abs(noise).max()
+        rough = replace(st, omega=ScalarField(grid64, st.omega.data + outside, "spectral"))
+        tendency = _nonlinear_ns(grid64, st.c, st.m_mean)
+        got, got_speeds = tendency(rough.omega.data, 0.0, speeds=True)
+        want, want_speeds = tendency(st.omega.data, 0.0, speeds=True)
+        assert got.tobytes() == want.tobytes()
+        assert got_speeds == want_speeds
+        assert cfl_dt(rough, dt_acc=1.0) == cfl_dt(st, dt_acc=1.0)
+
+
 def full_complex_ifrk4(grid, w, c, m_mean, dt, steps):
     """Reference IF-RK4 on full complex spectra with fft2/ifft2, written
     independently of the package: Biot-Savart, dealiased advection with the
@@ -423,7 +483,7 @@ class TestRealSpectrumCore:
         bump = ScalarField(grid64, to_spectral(periodized_gaussian(grid64, (8.0, 0.5), 0.4)).data, "spectral")
         drift = DriftSpec(kind="steady_shear_u1", amplitude=1.0)
         fresh = replace(st)
-        budget = {}
+        made = {}
         for label, call in (
             ("step", lambda: step(st, 1e-3)),
             ("cfl_dt", lambda: cfl_dt(st)),
@@ -433,13 +493,25 @@ class TestRealSpectrumCore:
         ):
             calls.clear()
             call()
-            budget[label] = len(calls)
+            made[label] = list(calls)
+        budget = {label: len(c) for label, c in made.items()}
         # cfl_dt computes stage a of the next step, and step reuses it
-        assert budget == {"step": 8, "cfl_dt": 2, "cfl_dt+step": 8, "advdiff_step": 8, "add": 4}
-        # calls still holds add's: one x1 stage of six fields, one x2 stage
-        # of three (unpadded at 64x64, since 3 does not divide ny), the
-        # pressure and its x1 stage
-        assert calls == [
+        assert budget == {"step": 16, "cfl_dt": 4, "cfl_dt+step": 16, "advdiff_step": 8, "add": 4}
+        # a stage: the banded inverse of (u1, u2), whose x1 stage runs on the
+        # columns n <= 21 only, and the banded forward of the two products
+        stage = [
+            ("ifft", (2, 64, 22), None),
+            ("irfft", (2, 64, 33), 64),
+            ("rfft", (2, 64, 64), None),
+            ("fft", (2, 64, 22), None),
+        ]
+        assert made["step"] == 4 * stage
+        assert made["cfl_dt"] == stage
+        assert made["cfl_dt+step"] == 4 * stage
+        # add: one x1 stage of six fields, one x2 stage of three (unpadded
+        # at 64x64, since 3 does not divide ny), the pressure and its x1
+        # stage
+        assert made["add"] == [
             ("ifft", (6, 128, 33), None),
             ("irfft", (3, 128, 33), 64),
             ("rfft2", (2, 64, 64), None),
