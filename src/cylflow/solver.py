@@ -147,23 +147,6 @@ def mean_flow_profile(state):
     return _profile_inverse(u2h[:, 0])
 
 
-def _advection(grid, u1, u2, wx, wy):
-    """Dealiased spectral tendency -u.grad(omega) from physical u and
-    grad(omega); one forward transform.  wx and wy are overwritten.
-
-    Its (0, 0) coefficient is zeroed: u.grad(omega) = div(u omega) has zero
-    mean for divergence-free u, and roundoff must not move the mean.
-    """
-    np.multiply(u1, wx, out=wx)
-    np.multiply(u2, wy, out=wy)
-    wx += wy
-    out = _forward(wx)
-    np.negative(out, out=out)
-    out *= grid.dealias_mask
-    out[0, 0] = 0.0
-    return out
-
-
 @lru_cache(maxsize=16)
 def _basdevant_tables(grid):
     """Read-only (k1 k2, k1^2 - k2^2) on the dealiased band and zero
@@ -173,7 +156,7 @@ def _basdevant_tables(grid):
     Both vanish at (0, 0): the tendency has zero mean, to the bit.  Along
     an axis whose size 3 does not divide, products of band modes alias onto
     no band mode, so where 3 divides neither nx nor ny the tendency equals
-    the u.grad(omega) form of `_advection` on every mode, up to roundoff.
+    the dealiased u.grad(omega) form on every mode, up to roundoff.
     Where 3 divides a size, products of band-edge modes alias onto the
     opposite edge, in either form but with different weights.
     """
@@ -318,8 +301,11 @@ def _march(x, t0, t1, times, limit, advance, visit):
     land exactly on each of `times`; advance(x, t, dt, t_new) returns the
     next x.  visit(x, tc) is called once for each requested time tc (at the
     start for times equal to t0).  Returns the final x.  Raises ValueError
-    if limit returns a step that is not positive and finite.
+    before any step if t1 is not finite or lies below t0, and where limit
+    returns a step that is not positive and finite.
     """
+    if not (t0 <= t1 < math.inf):
+        raise ValueError(f"end time must be finite and not below {t0:g}, got {t1}")
     stops = sorted(set(float(t) for t in times))
     if any(not (t0 - 1e-12 <= tc <= t1 + 1e-12) for tc in stops):
         raise ValueError(f"requested times must lie within [{t0:g}, {t1:g}]")
@@ -361,9 +347,6 @@ def run(
     is over.  `sup_omega_trace`, if given, receives (t, sup|omega|) after
     every internal step.  Deterministic for identical inputs.
     """
-    if t_end < state0.t:
-        raise ValueError("t_end must not precede the initial time")
-
     def advance(state, t, dt, t_new):
         state = step(state, dt)
         if state.t != t_new:

@@ -244,13 +244,6 @@ def _profile_inverse(spec):
     return np.fft.ifft(spec * spec.shape[0]).real
 
 
-def _inverse_padded(grid, half):
-    """Sample half-spectrum coefficients (leading axes are a batch) on
-    `_padded_grid(grid)`, by zero padding: `_x2_inverse` of `_x1_padded`,
-    which is how numpy's irfft2 is composed."""
-    return _x2_inverse(grid, _x1_padded(grid, half))
-
-
 def _x1_padded(grid, half):
     """Mixed coefficients (..., 2nx, ny//2+1) of half-spectrum coefficients:
     x1 sampled on `_padded_grid(grid)` by zero padding, x2 still spectral.
@@ -302,8 +295,8 @@ def _x2_mean_weights(grid):
 
 @lru_cache(maxsize=8)
 def _padded_grid(grid):
-    """The grid that `_inverse_padded` samples on: x1 doubled, and x2
-    doubled only when 3 divides ny.
+    """The grid that `_x2_inverse` of `_x1_padded` samples on: x1 doubled,
+    and x2 doubled only when 3 divides ny.
 
     The diagnostics take vertical means of products of three dealiased
     fields (|n| <= ny/3 each) over x2 samples; such a product reaches

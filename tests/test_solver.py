@@ -1,4 +1,5 @@
 import ast
+import math
 import pathlib
 from dataclasses import replace
 
@@ -6,14 +7,21 @@ import numpy as np
 import pytest
 
 import cylflow.solver
-from cylflow.advdiff import DriftSpec, advdiff_run, periodized_gaussian
+from cylflow.advdiff import (
+    DriftSpec,
+    _shear_advection,
+    advdiff_run,
+    check_lp_lq,
+    duality_residual,
+    fundamental_solution,
+    periodized_gaussian,
+)
 from cylflow.biotsavart import _biot_savart
 from cylflow.diagnostics import TrajectoryCollector
 from cylflow.solver import (
     FlowState,
     InitialDataSpec,
     InstabilityError,
-    _advection,
     _march,
     _nonlinear_ns,
     cfl_dt,
@@ -256,6 +264,36 @@ class TestRun:
         with pytest.raises(ValueError):
             run(st, 0.1, diag_times=[0.5])
 
+    @pytest.mark.parametrize("label", [
+        "advdiff_run inf", "advdiff_run nan", "fundamental_solution inf", "fundamental_solution nan",
+        "check_lp_lq inf", "duality_residual nan", "run inf", "run below t0",
+    ])
+    def test_end_time_rejected_before_any_step(self, label, monkeypatch):
+        """An infinite end time used to step forever, and a NaN one to
+        return the initial field (duality_residual then read 0.0, a pass);
+        both are rejected before the first step."""
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(cylflow.solver, "ifrk4_step", no_step)
+        g = make_grid(32, 16, 8.0)
+        d = DriftSpec(kind="steady_shear_u1", amplitude=1.0)
+        f = periodized_gaussian(g, (4.0, 0.5), 0.5)
+        inf, nan = math.inf, math.nan
+        call = {
+            "advdiff_run inf": lambda: advdiff_run(f, d, inf),
+            "advdiff_run nan": lambda: advdiff_run(f, d, nan),
+            "fundamental_solution inf": lambda: fundamental_solution(d, (4.0, 0.5), inf, 0.5, grid=g),
+            "fundamental_solution nan": lambda: fundamental_solution(d, (4.0, 0.5), nan, 0.5, grid=g),
+            "check_lp_lq inf": lambda: check_lp_lq(d, f, 1, 2, [0.1, inf]),
+            "duality_residual nan": lambda: duality_residual(d, f, f, nan),
+            "run inf": lambda: run(make_initial_data(InitialDataSpec(kind="shear_eigenmode"), g), inf),
+            "run below t0": lambda: run(make_initial_data(InitialDataSpec(kind="shear_eigenmode"), g), -0.1),
+        }[label]
+        with pytest.raises(ValueError, match="end time must be finite"):
+            call()
+
     def test_nan_requested_time_rejected(self):
         # a NaN stop used to pass the range check and never land
         with pytest.raises(ValueError, match="requested times"):
@@ -369,11 +407,21 @@ class TestMomentumResidual:
         assert momentum_residual(st, dt=1e-4) < 1e-4
 
 
+def advective_tendency(grid, u1, u2, wx, wy):
+    """Dealiased spectral -u.grad(omega) from physical u and grad(omega),
+    with the (0, 0) coefficient zeroed; wx is overwritten."""
+    wx *= u1
+    wx += u2 * wy
+    out = -_forward(wx) * grid.dealias_mask
+    out[0, 0] = 0.0
+    return out
+
+
 class TestBasdevantTendency:
     @pytest.mark.parametrize("shape", [(48, 48, 16.0), (64, 64, 16.0), (40, 50, 8.0)])
     def test_matches_the_advective_form(self, shape):
         """The Basdevant tendency equals the dealiased -u.grad(omega) of
-        `_advection`, with c and m_mean in the velocity.
+        `advective_tendency`, with c and m_mean in the velocity.
 
         omega fills the widest band whose products alias onto no retained
         mode, |j| < nx/3 and |n| < ny/3: that is the dealias band unless 3
@@ -387,7 +435,7 @@ class TestBasdevantTendency:
         got = _nonlinear_ns(g, c, m_mean)(w, 0.0)
         d1, d2 = _derivative_multiplier(g, 1), _derivative_multiplier(g, 2)
         fields = np.concatenate((_biot_savart(g, w, c, m_mean), np.stack((d1 * w, d2 * w))))
-        want = _advection(g, *_inverse(g, fields))
+        want = advective_tendency(g, *_inverse(g, fields))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         assert got[0, 0] == 0.0
         assert not got[~g.dealias_mask].any()
@@ -408,6 +456,29 @@ class TestBasdevantTendency:
         assert got.tobytes() == want.tobytes()
         assert got_speeds == want_speeds
         assert cfl_dt(rough, dt_acc=1.0) == cfl_dt(st, dt_acc=1.0)
+
+
+PERIODIC = DriftSpec(kind="time_periodic_shear", amplitude=2.0, period=0.7)
+
+
+@pytest.mark.parametrize("shape", [(128, 32, 16.0), (48, 48, 16.0), (8, 8, 4.0)])
+@pytest.mark.parametrize("drift, a", [
+    (DriftSpec(kind="steady_shear_u1", amplitude=1.3), 1.3),
+    (PERIODIC, 2.0 * math.cos(2.0 * math.pi * 0.3 / 0.7)),
+    (PERIODIC.reversed(0.9), -2.0 * math.cos(2.0 * math.pi * (0.9 - 0.3) / 0.7)),
+], ids=["steady", "periodic", "reversed"])
+def test_shear_stencil_matches_the_advective_form(shape, drift, a):
+    """advdiff's stencil at t = 0.3 equals `advective_tendency` of the
+    sampled drift u = (a sin(2 pi x2), 0) on a rough omega that fills the
+    whole half spectrum."""
+    g = make_grid(*shape)
+    w = _forward(np.random.default_rng(12).standard_normal(g.shape()))
+    got = _shear_advection(g, drift)(w, 0.3)
+    u1 = a * np.sin(2.0 * np.pi * g.x2)[None, :] * np.ones((g.nx, 1))
+    d1, d2 = _derivative_multiplier(g, 1), _derivative_multiplier(g, 2)
+    want = advective_tendency(g, u1, np.zeros_like(u1), *_inverse(g, np.stack((d1 * w, d2 * w))))
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert not got[~g.dealias_mask].any()
 
 
 def full_complex_ifrk4(grid, w, c, m_mean, dt, steps):
@@ -496,7 +567,7 @@ class TestRealSpectrumCore:
             made[label] = list(calls)
         budget = {label: len(c) for label, c in made.items()}
         # cfl_dt computes stage a of the next step, and step reuses it
-        assert budget == {"step": 16, "cfl_dt": 4, "cfl_dt+step": 16, "advdiff_step": 8, "add": 4}
+        assert budget == {"step": 16, "cfl_dt": 4, "cfl_dt+step": 16, "advdiff_step": 0, "add": 4}
         # a stage: the banded inverse of (u1, u2), whose x1 stage runs on the
         # columns n <= 21 only, and the banded forward of the two products
         stage = [

@@ -16,9 +16,9 @@ from cylflow.spectral import (
     _forward_banded,
     _inverse,
     _inverse_banded,
-    _inverse_padded,
     _parseval_l2,
     _x1_padded,
+    _x2_inverse,
     _x2_mean_weights,
     dealias,
     integral,
@@ -231,7 +231,7 @@ class TestInversePadded:
     def test_matches_trigonometric_interpolant(self):
         g = make_grid(16, 12, 3.0)
         specs = [to_spectral(random_band_limited(g, seed=s, band=4)).data for s in (1, 2)]
-        fine = _inverse_padded(g, np.stack(specs))
+        fine = _x2_inverse(g, _x1_padded(g, np.stack(specs)))
         assert fine.shape == (2, 32, 24)
         for spec, got in zip(specs, fine):
             want = self.interpolant(spec, g.lam, (32, 24), 4)
@@ -240,21 +240,21 @@ class TestInversePadded:
     def test_rough_field_is_real_and_interpolates(self):
         g = make_grid(16, 12, 3.0)
         rough = np.random.default_rng(4).standard_normal((3, 16, 12))
-        fine = _inverse_padded(g, _forward(rough))
+        fine = _x2_inverse(g, _x1_padded(g, _forward(rough)))
         assert fine.dtype == np.float64 and fine.shape == (3, 32, 24)
         assert np.abs(fine[:, ::2, ::2] - rough).max() < 1e-13
 
     def test_x2_unpadded_when_3_does_not_divide_ny(self):
         g = make_grid(16, 16, 3.0)
         specs = [to_spectral(random_band_limited(g, seed=s, band=4)).data for s in (1, 2)]
-        fine = _inverse_padded(g, np.stack(specs))
+        fine = _x2_inverse(g, _x1_padded(g, np.stack(specs)))
         assert fine.shape == (2, 32, 16)
         for spec, got in zip(specs, fine):
             want = self.interpolant(spec, g.lam, (32, 16), 4)
             assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
         # the Nyquist column of a rough field keeps its coarse values too
         rough = np.random.default_rng(4).standard_normal((3, 16, 16))
-        fine = _inverse_padded(g, _forward(rough))
+        fine = _x2_inverse(g, _x1_padded(g, _forward(rough)))
         assert fine.dtype == np.float64 and fine.shape == (3, 32, 16)
         assert np.abs(fine[:, ::2, :] - rough).max() < 1e-13
 
@@ -262,14 +262,15 @@ class TestInversePadded:
 @pytest.mark.parametrize("shape", [(16, 16), (12, 12)])
 def test_x2_mean_weights_match_padded_samples(shape):
     """Parseval in x2 on mixed coefficients gives the vertical mean of a
-    product of two rough fields sampled by `_inverse_padded`: the Nyquist
-    column weighs 1 on 16x16 and 1/2 on 12x12, where x2 is padded."""
+    product of two rough fields sampled by `_x2_inverse` of `_x1_padded`:
+    the Nyquist column weighs 1 on 16x16 and 1/2 on 12x12, where x2 is
+    padded."""
     g = make_grid(*shape, 3.0)
     half = _forward(np.random.default_rng(6).standard_normal((2,) + shape))
     assert np.abs(half[:, g.nx // 2, :]).min() > 0.0 and np.abs(half[..., -1]).min() > 0.0
     fa, fb = _x1_padded(g, half)
     got = (fa.view(np.float64) * fb.view(np.float64)) @ _x2_mean_weights(g)
-    want = np.prod(_inverse_padded(g, half), axis=0).mean(axis=1)
+    want = np.prod(_x2_inverse(g, _x1_padded(g, half)), axis=0).mean(axis=1)
     scale = np.abs(want).max()
     assert np.abs(got - want).max() <= 1e-13 * scale
     # the Nyquist column alone is far above that tolerance
