@@ -117,11 +117,11 @@ def _shear_advection(grid, drift):
     sin(2 pi x2) shifts the vertical mode by one either way, so column n is
     -(a k1 / 2) (w_hat[j, n-1] - w_hat[j, n+1]), cut to the dealias band.
     Column 0's left neighbour is the column -1 that the half spectrum leaves
-    out, conj(w_hat[-j, 1]).  Only the band's columns n <= ny/3 are written;
-    they read up to column ny/3 + 1, which is below the Nyquist column on
-    every grid of at least 8 points.
+    out, conj(w_hat[-j, 1]).  Only the band's columns n <= grid.band[1] are
+    written; they read up to column grid.band[1] + 1, which is below the
+    Nyquist column on every grid of at least 8 points.
     """
-    nb = grid.ny // 3 + 1
+    nb = grid.band[1] + 1
     half_k1 = 0.5 * grid.k1_odd[:, None] * grid.dealias_mask[:, :nb]
 
     def tendency(w, t):

@@ -90,8 +90,8 @@ def _cmd_simulate(args):
             band=cfg.band,
         )
         options = diag_mod.DiagnosticsOptions(rho=cfg.rho, center=center)
+        state = make_initial_data(spec, grid)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    state = make_initial_data(spec, grid)
     collector = diag_mod.TrajectoryCollector(options)
     final = run(
         state,

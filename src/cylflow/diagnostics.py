@@ -5,11 +5,9 @@ most three band-limited fields, at the x1 points of the zero-padded grid
 `spectral._padded_grid` (x1 doubled, which makes the x1-derivatives of
 profiles exact).  A mean of two fields is taken by Parseval in x2 from
 coefficients transformed along x1 only (`spectral._x2_mean_weights`),
-which is exact for any input.  Only the three-field means sample x2, on
-the padded grid, which doubles x2 only when 3 divides ny: for a dealiased
-state (|n| <= ny/3) a cubic product reaches |n| = 3*floor(ny/3), which is
-below ny unless 3 divides ny, so its mean over the ny coarse x2 samples is
-already exact.
+which is exact for any input.  Only the three-field means sample x2, at
+the ny points of the state's own grid: for a dealiased state (|n| < ny/3)
+a cubic product stays below |n| = ny, so that mean is already exact.
 """
 
 from __future__ import annotations
@@ -138,7 +136,7 @@ class _FineFields:
         g = state.grid
         self.fine = _padded_grid(g)
         # the fine samples at this stride are the state's own grid values
-        self.coarse = np.s_[::2, :: self.fine.ny // g.ny]
+        self.coarse = np.s_[::2]
         w_hat = state.omega.data
         u1h, u2h = _biot_savart(g, w_hat, state.c, state.m_mean)
         d1 = _derivative_multiplier(g, 1)

@@ -141,16 +141,26 @@ def write_state(state, path):
     )
 
 
+def _finite_meta(path, meta, key):
+    """The value of a sidecar key, which must be a finite number."""
+    text = meta.get(key)
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        value = np.nan
+    if not np.isfinite(value):
+        raise ValueError(f"snapshot sidecar {path}.meta: {key} must be a finite number, got {text!r}")
+    return value
+
+
 def read_state(path):
-    """Inverse of write_state; bitwise round trip."""
+    """Inverse of write_state; bitwise round trip.  A bad sidecar value
+    raises ValueError naming the file and the key."""
     fld, meta = read_field(path)
     if fld.repr != SPECTRAL:
         raise ValueError(f"state snapshot {path} is not spectral")
-    return FlowState(
-        grid=fld.grid,
-        omega=fld,
-        c=float(meta["c"]),
-        m_mean=float(meta["m_mean"]),
-        t=float(meta["time"]),
-        m0_norm=float(meta["m0_norm"]),
-    )
+    c, m_mean, t, m0_norm = (_finite_meta(path, meta, k) for k in ("c", "m_mean", "time", "m0_norm"))
+    try:
+        return FlowState(grid=fld.grid, omega=fld, c=c, m_mean=m_mean, t=t, m0_norm=m0_norm)
+    except ValueError as exc:
+        raise ValueError(f"snapshot sidecar {path}.meta: {exc}") from exc

@@ -153,12 +153,9 @@ def _basdevant_tables(grid):
     elsewhere, so that -u.grad(omega) has the coefficients
     k1 k2 Q0_hat + (k1^2 - k2^2) Q1_hat for Q0 = u2^2 - u1^2, Q1 = u1 u2.
 
-    Both vanish at (0, 0): the tendency has zero mean, to the bit.  Along
-    an axis whose size 3 does not divide, products of band modes alias onto
-    no band mode, so where 3 divides neither nx nor ny the tendency equals
+    Both vanish at (0, 0): the tendency has zero mean, to the bit.
+    Products of two band modes alias onto no band mode, so the tendency equals
     the dealiased u.grad(omega) form on every mode, up to roundoff.
-    Where 3 divides a size, products of band-edge modes alias onto the
-    opposite edge, in either form but with different weights.
     """
     k1 = grid.k1[:, None]
     k2 = grid.k2[None, : grid.ny // 2 + 1]
@@ -406,7 +403,7 @@ def _random_band_limited_vorticity(grid, rng, band):
     ensembles differ by phase only; this keeps suite statistics (sup norms,
     mean-flow fraction) comparable across seeds.
     """
-    if band > grid.nx / 3.0 or band > grid.ny / 3.0:
+    if band > min(grid.band):
         raise ValueError(f"band {band} exceeds the dealiased range of {grid!r}")
     phys = rng.standard_normal((grid.nx, grid.ny))
     spec = _forward(phys)

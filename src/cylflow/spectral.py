@@ -51,8 +51,8 @@ class SpectralGrid:
             raise ValueError(f"grid sizes must be >= 8, got nx={nx}, ny={ny}")
         if nx % 2 or ny % 2:
             raise ValueError(f"grid sizes must be even, got nx={nx}, ny={ny}")
-        if not (lam > 0):
-            raise ValueError(f"horizontal period must be positive, got {lam}")
+        if not (0 < lam < np.inf):
+            raise ValueError(f"horizontal period lambda must be positive and finite, got {lam}")
         self.nx = int(nx)
         self.ny = int(ny)
         self.lam = float(lam)
@@ -76,8 +76,10 @@ class SpectralGrid:
         self.ksq = (self.k1**2)[:, None] + (self.k2[: self._ncols] ** 2)[None, :]
         self.inv_ksq = np.zeros_like(self.ksq)
         self.inv_ksq[self.ksq > 0.0] = 1.0 / self.ksq[self.ksq > 0.0]
-        # two-thirds rule: keep |j| <= nx/3 and |n| <= ny/3
-        self.dealias_mask = _band_mask(self, self.nx / 3.0, self.ny / 3.0)
+        # the dealias band |j| < nx/3, |n| < ny/3: three band modes sum to
+        # less than a grid size, so no product of two aliases onto the band
+        self.band = ((self.nx - 1) // 3, (self.ny - 1) // 3)
+        self.dealias_mask = _band_mask(self, *self.band)
 
     def __repr__(self):
         return f"SpectralGrid(nx={self.nx}, ny={self.ny}, lam={self.lam})"
@@ -108,7 +110,7 @@ def _band_mask(grid, band1, band2):
 
 
 def make_grid(nx, ny, lam):
-    """Build a SpectralGrid; rejects odd or undersized grids and lam <= 0."""
+    """Build a SpectralGrid; rejects odd or undersized grids and lam outside (0, inf)."""
     return SpectralGrid(nx, ny, lam)
 
 
@@ -198,16 +200,16 @@ def _inverse(grid, spec):
 
 
 # The banded pair serves data that live on the dealiased band: its x1 stage
-# runs only on the columns n <= ny/3, the band's columns.  Its stages are
-# numpy's irfft2 and rfft2 stages, so on band data its output has the bits
-# of the 2-D pair's.
+# runs only on the band's columns n <= grid.band[1].  Its stages are numpy's
+# irfft2 and rfft2 stages, so on band data its output has the bits of the
+# 2-D pair's.
 
 
 def _inverse_banded(grid, spec):
     """Physical data of the dealiased band of half-spectrum coefficients:
     the bits of `_inverse(grid, spec * grid.dealias_mask)`.  Leading axes
     are a batch; `spec` is left as it is."""
-    r, nb = grid.nx // 3, grid.ny // 3 + 1
+    r, nb = grid.band[0], grid.band[1] + 1
     mixed = np.zeros(spec.shape, dtype=np.complex128)
     mixed[..., : r + 1, :nb] = spec[..., : r + 1, :nb]
     mixed[..., -r:, :nb] = spec[..., -r:, :nb]
@@ -218,9 +220,9 @@ def _inverse_banded(grid, spec):
 
 def _forward_banded(grid, phys):
     """Half-spectrum coefficients of real physical data on the columns
-    n <= ny/3, with the bits of `_forward`'s, and zero on the columns
-    beyond.  Leading axes are a batch."""
-    nb = grid.ny // 3 + 1
+    n <= grid.band[1], with the bits of `_forward`'s, and zero on the
+    columns beyond.  Leading axes are a batch."""
+    nb = grid.band[1] + 1
     mixed = np.fft.rfft(phys, axis=-1, norm="forward")
     band = mixed[..., :nb]
     np.fft.fft(band, axis=-2, norm="forward", out=band)
@@ -264,14 +266,8 @@ def _x1_padded(grid, half):
 
 
 def _x2_inverse(grid, mixed):
-    """Samples on `_padded_grid(grid)` of mixed coefficients from
-    `_x1_padded`.  When that grid doubles x2, the Nyquist column is split
-    in half between +-ny/2, as `_x1_padded` splits the Nyquist row."""
-    fine = _padded_grid(grid)
-    if fine.ny > grid.ny:
-        mixed = mixed.copy()
-        mixed[..., -1] *= 0.5
-    return np.fft.irfft(mixed, n=fine.ny, axis=-1, norm="forward")
+    """Samples on `_padded_grid(grid)` of mixed coefficients from `_x1_padded`."""
+    return np.fft.irfft(mixed, n=grid.ny, axis=-1, norm="forward")
 
 
 @lru_cache(maxsize=8)
@@ -280,14 +276,12 @@ def _x2_mean_weights(grid):
     fields on `_padded_grid(grid)` is (F.view(float64) * G.view(float64)) @ w,
     for F, G their mixed coefficients from `_x1_padded`.
 
-    This is discrete Parseval in x2, exact for any input: column 0 counts
-    once, columns 1..ny/2-1 twice (for their conjugates), and the Nyquist
-    column once, or a half when `_padded_grid` doubles x2 and `_x2_inverse`
-    splits it.  Each weight is repeated for the real and imaginary parts.
+    This is discrete Parseval in x2, exact for any input: columns 0 and
+    ny/2 count once, columns 1..ny/2-1 twice (for their conjugates).  Each
+    weight is repeated for the real and imaginary parts.
     """
     w = np.full(grid._ncols, 2.0)
-    w[0] = 1.0
-    w[-1] = 0.5 if _padded_grid(grid).ny > grid.ny else 1.0
+    w[[0, -1]] = 1.0
     w = np.repeat(w, 2)
     w.setflags(write=False)
     return w
@@ -295,17 +289,15 @@ def _x2_mean_weights(grid):
 
 @lru_cache(maxsize=8)
 def _padded_grid(grid):
-    """The grid that `_x2_inverse` of `_x1_padded` samples on: x1 doubled,
-    and x2 doubled only when 3 divides ny.
+    """The grid that `_x2_inverse` of `_x1_padded` samples on: x1 doubled.
 
-    The diagnostics take vertical means of products of three dealiased
-    fields (|n| <= ny/3 each) over x2 samples; such a product reaches
-    |n| = 3*floor(ny/3).  A mean over ny samples is exact below |n| = ny,
-    so it needs no x2 padding unless 3 divides ny.  Means of two fields go
-    by `_x2_mean_weights` and are exact on either grid.  The profiles' x1
-    derivatives always need the x1 padding.
+    The diagnostics take vertical means of products of at most three
+    dealiased fields over x2 samples; such a product reaches
+    |n| <= 3*grid.band[1] < ny, and a mean over ny samples is exact below
+    |n| = ny, so x2 needs no padding.  The profiles' x1 derivatives need
+    the x1 padding.
     """
-    return SpectralGrid(2 * grid.nx, grid.ny if grid.ny % 3 else 2 * grid.ny, grid.lam)
+    return SpectralGrid(2 * grid.nx, grid.ny, grid.lam)
 
 
 @lru_cache(maxsize=32)
@@ -366,7 +358,8 @@ def spectral_derivative(f, axis, order=1):
 
 
 def dealias(f):
-    """Two-thirds rule: zero all modes with |j| > nx/3 or |n| > ny/3."""
+    """Keep the alias-free band `grid.band`, |j| < nx/3 and |n| < ny/3,
+    and zero every mode outside it."""
     if f.repr != SPECTRAL:
         raise ValueError("dealias expects a spectral-representation field")
     return ScalarField(f.grid, f.data * f.grid.dealias_mask, SPECTRAL)

@@ -235,6 +235,8 @@ class TestCleanFailures:
             (["simulate", "--t-end", "nan"], "t_end"),
             (["simulate", "--lambda", "nan"], "lambda"),
             (["simulate", "--diag-times", "nan"], "diagnostic times"),
+            (["simulate", "--nx", "48", "--ny", "48", "--band", "17"], "band"),
+            (["simulate", "--nx", "48", "--ny", "48", "--band", "16"], "band"),
         ],
     )
     def test_bad_value(self, argv, word, tmp_path, capsys):
@@ -335,4 +337,20 @@ class TestInputFaults:
         argv = ["report", "--run-dir", str(run_dir), "--constants", str(const), "--out", str(rep_path)]
         assert run_cli(*argv) == 2
         self._one_line(capsys, "report", "state_00002.bin")
+        assert not const.exists() and not rep_path.exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("lambda", "inf"), ("c", "nan"), ("m_mean", "inf"), ("time", "nan"), ("m0_norm", "x")]
+    )
+    def test_report_bad_sidecar_value(self, key, value, sim_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(os.path.join(sim_dir, "snapshots"), run_dir / "snapshots")
+        meta = run_dir / "snapshots" / "state_00002.bin.meta"
+        lines = meta.read_text().splitlines()
+        meta.write_text("\n".join(f"{key}={value}" if ln.startswith(f"{key}=") else ln for ln in lines) + "\n")
+        rep_path = tmp_path / "report.json"
+        const = tmp_path / "constants.json"
+        argv = ["report", "--run-dir", str(run_dir), "--constants", str(const), "--out", str(rep_path)]
+        assert run_cli(*argv) == 2
+        self._one_line(capsys, "report", "state_00002.bin.meta", key)
         assert not const.exists() and not rep_path.exists()

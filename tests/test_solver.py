@@ -34,7 +34,6 @@ from cylflow.solver import (
 )
 from cylflow.spectral import (
     ScalarField,
-    _band_mask,
     _derivative_multiplier,
     _forward,
     _inverse,
@@ -421,15 +420,11 @@ class TestBasdevantTendency:
     @pytest.mark.parametrize("shape", [(48, 48, 16.0), (64, 64, 16.0), (40, 50, 8.0)])
     def test_matches_the_advective_form(self, shape):
         """The Basdevant tendency equals the dealiased -u.grad(omega) of
-        `advective_tendency`, with c and m_mean in the velocity.
-
-        omega fills the widest band whose products alias onto no retained
-        mode, |j| < nx/3 and |n| < ny/3: that is the dealias band unless 3
-        divides the size (48x48), where it is one row and column narrower.
-        """
+        `advective_tendency`, with c and m_mean in the velocity, for omega
+        filling the whole dealias band, also where 3 divides the size."""
         g = make_grid(*shape)
         rng = np.random.default_rng(11)
-        w = _forward(rng.standard_normal(g.shape())) * _band_mask(g, (g.nx - 1) / 3.0, (g.ny - 1) / 3.0)
+        w = _forward(rng.standard_normal(g.shape())) * g.dealias_mask
         w[0, 0] = 0.0
         c, m_mean = 0.7, -1.3
         got = _nonlinear_ns(g, c, m_mean)(w, 0.0)
@@ -494,7 +489,7 @@ def full_complex_ifrk4(grid, w, c, m_mean, dt, steps):
     ik2 = 1j * np.where(np.abs(j2) == ny // 2, 0.0, k2)[None, :]
     ksq = k1[:, None] ** 2 + k2[None, :] ** 2
     inv_ksq = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0.0)
-    keep = (np.abs(j1)[:, None] <= nx / 3.0) & (np.abs(j2)[None, :] <= ny / 3.0)
+    keep = (np.abs(j1)[:, None] < nx / 3.0) & (np.abs(j2)[None, :] < ny / 3.0)
 
     def phys(f):
         return np.fft.ifft2(f * (nx * ny)).real

@@ -45,10 +45,23 @@ class TestMakeGrid:
         g = make_grid(8, 8, 1.0)
         assert g.nx == g.ny == 8
 
-    @pytest.mark.parametrize("nx,ny,lam", [(7, 8, 1.0), (8, 7, 1.0), (6, 8, 1.0), (8, 8, 0.0), (8, 8, -2.0)])
+    @pytest.mark.parametrize(
+        "nx,ny,lam",
+        [(7, 8, 1.0), (8, 7, 1.0), (6, 8, 1.0), (8, 8, 0.0), (8, 8, -2.0), (8, 8, np.inf), (8, 8, np.nan)],
+    )
     def test_rejects_bad_sizes(self, nx, ny, lam):
         with pytest.raises(ValueError):
             make_grid(nx, ny, lam)
+
+    def test_band_is_alias_free(self):
+        """Three band modes sum to less than n, so no sum of two band modes
+        folds onto a band mode; where 3 does not divide n the band is the
+        largest |j| <= n/3."""
+        for n in range(8, 201, 2):
+            band = make_grid(n, n, 1.0).band
+            assert band[0] == band[1] and 3 * band[0] < n <= 3 * (band[0] + 1), n
+            if n % 3:
+                assert band[0] == n // 3, n
 
 
 class TestTransforms:
@@ -141,7 +154,7 @@ class TestDealias:
     def test_exact_band(self, grid64):
         f = to_spectral(random_band_limited(grid64, seed=7, band=31))
         out = dealias(f).data
-        inside = (np.abs(grid64.j1)[:, None] <= 64 / 3) & (np.arange(33)[None, :] <= 64 / 3)
+        inside = (np.abs(grid64.j1)[:, None] < 64 / 3) & (np.arange(33)[None, :] < 64 / 3)
         assert np.array_equal(out[inside], f.data[inside])
         assert np.abs(out[~inside]).max() == 0.0
 
@@ -211,8 +224,8 @@ def test_profile_shape_guard(grid32):
 
 
 class TestInversePadded:
-    """The padded sampler of the diagnostics: x1 doubled, x2 doubled only
-    when 3 divides ny (16x12), else left at ny (16x16)."""
+    """The padded sampler of the diagnostics: x1 doubled, x2 left at ny,
+    whether 3 divides ny (16x12) or not (16x16)."""
 
     @staticmethod
     def interpolant(spec, lam, shape, band):
@@ -228,43 +241,41 @@ class TestInversePadded:
                 want += (coef * np.exp(1j * phase)).real
         return want
 
-    def test_matches_trigonometric_interpolant(self):
-        g = make_grid(16, 12, 3.0)
+    def check_interpolant(self, shape):
+        g = make_grid(*shape, 3.0)
         specs = [to_spectral(random_band_limited(g, seed=s, band=4)).data for s in (1, 2)]
         fine = _x2_inverse(g, _x1_padded(g, np.stack(specs)))
-        assert fine.shape == (2, 32, 24)
+        assert fine.shape == (2, 32, shape[1])
         for spec, got in zip(specs, fine):
-            want = self.interpolant(spec, g.lam, (32, 24), 4)
+            want = self.interpolant(spec, g.lam, (32, shape[1]), 4)
             assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+
+    @staticmethod
+    def check_rough_interpolates(shape):
+        """Every other row of a rough field's samples, its Nyquist column
+        included, holds its coarse values."""
+        g = make_grid(*shape, 3.0)
+        rough = np.random.default_rng(4).standard_normal((3,) + shape)
+        fine = _x2_inverse(g, _x1_padded(g, _forward(rough)))
+        assert fine.dtype == np.float64 and fine.shape == (3, 32, shape[1])
+        assert np.abs(fine[:, ::2, :] - rough).max() < 1e-13
+
+    def test_matches_trigonometric_interpolant(self):
+        self.check_interpolant((16, 12))
 
     def test_rough_field_is_real_and_interpolates(self):
-        g = make_grid(16, 12, 3.0)
-        rough = np.random.default_rng(4).standard_normal((3, 16, 12))
-        fine = _x2_inverse(g, _x1_padded(g, _forward(rough)))
-        assert fine.dtype == np.float64 and fine.shape == (3, 32, 24)
-        assert np.abs(fine[:, ::2, ::2] - rough).max() < 1e-13
+        self.check_rough_interpolates((16, 12))
 
     def test_x2_unpadded_when_3_does_not_divide_ny(self):
-        g = make_grid(16, 16, 3.0)
-        specs = [to_spectral(random_band_limited(g, seed=s, band=4)).data for s in (1, 2)]
-        fine = _x2_inverse(g, _x1_padded(g, np.stack(specs)))
-        assert fine.shape == (2, 32, 16)
-        for spec, got in zip(specs, fine):
-            want = self.interpolant(spec, g.lam, (32, 16), 4)
-            assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
-        # the Nyquist column of a rough field keeps its coarse values too
-        rough = np.random.default_rng(4).standard_normal((3, 16, 16))
-        fine = _x2_inverse(g, _x1_padded(g, _forward(rough)))
-        assert fine.dtype == np.float64 and fine.shape == (3, 32, 16)
-        assert np.abs(fine[:, ::2, :] - rough).max() < 1e-13
+        self.check_interpolant((16, 16))
+        self.check_rough_interpolates((16, 16))
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (12, 12)])
 def test_x2_mean_weights_match_padded_samples(shape):
     """Parseval in x2 on mixed coefficients gives the vertical mean of a
     product of two rough fields sampled by `_x2_inverse` of `_x1_padded`:
-    the Nyquist column weighs 1 on 16x16 and 1/2 on 12x12, where x2 is
-    padded."""
+    the Nyquist column weighs 1 on both shapes."""
     g = make_grid(*shape, 3.0)
     half = _forward(np.random.default_rng(6).standard_normal((2,) + shape))
     assert np.abs(half[:, g.nx // 2, :]).min() > 0.0 and np.abs(half[..., -1]).min() > 0.0
@@ -281,8 +292,8 @@ def test_x2_mean_weights_match_padded_samples(shape):
 def test_banded_pair_has_the_bits_of_the_full_pair(shape):
     """On dealiased coefficients the banded inverse has the bits of
     `_inverse`; on any coefficients it reads only their dealiased band.
-    The banded forward has the bits of `_forward` on the columns n <= ny/3
-    and is zero beyond, so it has those of `_forward` times the mask."""
+    The banded forward has the bits of `_forward` on the band's columns
+    n <= g.band[1] and is zero beyond, so it has those of `_forward` times the mask."""
     g = make_grid(*shape, 8.0)
     rng = np.random.default_rng(8)
     rough = _forward(rng.standard_normal((2,) + shape))
@@ -294,7 +305,7 @@ def test_banded_pair_has_the_bits_of_the_full_pair(shape):
     assert rough.tobytes() == kept.tobytes()
     phys = rng.standard_normal((2,) + shape)
     got, full = _forward_banded(g, phys), _forward(phys)
-    nb = g.ny // 3 + 1
+    nb = g.band[1] + 1
     assert got[..., :nb].tobytes() == full[..., :nb].tobytes()
     assert not got[..., nb:].any()
 
