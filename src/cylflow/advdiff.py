@@ -188,11 +188,9 @@ def _check_sigma0(grid, sigma0):
         raise ValueError(f"sigma0={sigma0} under grid resolution (need >= {floor})")
 
 
-def fundamental_solution(drift, y, t, sigma0, grid=None, *, dt_acc=1e-3):
+def fundamental_solution(drift, y, t, sigma0, grid, *, dt_acc=1e-3):
     """Approximate fundamental solution: evolve a width-sigma0 unit-mass
     Gaussian centered at y up to time t."""
-    if grid is None:
-        raise ValueError("fundamental_solution needs an explicit grid")
     _check_sigma0(grid, sigma0)
     if t <= 0:
         raise ValueError("t must be positive")

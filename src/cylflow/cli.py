@@ -26,6 +26,7 @@ from .config import (
     EstimatedConstant,
     RunConfig,
     get_constant,
+    load_constants,
     parse_config,
     serialize_config,
     update_constant,
@@ -221,6 +222,10 @@ def _cmd_verify_inequalities(args):
         raise _UsageError(f"--samples must be >= 2 for the split-half check, got {args.samples}")
     if args.poincare_samples < 1:
         raise _UsageError(f"--poincare-samples must be >= 1, got {args.poincare_samples}")
+    if args.constants_path:
+        # a corrupt ledger fails here, before any output is written
+        with _bad_values():
+            load_constants(args.constants_path)
     rows, report = ineq_mod.nash_suite(grid, args.samples, args.seed, weights)
     os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "nash_samples.csv"), "w", encoding="utf-8") as fh:
@@ -285,7 +290,7 @@ def _cmd_kernel_table(args):
     with _bad_values():
         xs = _parse_lattice(args.x1, "--x1")
         ys = _parse_lattice(args.x2, "--x2")
-    out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
+        out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
         out.write("x1,x2,K,gradperpK_1,gradperpK_2\n")
         for x in xs:
@@ -348,7 +353,8 @@ def _cmd_report(args):
         c3 = args.c3
     else:
         try:
-            c3 = get_constant(args.constants_path, "C3")
+            with _bad_values():
+                c3 = get_constant(args.constants_path, "C3")
         except KeyError:
             # estimate the flux constant from this run; it is recorded below
             c3 = ineq_mod.flux_bound_constants(collector)["C3"].max_ratio

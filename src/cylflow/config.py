@@ -157,16 +157,27 @@ class EstimatedConstant:
 
 
 def load_constants(path):
-    """Read the constants ledger; returns {} when the file does not exist."""
+    """Read the constants ledger; returns {} when the file does not exist.
+
+    A ledger that is not a JSON object of {"value": finite number, ...}
+    entries raises a ValueError that names the path and the entry.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         return {}
-    return {
-        name: EstimatedConstant(name=name, value=entry["value"], provenance=entry.get("provenance", {}))
-        for name, entry in raw.items()
-    }
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"constants ledger {path} is not JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"constants ledger {path} is not a JSON object")
+    entries = {}
+    for name, entry in raw.items():
+        value = entry.get("value") if isinstance(entry, dict) else None
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"constants ledger {path}: entry {name!r} has no finite number 'value': {entry!r}")
+        entries[name] = EstimatedConstant(name=name, value=value, provenance=entry.get("provenance", {}))
+    return entries
 
 
 def update_constant(path, est):

@@ -1,13 +1,15 @@
 """Energy, enstrophy and oscillatory-energy diagnostics along trajectories.
 
+A state is read on its dealiased band, as the solver reads it: the x1
+stage is the stepping core's (`spectral._x1_inverse`) on twice the rows.
 All profile quantities are vertical averages of pointwise products of at
-most three band-limited fields, at the x1 points of the zero-padded grid
+most three band fields, at the x1 points of the zero-padded grid
 `spectral._padded_grid` (x1 doubled, which makes the x1-derivatives of
 profiles exact).  A mean of two fields is taken by Parseval in x2 from
 coefficients transformed along x1 only (`spectral._x2_mean_weights`),
 which is exact for any input.  Only the three-field means sample x2, at
-the ny points of the state's own grid: for a dealiased state (|n| < ny/3)
-a cubic product stays below |n| = ny, so that mean is already exact.
+the ny points of the state's own grid: the band has |n| < ny/3, so a
+cubic product stays below |n| = ny and that mean is already exact.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .spectral import (
     Profile,
     _derivative_multiplier,
     _padded_grid,
-    _x1_padded,
+    _x1_inverse,
     _x2_inverse,
     _x2_mean_weights,
     circular_distance,
@@ -126,10 +128,11 @@ class _FineFields:
     """All profile ingredients of one state on the padded x1 grid of
     `_padded_grid(state.grid)`.
 
-    One batched x1 stage gives the mixed coefficients (x1 sampled, x2
-    spectral) of the velocity, the vorticity and their x1-derivatives, and
-    one x2 inverse samples only u1, u2 and omega, for the three-field
-    means and the sup norms.  The pressure goes through the x1 stage only.
+    One batched x1 stage of the dealiased band gives the mixed
+    coefficients (x1 sampled, x2 spectral) of the velocity, the vorticity
+    and their x1-derivatives, and one x2 inverse samples only u1, u2 and
+    omega, for the three-field means and the sup norms.  The pressure goes
+    through the x1 stage only.
     """
 
     def __init__(self, state):
@@ -140,12 +143,12 @@ class _FineFields:
         w_hat = state.omega.data
         u1h, u2h = _biot_savart(g, w_hat, state.c, state.m_mean)
         d1 = _derivative_multiplier(g, 1)
-        mixed = _x1_padded(g, np.stack((u1h, u2h, w_hat, d1 * u1h, d1 * u2h, d1 * w_hat)))
+        mixed = _x1_inverse(g, np.stack((u1h, u2h, w_hat, d1 * u1h, d1 * u2h, d1 * w_hat)), 2 * g.nx)
         self.u1, self.u2, self.w = _x2_inverse(g, mixed[:3])
         # on the fine grid a vertical mean is the exact n = 0 profile
         self.uh1 = self.u1 - self.u1.mean(axis=1, keepdims=True)
         self.uh2 = self.u2 - self.u2.mean(axis=1, keepdims=True)
-        p = _x1_padded(g, _pressure_hat(g, self.u1[self.coarse], self.w[self.coarse]))
+        p = _x1_inverse(g, _pressure_hat(g, self.u1[self.coarse], self.w[self.coarse]), 2 * g.nx)
         # interleaved (re, im) mixed coefficients, for `_means`
         self.mixed = dict(zip(("u1", "u2", "w", "d1u1", "d1u2", "d1w"), mixed.view(np.float64)))
         self.mixed["p"] = p.view(np.float64)
@@ -432,6 +435,8 @@ def theorem_checks(collector, config):
     """
     if not (math.isfinite(config.c3) and config.c3 > 0.0):
         raise ValueError(f"C3 must be finite and > 0, got {config.c3!r}")
+    if not (math.isfinite(config.tau) and config.tau > 0.0):
+        raise ValueError(f"tau must be finite and > 0, got {config.tau!r}")
     for T in config.t_grid:
         if not T > 0.0:
             raise ValueError(f"every t-grid time must be > 0, got {T!r}")

@@ -44,6 +44,8 @@ def read_csv_records(path):
     """Read a diagnostics CSV; raises on the first mismatched column name."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"no header row in {path}")
     header = lines[0].split(",")
     for i, (got, want) in enumerate(zip(header, CSV_COLUMNS)):
         if got != want:

@@ -90,6 +90,8 @@ class FlowState:
     def __post_init__(self):
         if self.omega.repr != SPECTRAL:
             raise ValueError("FlowState stores vorticity in spectral representation")
+        if self.omega.grid != self.grid:
+            raise ValueError(f"vorticity on {self.omega.grid!r} does not match the state's {self.grid!r}")
         if self.t < 0:
             raise ValueError("time must be non-negative")
 

@@ -202,20 +202,37 @@ def _inverse(grid, spec):
 # The banded pair serves data that live on the dealiased band: its x1 stage
 # runs only on the band's columns n <= grid.band[1].  Its stages are numpy's
 # irfft2 and rfft2 stages, so on band data its output has the bits of the
-# 2-D pair's.
+# 2-D pair's.  The diagnostics sample through the same x1 stage on twice
+# the rows.
+
+
+def _x1_inverse(grid, spec, rows):
+    """Mixed coefficients (..., rows, ny//2+1) of the dealiased band of
+    half-spectrum coefficients: x1 sampled at `rows` points by zero padding
+    (`rows` >= nx), x2 still spectral.  The band stops short of row nx/2,
+    so a real field's samples are real and, for rows = 2nx, every other row
+    holds its own grid values.  Leading axes are a batch; `spec` is left as
+    it is."""
+    r, nb = grid.band[0], grid.band[1] + 1
+    # full width: irfft along x2 would pad a copy of a narrower buffer
+    mixed = np.zeros(spec.shape[:-2] + (rows, grid._ncols), dtype=np.complex128)
+    mixed[..., : r + 1, :nb] = spec[..., : r + 1, :nb]
+    mixed[..., -r:, :nb] = spec[..., -r:, :nb]
+    band = mixed[..., :nb]
+    np.fft.ifft(band, axis=-2, norm="forward", out=band)
+    return mixed
+
+
+def _x2_inverse(grid, mixed):
+    """Samples along x2 of mixed coefficients from `_x1_inverse`."""
+    return np.fft.irfft(mixed, n=grid.ny, axis=-1, norm="forward")
 
 
 def _inverse_banded(grid, spec):
     """Physical data of the dealiased band of half-spectrum coefficients:
     the bits of `_inverse(grid, spec * grid.dealias_mask)`.  Leading axes
     are a batch; `spec` is left as it is."""
-    r, nb = grid.band[0], grid.band[1] + 1
-    mixed = np.zeros(spec.shape, dtype=np.complex128)
-    mixed[..., : r + 1, :nb] = spec[..., : r + 1, :nb]
-    mixed[..., -r:, :nb] = spec[..., -r:, :nb]
-    band = mixed[..., :nb]
-    np.fft.ifft(band, axis=-2, norm="forward", out=band)
-    return np.fft.irfft(mixed, n=grid.ny, axis=-1, norm="forward")
+    return _x2_inverse(grid, _x1_inverse(grid, spec, grid.nx))
 
 
 def _forward_banded(grid, phys):
@@ -246,35 +263,11 @@ def _profile_inverse(spec):
     return np.fft.ifft(spec * spec.shape[0]).real
 
 
-def _x1_padded(grid, half):
-    """Mixed coefficients (..., 2nx, ny//2+1) of half-spectrum coefficients:
-    x1 sampled on `_padded_grid(grid)` by zero padding, x2 still spectral.
-
-    A padded Nyquist row is split in half between +-nx/2, so the samples
-    are those of the real trigonometric interpolant and every other row
-    holds the input's own grid values.  Columns 0 and ny/2 of the result
-    are real for a real field.
-    """
-    h = grid.nx // 2
-    big = np.zeros(half.shape[:-2] + (2 * grid.nx, half.shape[-1]), dtype=np.complex128)
-    big[..., : h + 1, :] = half[..., : h + 1, :]
-    big[..., -h:, :] = half[..., h:, :]
-    big[..., [h, -h], :] *= 0.5
-    # in place: a second array of this size costs more in page faults
-    # than the transform itself
-    return np.fft.ifft(big, axis=-2, norm="forward", out=big)
-
-
-def _x2_inverse(grid, mixed):
-    """Samples on `_padded_grid(grid)` of mixed coefficients from `_x1_padded`."""
-    return np.fft.irfft(mixed, n=grid.ny, axis=-1, norm="forward")
-
-
 @lru_cache(maxsize=8)
 def _x2_mean_weights(grid):
     """Read-only weights w with which the vertical mean <f g>(x1) of two
     fields on `_padded_grid(grid)` is (F.view(float64) * G.view(float64)) @ w,
-    for F, G their mixed coefficients from `_x1_padded`.
+    for F, G their mixed coefficients from `_x1_inverse`.
 
     This is discrete Parseval in x2, exact for any input: columns 0 and
     ny/2 count once, columns 1..ny/2-1 twice (for their conjugates).  Each
@@ -289,7 +282,8 @@ def _x2_mean_weights(grid):
 
 @lru_cache(maxsize=8)
 def _padded_grid(grid):
-    """The grid that `_x2_inverse` of `_x1_padded` samples on: x1 doubled.
+    """The grid that `_x2_inverse` of `_x1_inverse(grid, spec, 2 * grid.nx)`
+    samples on: x1 doubled.
 
     The diagnostics take vertical means of products of at most three
     dealiased fields over x2 samples; such a product reaches

@@ -270,6 +270,9 @@ class TestCleanFailures:
             ("--t-grid", "-0.1"),
             ("--c3", "0"),
             ("--c3", "-1"),
+            ("--tau", "nan"),
+            ("--tau", "0"),
+            ("--tau", "-0.01"),
         ],
     )
     def test_report_bad_value_writes_nothing(self, flag, value, sim_dir, tmp_path, capsys):
@@ -306,6 +309,12 @@ class TestInputFaults:
         assert run_cli("fit-rates", "--csv", csv, "--t-lo", "0", "--t-hi", "1") == 2
         self._one_line(capsys, "fit-rates", "none.csv")
 
+    def test_fit_rates_empty_csv(self, tmp_path, capsys):
+        csv = tmp_path / "empty.csv"
+        csv.write_text("")
+        assert run_cli("fit-rates", "--csv", str(csv), "--t-lo", "0", "--t-hi", "1") == 2
+        self._one_line(capsys, "fit-rates", "empty.csv")
+
     def test_fit_rates_short_window(self, sim_dir, capsys):
         csv = os.path.join(sim_dir, "diagnostics.csv")
         assert run_cli("fit-rates", "--csv", csv, "--t-lo", "0", "--t-hi", "0.05") == 2
@@ -318,6 +327,40 @@ class TestInputFaults:
         assert run_cli("kernel-table", *[a for kv in argv.items() for a in kv], "--out", str(out)) == 2
         self._one_line(capsys, "kernel-table", flag, value)
         assert not out.exists()
+
+    def test_kernel_table_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "k.csv"
+        assert run_cli("kernel-table", "--x1", "0:1:2", "--x2", "0:1:2", "--out", str(out)) == 2
+        self._one_line(capsys, "kernel-table", "k.csv")
+        assert not out.parent.exists()
+
+    LEDGERS = {
+        "not_json": ("{C3", "not JSON"),
+        "value_not_a_number": ('{"C3": {"value": "x"}}', "'C3'"),
+        "no_value": ('{"C3": {}}', "'C3'"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(LEDGERS))
+    def test_report_corrupt_ledger(self, fault, sim_dir, tmp_path, capsys):
+        text, word = self.LEDGERS[fault]
+        const = tmp_path / "constants.json"
+        const.write_text(text)
+        rep_path = tmp_path / "report.json"
+        argv = ["report", "--run-dir", sim_dir, "--constants", str(const), "--out", str(rep_path)]
+        assert run_cli(*argv) == 2
+        self._one_line(capsys, "report", str(const), word)
+        assert const.read_text() == text and not rep_path.exists()
+
+    @pytest.mark.parametrize("fault", sorted(LEDGERS))
+    def test_verify_inequalities_corrupt_ledger(self, fault, tmp_path, capsys):
+        text, word = self.LEDGERS[fault]
+        const = tmp_path / "garbage.json"
+        const.write_text(text)
+        out = tmp_path / "out"
+        argv = ["verify-inequalities", "--samples", "4", "--poincare-samples", "1", "--nx", "16", "--ny", "16"]
+        assert run_cli(*argv, "--constants", str(const), "--out", str(out)) == 2
+        self._one_line(capsys, "verify-inequalities", str(const), word)
+        assert const.read_text() == text and not out.exists()
 
     @pytest.mark.parametrize("fault", ["truncated", "full_layout", "no_meta"])
     def test_report_bad_snapshot(self, fault, sim_dir, tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,15 @@ from cylflow.diagnostics import (
     v_volume,
 )
 from cylflow.solver import FlowState, InitialDataSpec, make_initial_data, run
-from cylflow.spectral import ScalarField, SpectralGrid, VelocityField, _derivative_multiplier, _inverse, make_grid
+from cylflow.spectral import (
+    ScalarField,
+    SpectralGrid,
+    VelocityField,
+    _derivative_multiplier,
+    _forward,
+    _inverse,
+    make_grid,
+)
 from conftest import vertical_average_quadrature
 
 
@@ -344,6 +354,22 @@ class TestPaddingIsExact:
             assert scale > 0.0 and np.abs(got.fine[key] - want[key]).max() <= 1e-13 * scale, key
         for key, value in sups.items():
             assert getattr(got, key) == pytest.approx(value, rel=1e-13, abs=0.0), key
+
+    def test_reads_only_the_dealiased_band(self):
+        """A state may carry modes outside the dealias band; the profiles
+        and sup norms of `add` are those of its band, as is the tendency."""
+        st = self.state(64)
+        g = st.grid
+        noise = _forward(np.random.default_rng(3).standard_normal(g.shape()))
+        outside = noise * ~g.dealias_mask * np.abs(st.omega.data).max() / np.abs(noise).max()
+        rough = replace(st, omega=ScalarField(g, st.omega.data + outside, "spectral"))
+        band = replace(st, omega=ScalarField(g, rough.omega.data * g.dealias_mask, "spectral"))
+        got, want = snapshot(rough), snapshot(band)
+        assert sorted(got.fine) == sorted(self.KEYS)
+        for key in self.KEYS:
+            assert got.fine[key].tobytes() == want.fine[key].tobytes(), key
+        for key in ("sup_u", "sup_omega", "sup_uhat", "ul2_uhat", "forcing_sup"):
+            assert getattr(got, key) == getattr(want, key), key
 
 
 class TestFitDecayRate:

@@ -151,6 +151,15 @@ class TestCfl:
         assert all(calls[i][1] is calls[i + 1][1] for i in range(0, len(calls), 2))
 
 
+class TestFlowState:
+    def test_rejects_vorticity_on_another_grid(self, grid64):
+        g32 = make_grid(32, 32, 16.0)
+        with pytest.raises(ValueError, match=r"nx=32.*nx=64"):
+            FlowState(grid=grid64, omega=ScalarField.zeros(g32, "spectral"))
+        # equal grids need not be the same object
+        FlowState(grid=make_grid(64, 64, 16.0), omega=ScalarField.zeros(grid64, "spectral"))
+
+
 class TestStep:
     def test_exact_shear_decay(self, grid64):
         st = make_initial_data(InitialDataSpec(kind="shear_eigenmode", target_romega=1.0), grid64)
@@ -574,12 +583,12 @@ class TestRealSpectrumCore:
         assert made["step"] == 4 * stage
         assert made["cfl_dt"] == stage
         assert made["cfl_dt+step"] == 4 * stage
-        # add: one x1 stage of six fields, one x2 stage of three (unpadded
-        # at 64x64, since 3 does not divide ny), the pressure and its x1
-        # stage
+        # add: the stepping core's x1 stage on twice the rows, for six
+        # fields and for the pressure, on the columns n <= 21 only; one x2
+        # stage of three fields, and the pressure's products
         assert made["add"] == [
-            ("ifft", (6, 128, 33), None),
+            ("ifft", (6, 128, 22), None),
             ("irfft", (3, 128, 33), 64),
             ("rfft2", (2, 64, 64), None),
-            ("ifft", (128, 33), None),
+            ("ifft", (128, 22), None),
         ]

@@ -17,7 +17,7 @@ from cylflow.spectral import (
     _inverse,
     _inverse_banded,
     _parseval_l2,
-    _x1_padded,
+    _x1_inverse,
     _x2_inverse,
     _x2_mean_weights,
     dealias,
@@ -224,68 +224,78 @@ def test_profile_shape_guard(grid32):
 
 
 class TestInversePadded:
-    """The padded sampler of the diagnostics: x1 doubled, x2 left at ny,
-    whether 3 divides ny (16x12) or not (16x16)."""
+    """The padded sampler of the diagnostics, `_x1_inverse` on 2nx rows and
+    then `_x2_inverse`: x1 doubled, x2 left at ny, whether 3 divides ny
+    (16x12) or not (16x16)."""
 
     @staticmethod
     def interpolant(spec, lam, shape, band):
-        """Explicit sum over the retained modes |j|, |n| <= band at the fine
-        points; a mode n < 0 is the conjugate of the stored mode (-j, -n)."""
+        """Explicit sum over the band modes |j| <= band[0], |n| <= band[1]
+        at the fine points; a mode n < 0 is the conjugate of the stored
+        mode (-j, -n)."""
         x1 = np.arange(shape[0])[:, None] * (lam / shape[0])
         x2 = np.arange(shape[1])[None, :] / shape[1]
         want = np.zeros(shape)
-        for j in range(-band, band + 1):
-            for n in range(-band, band + 1):
+        for j in range(-band[0], band[0] + 1):
+            for n in range(-band[1], band[1] + 1):
                 phase = 2 * np.pi * (j * x1 / lam + n * x2)
                 coef = spec[j, n] if n >= 0 else np.conj(spec[-j, -n])
                 want += (coef * np.exp(1j * phase)).real
         return want
 
+    @staticmethod
+    def sample(g, spec):
+        return _x2_inverse(g, _x1_inverse(g, spec, 2 * g.nx))
+
     def check_interpolant(self, shape):
         g = make_grid(*shape, 3.0)
-        specs = [to_spectral(random_band_limited(g, seed=s, band=4)).data for s in (1, 2)]
-        fine = _x2_inverse(g, _x1_padded(g, np.stack(specs)))
+        rng = np.random.default_rng(1)
+        specs = _forward(rng.standard_normal((2,) + shape)) * g.dealias_mask
+        fine = self.sample(g, specs)
         assert fine.shape == (2, 32, shape[1])
         for spec, got in zip(specs, fine):
-            want = self.interpolant(spec, g.lam, (32, shape[1]), 4)
+            want = self.interpolant(spec, g.lam, (32, shape[1]), g.band)
             assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
 
-    @staticmethod
-    def check_rough_interpolates(shape):
-        """Every other row of a rough field's samples, its Nyquist column
-        included, holds its coarse values."""
+    def check_reads_only_the_band(self, shape):
+        """A rough field's samples are those of its band, its input is
+        left as it is, and every other row holds the band field's own
+        grid values."""
         g = make_grid(*shape, 3.0)
-        rough = np.random.default_rng(4).standard_normal((3,) + shape)
-        fine = _x2_inverse(g, _x1_padded(g, _forward(rough)))
+        rough = _forward(np.random.default_rng(4).standard_normal((3,) + shape))
+        assert np.abs(rough[..., ~g.dealias_mask]).min() > 0.0
+        kept = rough.copy()
+        band = rough * g.dealias_mask
+        fine = self.sample(g, rough)
+        assert rough.tobytes() == kept.tobytes()
         assert fine.dtype == np.float64 and fine.shape == (3, 32, shape[1])
-        assert np.abs(fine[:, ::2, :] - rough).max() < 1e-13
+        assert fine.tobytes() == self.sample(g, band).tobytes()
+        assert np.abs(fine[:, ::2, :] - _inverse(g, band)).max() < 1e-13
 
     def test_matches_trigonometric_interpolant(self):
         self.check_interpolant((16, 12))
 
     def test_rough_field_is_real_and_interpolates(self):
-        self.check_rough_interpolates((16, 12))
+        self.check_reads_only_the_band((16, 12))
 
     def test_x2_unpadded_when_3_does_not_divide_ny(self):
         self.check_interpolant((16, 16))
-        self.check_rough_interpolates((16, 16))
+        self.check_reads_only_the_band((16, 16))
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (12, 12)])
 def test_x2_mean_weights_match_padded_samples(shape):
     """Parseval in x2 on mixed coefficients gives the vertical mean of a
-    product of two rough fields sampled by `_x2_inverse` of `_x1_padded`:
-    the Nyquist column weighs 1 on both shapes."""
+    product of two band fields sampled by `_x2_inverse` of `_x1_inverse`."""
     g = make_grid(*shape, 3.0)
-    half = _forward(np.random.default_rng(6).standard_normal((2,) + shape))
-    assert np.abs(half[:, g.nx // 2, :]).min() > 0.0 and np.abs(half[..., -1]).min() > 0.0
-    fa, fb = _x1_padded(g, half)
+    half = _forward(np.random.default_rng(6).standard_normal((2,) + shape)) * g.dealias_mask
+    fa, fb = _x1_inverse(g, half, 2 * g.nx)
     got = (fa.view(np.float64) * fb.view(np.float64)) @ _x2_mean_weights(g)
-    want = np.prod(_x2_inverse(g, _x1_padded(g, half)), axis=0).mean(axis=1)
+    want = np.prod(_x2_inverse(g, _x1_inverse(g, half, 2 * g.nx)), axis=0).mean(axis=1)
     scale = np.abs(want).max()
     assert np.abs(got - want).max() <= 1e-13 * scale
-    # the Nyquist column alone is far above that tolerance
-    assert np.abs(fa[:, -1].real * fb[:, -1].real).max() > 1e-3 * scale
+    # the mixed coefficients are zero beyond the band's last column
+    assert not fa[:, g.band[1] + 1 :].any() and np.abs(fa[:, g.band[1]]).min() > 0.0
 
 
 @pytest.mark.parametrize("shape", [(64, 64), (48, 30), (40, 50)])
