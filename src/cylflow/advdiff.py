@@ -4,9 +4,10 @@ Verification companion to the nonlinear solver: the same integrating-factor
 RK4 scheme evolves d_t omega + u.grad(omega) = lap(omega) for the shear
 drifts u = (a(t) sin(2 pi x2), 0), with a(t) = 0, A or A cos(2 pi t / P).
 Their tendency is a three-point stencil in the vertical mode n, so stepping
-makes no transform.  Provides the L^p-L^q smoothing ratios and the
-Gaussian-envelope fit for approximate fundamental solutions started from
-narrow Gaussian bumps.
+makes no transform.  `evolve` is the one evolution; `fundamental_solution`
+evolves narrow Gaussian bumps with it, `check_lp_lq` reads the L^p-L^q
+smoothing ratios off its fields and `check_gaussian_envelope` fits the
+Gaussian bound to one.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import numpy as np
 from .diagnostics import v_volume
 from .solver import _cfl_limit, _guarded_step, _march
 from .spectral import (
-    PHYSICAL,
-    SPECTRAL,
     ScalarField,
     _as_physical_data,
     _as_spectral_data,
@@ -33,7 +32,7 @@ __all__ = [
     "DriftSpec",
     "EnvelopeFit",
     "LpLqCheck",
-    "advdiff_run",
+    "evolve",
     "periodized_gaussian",
     "fundamental_solution",
     "check_lp_lq",
@@ -123,11 +122,12 @@ def _shear_advection(grid, drift):
     """
     nb = grid.band[1] + 1
     half_k1 = 0.5 * grid.k1_odd[:, None] * grid.dealias_mask[:, :nb]
+    neg_rows = -np.arange(grid.nx) % grid.nx  # row i holds mode j; neg_rows[i] holds -j
 
     def tendency(w, t):
         out = np.zeros_like(w)
         band = out[:, :nb]
-        band[:, 0] = np.conj(np.roll(w[::-1, 1], 1))
+        band[:, 0] = np.conj(w[neg_rows, 1])
         band[:, 1:] = w[:, : nb - 1]
         band -= w[:, 1 : nb + 1]
         band *= -drift.amplitude_at(t) * half_k1
@@ -136,9 +136,11 @@ def _shear_advection(grid, drift):
     return tendency
 
 
-def _evolve(grid, w_hat, drift, t0, t1, dt_acc, capture=()):
-    """Advance spectral coefficients from t0 to t1, landing exactly on
-    capture times."""
+def evolve(omega0, drift, times, *, dt_acc=1e-3):
+    """One evolution of omega0 from t = 0 to the last of `times`, landing
+    exactly on each; returns {t: physical omega(t)}.  t = 0 is allowed, and
+    an empty `times` makes no step and returns {}."""
+    grid = omega0.grid
     captured = {}
     tendency = _shear_advection(grid, drift)
     sup_sin = np.abs(np.sin(2.0 * np.pi * grid.x2)).max()
@@ -150,19 +152,10 @@ def _evolve(grid, w_hat, drift, t0, t1, dt_acc, capture=()):
         return _guarded_step(grid, w, t, dt, tendency)
 
     def visit(w, tc):
-        captured[tc] = w
+        captured[tc] = ScalarField(grid, _inverse(grid, w))
 
-    return _march(w_hat, t0, t1, capture, limit, advance, visit), captured
-
-
-def advdiff_run(omega0, drift, t_end, *, dt_acc=1e-3):
-    """Evolve the passive scalar to t_end; mass is conserved to roundoff."""
-    g = omega0.grid
-    w0 = _as_spectral_data(omega0)
-    w, _ = _evolve(g, w0, drift, 0.0, t_end, dt_acc)
-    if omega0.repr == PHYSICAL:
-        return ScalarField(g, _inverse(g, w), PHYSICAL)
-    return ScalarField(g, w, SPECTRAL)
+    _march(_as_spectral_data(omega0), 0.0, max(times, default=0.0), times, limit, advance, visit)
+    return captured
 
 
 def periodized_gaussian(grid, y, sigma):
@@ -180,35 +173,31 @@ def periodized_gaussian(grid, y, sigma):
     return ScalarField(grid, out)
 
 
-def _check_sigma0(grid, sigma0):
-    """sigma0 must be at least twice the largest cell size so the bump is
-    resolved on the grid."""
+def fundamental_solution(drift, y, times, sigma0, grid, *, dt_acc=1e-3):
+    """Approximate fundamental solution: `evolve` of a width-sigma0
+    unit-mass Gaussian centered at y, {t: Gamma(t)} for each of `times`.
+
+    sigma0 must be at least twice the largest cell size, so that the bump
+    is resolved on the grid; it is checked before any step.
+    """
     floor = 2.0 * max(grid.dx, grid.dy)
     if not sigma0 >= floor:
         raise ValueError(f"sigma0={sigma0} under grid resolution (need >= {floor})")
+    return evolve(periodized_gaussian(grid, y, sigma0), drift, times, dt_acc=dt_acc)
 
 
-def fundamental_solution(drift, y, t, sigma0, grid, *, dt_acc=1e-3):
-    """Approximate fundamental solution: evolve a width-sigma0 unit-mass
-    Gaussian centered at y up to time t."""
-    _check_sigma0(grid, sigma0)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    bump = periodized_gaussian(grid, y, sigma0)
-    return advdiff_run(bump, drift, t, dt_acc=dt_acc)
-
-
-def _evolve_fields(omega0, drift, times, dt_acc):
-    """One evolution of omega0 from t = 0 to the last of `times`; returns
-    {t: physical omega(t)} for each of them."""
-    g = omega0.grid
-    _, captured = _evolve(g, _as_spectral_data(omega0), drift, 0.0, max(times), dt_acc, capture=times)
-    return {t: ScalarField(g, _inverse(g, w)) for t, w in captured.items()}
-
-
-def _lp_lq_check(omega0, p, q, times, fields):
-    """check_lp_lq's result at the sorted `times`, from the evolved fields
-    {t: omega(t)} of `_evolve_fields`."""
+def check_lp_lq(omega0, p, q, fields):
+    """Empirical smoothing constant from the fields {t: omega(t)} of
+    `evolve(omega0, ...)`: the ratios ||omega(t)||_q V(t)^(1/p - 1/q) /
+    ||omega0||_p at their sorted times (at t = 0 without the V factor), and
+    their max."""
+    if not (1 <= p <= q):
+        raise ValueError("need 1 <= p <= q")
+    if not np.any(omega0.data):
+        raise ValueError("zero initial data")
+    if not fields:
+        raise ValueError("check_lp_lq needs at least one time")
+    times = sorted(fields)
     denom = lp_norm(omega0, p)
     pw = 1.0 / p - (0.0 if q == np.inf else 1.0 / q)
     ratios = []
@@ -217,19 +206,6 @@ def _lp_lq_check(omega0, p, q, times, fields):
         ratios.append(nq * v_volume(t) ** pw / denom if t > 0 else nq / denom)
     ratios = np.asarray(ratios)
     return LpLqCheck(times=np.asarray(times), ratios=ratios, k1=float(ratios.max()))
-
-
-def check_lp_lq(drift, omega0, p, q, times, *, dt_acc=1e-3):
-    """Empirical smoothing constant: max over times of
-    ||omega(t)||_q V(t)^(1/p - 1/q) / ||omega0||_p."""
-    if not (1 <= p <= q):
-        raise ValueError("need 1 <= p <= q")
-    if not np.any(omega0.data):
-        raise ValueError("zero initial data")
-    times = sorted(float(t) for t in times)
-    if not times:
-        raise ValueError("check_lp_lq needs at least one time")
-    return _lp_lq_check(omega0, p, q, times, _evolve_fields(omega0, drift, times, dt_acc))
 
 
 def check_gaussian_envelope(gamma, y, t, M, lam):
@@ -264,10 +240,9 @@ def duality_residual(drift, omega0, w0, t_final, *, dt_acc=1e-3):
     """Relative mismatch of <omega(T), w0> and <omega0, w(T)> where w evolves
     under the adjoint drift -u(T - t)."""
     g = omega0.grid
-    a_end = advdiff_run(omega0, drift, t_final, dt_acc=dt_acc)
-    b_end_hat, _ = _evolve(g, _as_spectral_data(w0), drift.reversed(t_final), 0.0, t_final, dt_acc)
-    b_end = ScalarField(g, _inverse(g, b_end_hat))
-    lhs = float((_as_physical_data(a_end) * _as_physical_data(w0)).sum() * g.cell_area)
+    a_end = evolve(omega0, drift, [t_final], dt_acc=dt_acc)[t_final]
+    b_end = evolve(w0, drift.reversed(t_final), [t_final], dt_acc=dt_acc)[t_final]
+    lhs = float((a_end.data * _as_physical_data(w0)).sum() * g.cell_area)
     rhs = float((_as_physical_data(omega0) * b_end.data).sum() * g.cell_area)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale

@@ -155,21 +155,19 @@ def _cmd_advdiff(args):
     if not all(math.isfinite(c) for c in y):
         raise _UsageError(f"--y1 and --y2 must be finite, got {y[0]:g}, {y[1]:g}")
     sigma0 = args.sigma0 or 2.0 * max(grid.dx, grid.dy)
-    with _bad_values():
-        advdiff_mod._check_sigma0(grid, sigma0)
-    os.makedirs(args.out_dir, exist_ok=True)
-    failures = 0
-
-    # one evolution of the bump serves every smoothing ratio and envelope fit
-    bump = advdiff_mod.periodized_gaussian(grid, y, sigma0)
+    # one evolution of the bump serves every smoothing ratio and envelope
+    # fit; a bad sigma0 fails here, before --out is created
     lp_times = times if ps else []
-    if lp_times or env_times:
-        fields = advdiff_mod._evolve_fields(bump, drift, lp_times + env_times, args.dt_acc)
+    with _bad_values():
+        fields = advdiff_mod.fundamental_solution(drift, y, lp_times + env_times, sigma0, grid, dt_acc=args.dt_acc)
+    os.makedirs(args.out_dir, exist_ok=True)
 
     rows = []
     if ps:
+        bump = advdiff_mod.periodized_gaussian(grid, y, sigma0)
+        lp_fields = {t: fields[t] for t in times}
         for p, q in zip(ps, qs):
-            res = advdiff_mod._lp_lq_check(bump, p, q, times, fields)
+            res = advdiff_mod.check_lp_lq(bump, p, q, lp_fields)
             for t, r in zip(res.times, res.ratios):
                 rows.append((p, q, t, r))
         with open(os.path.join(args.out_dir, "lplq.csv"), "w", encoding="utf-8") as fh:
@@ -178,13 +176,11 @@ def _cmd_advdiff(args):
                 qtxt = "inf" if q == np.inf else format(q, ".17g")
                 fh.write(f"{p:.17g},{qtxt},{t:.17g},{r:.17g}\n")
 
-    env_rows = []
-    if env_times:
-        for t in env_times:
-            fit = advdiff_mod.check_gaussian_envelope(fields[t], y, t, drift.amplitude, args.envelope_lambda)
-            env_rows.append((t, fit))
-            if not fit.passed:
-                failures += 1
+    env_rows = [
+        (t, advdiff_mod.check_gaussian_envelope(fields[t], y, t, drift.amplitude, args.envelope_lambda))
+        for t in env_times
+    ]
+    if env_rows:
         with open(os.path.join(args.out_dir, "envelope.csv"), "w", encoding="utf-8") as fh:
             fh.write("t,slope,K2_est,lambda_eff,passed\n")
             for t, fit in env_rows:
@@ -192,6 +188,7 @@ def _cmd_advdiff(args):
                     f"{t:.17g},{fit.slope:.17g},{fit.K2_est:.17g},{fit.lambda_eff:.17g},{int(fit.passed)}\n"
                 )
 
+    failures = sum(not fit.passed for _, fit in env_rows)
     print(f"advdiff: {len(rows)} smoothing ratios, {len(env_rows)} envelope fits, {failures} failures")
     return 1 if failures else 0
 
@@ -223,7 +220,7 @@ def _cmd_verify_inequalities(args):
     if args.poincare_samples < 1:
         raise _UsageError(f"--poincare-samples must be >= 1, got {args.poincare_samples}")
     if args.constants_path:
-        # a corrupt ledger fails here, before any output is written
+        # a corrupt ledger, or one in a missing directory, fails before any output
         with _bad_values():
             load_constants(args.constants_path)
     rows, report = ineq_mod.nash_suite(grid, args.samples, args.seed, weights)
@@ -337,6 +334,14 @@ def _cmd_report(args):
         window = _parse_window(args.window, "--window") if args.window else None
         t_grid = tuple(_parse_floats(args.t_grid))
         laminar_window = _parse_window(args.laminar_window, "--laminar-window")
+    c3 = args.c3
+    if c3 is None:
+        # a corrupt ledger, or one in a missing directory, fails before any work
+        try:
+            with _bad_values():
+                c3 = get_constant(args.constants_path, "C3")
+        except KeyError:
+            pass  # estimated from the run below and recorded in the ledger
     snap_dir = os.path.join(args.run_dir, "snapshots")
     names = sorted(n for n in os.listdir(snap_dir) if n.endswith(".bin")) if os.path.isdir(snap_dir) else []
     if not names:
@@ -348,17 +353,9 @@ def _cmd_report(args):
     for s in states:
         collector.add(s)
 
-    estimated = False
-    if args.c3 is not None:
-        c3 = args.c3
-    else:
-        try:
-            with _bad_values():
-                c3 = get_constant(args.constants_path, "C3")
-        except KeyError:
-            # estimate the flux constant from this run; it is recorded below
-            c3 = ineq_mod.flux_bound_constants(collector)["C3"].max_ratio
-            estimated = True
+    estimated = c3 is None
+    if estimated:
+        c3 = ineq_mod.flux_bound_constants(collector)["C3"].max_ratio
     cfg = diag_mod.TheoremCheckConfig(
         c3=c3, window=window, t_grid=t_grid, tau=args.tau, laminar_window=laminar_window
     )

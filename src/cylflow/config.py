@@ -160,8 +160,12 @@ def load_constants(path):
     """Read the constants ledger; returns {} when the file does not exist.
 
     A ledger that is not a JSON object of {"value": finite number, ...}
-    entries raises a ValueError that names the path and the entry.
+    entries, or one in a missing directory (it could never be written),
+    raises a ValueError that names the path and the entry.
     """
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"constants ledger {path}: directory {folder} does not exist")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)

@@ -41,22 +41,29 @@ def write_csv_records(records, path):
 
 
 def read_csv_records(path):
-    """Read a diagnostics CSV; raises on the first mismatched column name."""
+    """Read a diagnostics CSV; raises on the first mismatched column name,
+    and names the file, line and column of a value that is not a number."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"no header row in {path}")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     for i, (got, want) in enumerate(zip(header, CSV_COLUMNS)):
         if got != want:
             raise ValueError(f"column {i} is {got!r}, expected {want!r} in {path}")
     if len(header) != len(CSV_COLUMNS):
         raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(header)} in {path}")
     records = []
-    for ln in lines[1:]:
-        values = [float(s) for s in ln.split(",")]
-        if len(values) != len(CSV_COLUMNS):
-            raise ValueError(f"row with {len(values)} values, expected {len(CSV_COLUMNS)} in {path}")
+    for line_no, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(CSV_COLUMNS):
+            raise ValueError(f"row with {len(cells)} values, expected {len(CSV_COLUMNS)} in {path}")
+        values = []
+        for col, s in zip(CSV_COLUMNS, cells):
+            try:
+                values.append(float(s))
+            except ValueError:
+                raise ValueError(f"{path}, line {line_no}, column {col}: not a number: {s!r}") from None
         records.append(DiagnosticsRecord(*values))
     return records
 

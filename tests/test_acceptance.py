@@ -12,6 +12,7 @@ from cylflow.advdiff import (
     DriftSpec,
     check_gaussian_envelope,
     check_lp_lq,
+    evolve,
     fundamental_solution,
     periodized_gaussian,
 )
@@ -310,7 +311,7 @@ def test_criterion_07_heat_kernel_and_lplq_shapes():
     # sigma0^2 + 2t per direction
     errs = []
     for t in (0.01, 4.0):
-        gam = fundamental_solution(drift0, y, t, sig0, grid=g)
+        gam = fundamental_solution(drift0, y, [t], sig0, g)[t]
         exact = periodized_gaussian(g, y, np.sqrt(sig0**2 + 2 * t))
         v = min(t, np.sqrt(t))
         errs.append(abs(gam.data.max() * v - exact.data.max() * v) / (exact.data.max() * v))
@@ -320,8 +321,9 @@ def test_criterion_07_heat_kernel_and_lplq_shapes():
 
     bump = periodized_gaussian(g, y, sig0)
     times = [0.2, 0.5, 1.0, 2.0, 4.0]
-    k_free = check_lp_lq(drift0, bump, 1, np.inf, times).k1
-    k_shear = check_lp_lq(DriftSpec(kind="steady_shear_u1", amplitude=1.0), bump, 1, np.inf, times).k1
+    k_free = check_lp_lq(bump, 1, np.inf, evolve(bump, drift0, times)).k1
+    shear = DriftSpec(kind="steady_shear_u1", amplitude=1.0)
+    k_shear = check_lp_lq(bump, 1, np.inf, evolve(bump, shear, times)).k1
     assert k_shear <= 2.0 * k_free and k_free <= 2.0 * k_shear
     note(
         f"criterion 7 PASS: sup*V errors {errs[0]:.1e}, {errs[1]:.1e} (<= 1%); "
@@ -341,7 +343,7 @@ def test_criterion_08_gaussian_envelope():
     for t in (0.5, 1.0, 2.0):
         k2 = {}
         for sig in (2 * g.dx, 4 * g.dx):
-            gam = fundamental_solution(drift, y, t, sig, grid=g)
+            gam = fundamental_solution(drift, y, [t], sig, g)[t]
             fit = check_gaussian_envelope(gam, y, t, 1.0, lam)
             assert fit.passed and fit.slope <= -lam / (1 + 1.0**2)
             k2[sig] = fit.K2_est

@@ -5,10 +5,10 @@ import cylflow.advdiff
 import cylflow.solver
 from cylflow.advdiff import (
     DriftSpec,
-    advdiff_run,
     check_gaussian_envelope,
     check_lp_lq,
     duality_residual,
+    evolve,
     fundamental_solution,
     periodized_gaussian,
 )
@@ -38,6 +38,14 @@ def blob(grid, center=(8.0, 0.5), width=0.4):
     return periodized_gaussian(grid, center, width)
 
 
+def evolve_to(omega0, drift, t, **kwargs):
+    return evolve(omega0, drift, [t], **kwargs)[t]
+
+
+def gamma_at(drift, y, t, sigma0, grid):
+    return fundamental_solution(drift, y, [t], sigma0, grid)[t]
+
+
 class TestDriftSpec:
     def test_kinds_validated(self):
         with pytest.raises(ValueError):
@@ -61,18 +69,18 @@ class TestDriftSpec:
 class TestAdvdiffRun:
     def test_single_mode_heat_decay(self, grid, drift_zero):
         f = ScalarField.from_function(grid, lambda x1, x2: np.cos(2 * np.pi * x2))
-        out = advdiff_run(f, drift_zero, 0.3, dt_acc=DT)
+        out = evolve_to(f, drift_zero, 0.3, dt_acc=DT)
         expect = np.exp(-4 * np.pi**2 * 0.3) * np.cos(2 * np.pi * grid.x2)[None, :]
         assert np.abs(out.data - expect).max() / np.exp(-4 * np.pi**2 * 0.3) < 1e-10
 
     def test_constants_invariant(self, grid, drift_shear):
         f = ScalarField(grid, np.full((grid.nx, grid.ny), 1.0))
-        out = advdiff_run(f, drift_shear, 0.4, dt_acc=DT)
+        out = evolve_to(f, drift_shear, 0.4, dt_acc=DT)
         assert np.abs(out.data - 1.0).max() < 1e-12
 
     def test_mass_and_positivity(self, grid, drift_shear):
         f = blob(grid)
-        out = advdiff_run(f, drift_shear, 0.5, dt_acc=DT)
+        out = evolve_to(f, drift_shear, 0.5, dt_acc=DT)
         assert integral(out) == pytest.approx(integral(f), rel=1e-10)
         assert out.data.min() >= -1e-6 * out.data.max()
 
@@ -86,7 +94,7 @@ class TestAdvdiffRun:
         for d in drifts:
             prev = f
             for t_step in (0.1, 0.2):
-                out = advdiff_run(prev, d, 0.1, dt_acc=DT)
+                out = evolve_to(prev, d, 0.1, dt_acc=DT)
                 for p in (1, 2, np.inf):
                     assert lp_norm(out, p) <= lp_norm(prev, p) * (1 + 1e-8)
                 prev = out
@@ -94,7 +102,7 @@ class TestAdvdiffRun:
 
 class TestFundamentalSolution:
     def test_mass_one(self, grid, drift_zero):
-        gam = fundamental_solution(drift_zero, (8.0, 0.5), 0.5, 2 * grid.dx, grid=grid)
+        gam = gamma_at(drift_zero, (8.0, 0.5), 0.5, 2 * grid.dx, grid)
         assert integral(gam) == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_exact_spread(self, grid, drift_zero):
@@ -102,7 +110,7 @@ class TestFundamentalSolution:
         # sigma0^2 + 2t per direction
         sig0 = 2 * grid.dx
         t = 1.0
-        gam = fundamental_solution(drift_zero, (8.0, 0.5), t, sig0, grid=grid)
+        gam = gamma_at(drift_zero, (8.0, 0.5), t, sig0, grid)
         exact = periodized_gaussian(grid, (8.0, 0.5), np.sqrt(sig0**2 + 2 * t))
         prof_num = gam.data.max(axis=1)
         prof_exact = exact.data.max(axis=1)
@@ -111,7 +119,7 @@ class TestFundamentalSolution:
     def test_sup_times_volume_regimes(self, grid, drift_zero):
         sig0 = 2 * grid.dx
         for t in (0.01, 4.0):
-            gam = fundamental_solution(drift_zero, (8.0, 0.5), t, sig0, grid=grid)
+            gam = gamma_at(drift_zero, (8.0, 0.5), t, sig0, grid)
             exact = periodized_gaussian(grid, (8.0, 0.5), np.sqrt(sig0**2 + 2 * t))
             v = min(t, np.sqrt(t))
             assert gam.data.max() * v == pytest.approx(exact.data.max() * v, rel=1e-4)
@@ -119,23 +127,29 @@ class TestFundamentalSolution:
         assert gam.data.max() * 2.0 == pytest.approx(1 / np.sqrt(4 * np.pi), rel=0.01)
 
     def test_positivity(self, grid, drift_shear):
-        gam = fundamental_solution(drift_shear, (8.0, 0.5), 0.5, 2 * grid.dx, grid=grid)
+        gam = gamma_at(drift_shear, (8.0, 0.5), 0.5, 2 * grid.dx, grid)
         assert gam.data.min() >= -1e-6 * gam.data.max()
 
     def test_sigma0_resolution_guard(self, grid, drift_zero):
         with pytest.raises(ValueError):
-            fundamental_solution(drift_zero, (8.0, 0.5), 0.5, 0.4 * grid.dx, grid=grid)
+            gamma_at(drift_zero, (8.0, 0.5), 0.5, 0.4 * grid.dx, grid)
+
+    def test_initial_time_is_the_bump(self, grid, drift_shear):
+        bump = blob(grid, width=2 * grid.dx)
+        fields = fundamental_solution(drift_shear, (8.0, 0.5), [0.0, 0.1], 2 * grid.dx, grid)
+        assert sorted(fields) == [0.0, 0.1]
+        assert np.abs(fields[0.0].data - bump.data).max() <= 1e-14 * bump.data.max()
 
 
 class TestLpLq:
     def test_p_equals_q_never_grows(self, grid, drift_shear):
         f = blob(grid)
-        res = check_lp_lq(drift_shear, f, 2, 2, [0.1, 0.4, 1.0], dt_acc=DT)
+        res = check_lp_lq(f, 2, 2, evolve(f, drift_shear, [0.1, 0.4, 1.0], dt_acc=DT))
         assert (res.ratios <= 1 + 1e-8).all()
 
     def test_delta_like_heat_constant(self, grid, drift_zero):
         bump = blob(grid, width=2 * grid.dx)
-        res = check_lp_lq(drift_zero, bump, 1, np.inf, [0.5, 1.0, 2.0, 4.0], dt_acc=DT)
+        res = check_lp_lq(bump, 1, np.inf, evolve(bump, drift_zero, [0.5, 1.0, 2.0, 4.0], dt_acc=DT))
         # ratio approaches the 1d heat constant 1/sqrt(4 pi) and stays stable
         assert res.ratios.max() <= 1 / np.sqrt(4 * np.pi) * 1.02
         assert res.ratios[-1] == pytest.approx(1 / np.sqrt(4 * np.pi), rel=0.02)
@@ -143,28 +157,29 @@ class TestLpLq:
     def test_drift_independence(self, grid, drift_zero, drift_shear):
         bump = blob(grid, width=2 * grid.dx)
         times = [0.2, 0.5, 1.0, 2.0]
-        k_free = check_lp_lq(drift_zero, bump, 1, np.inf, times).k1
-        k_shear = check_lp_lq(drift_shear, bump, 1, np.inf, times).k1
+        k_free = check_lp_lq(bump, 1, np.inf, evolve(bump, drift_zero, times)).k1
+        k_shear = check_lp_lq(bump, 1, np.inf, evolve(bump, drift_shear, times)).k1
         assert k_shear <= 2.0 * k_free and k_free <= 2.0 * k_shear
 
     def test_exponent_validation(self, grid, drift_zero):
-        with pytest.raises(ValueError):
-            check_lp_lq(drift_zero, blob(grid), 3, 2, [0.5])
+        f = blob(grid)
+        with pytest.raises(ValueError, match="1 <= p <= q"):
+            check_lp_lq(f, 3, 2, evolve(f, drift_zero, [0.5]))
 
     def test_needs_a_time(self, grid, drift_zero):
         with pytest.raises(ValueError, match="at least one time"):
-            check_lp_lq(drift_zero, blob(grid), 1, 2, [])
+            check_lp_lq(blob(grid), 1, 2, evolve(blob(grid), drift_zero, []))
 
 
 class TestEnvelope:
     def test_pure_heat_slope(self, grid, drift_zero):
-        gam = fundamental_solution(drift_zero, (8.0, 0.5), 1.0, 2 * grid.dx, grid=grid)
+        gam = gamma_at(drift_zero, (8.0, 0.5), 1.0, 2 * grid.dx, grid)
         fit = check_gaussian_envelope(gam, (8.0, 0.5), 1.0, 0.0, 0.5)
         assert fit.slope == pytest.approx(-1.0, abs=0.08)
         assert fit.passed
 
     def test_shear_passes_configured_lambda(self, grid, drift_shear):
-        gam = fundamental_solution(drift_shear, (8.0, 0.5), 1.0, 2 * grid.dx, grid=grid)
+        gam = gamma_at(drift_shear, (8.0, 0.5), 1.0, 2 * grid.dx, grid)
         fit = check_gaussian_envelope(gam, (8.0, 0.5), 1.0, 1.0, 0.9)
         assert fit.passed and fit.slope <= -0.45
         assert np.isfinite(fit.K2_est)
@@ -173,7 +188,7 @@ class TestEnvelope:
         # sigma0 smearing keeps the fitted slope above -1, so lambda -> 1
         # on a coarse grid is a documented failure, not a crash
         coarse = make_grid(32, 16, 16.0)
-        gam = fundamental_solution(drift_zero, (8.0, 0.5), 0.5, 2 * coarse.dx, grid=coarse)
+        gam = gamma_at(drift_zero, (8.0, 0.5), 0.5, 2 * coarse.dx, coarse)
         fit = check_gaussian_envelope(gam, (8.0, 0.5), 0.5, 0.0, 0.999)
         assert not fit.passed
 
@@ -186,7 +201,7 @@ class TestEnvelope:
     def test_k2_stable_under_sigma0(self, grid, drift_shear):
         vals = []
         for sig in (2 * grid.dx, 4 * grid.dx):
-            gam = fundamental_solution(drift_shear, (8.0, 0.5), 1.0, sig, grid=grid)
+            gam = gamma_at(drift_shear, (8.0, 0.5), 1.0, sig, grid)
             vals.append(check_gaussian_envelope(gam, (8.0, 0.5), 1.0, 1.0, 0.9).K2_est)
         assert abs(vals[0] - vals[1]) <= 0.10 * max(vals)
 
@@ -200,14 +215,15 @@ def test_duality(grid, drift_shear):
 
 
 class TestSingleEvolution:
-    """`cylflow advdiff` evolves the bump once per invocation: every (p, q)
-    pair and every envelope time reads the states of that one run."""
+    """`cylflow advdiff` evolves the bump once per invocation, with one
+    `fundamental_solution` call: every (p, q) pair's `check_lp_lq` and every
+    envelope time reads the states of that one run."""
 
     LP_TIMES, ENV_TIMES = (0.05, 0.1, 0.15), (0.05, 0.15)
 
     @pytest.fixture
     def cli_run(self, tmp_path, monkeypatch):
-        counts = {"steps": 0, "evolutions": 0}
+        counts = {"steps": 0, "evolve": 0, "fundamental_solution": 0, "check_lp_lq": 0}
 
         def counted(fn, key):
             def wrapper(*args, **kwargs):
@@ -217,7 +233,8 @@ class TestSingleEvolution:
             return wrapper
 
         monkeypatch.setattr(cylflow.solver, "ifrk4_step", counted(cylflow.solver.ifrk4_step, "steps"))
-        monkeypatch.setattr(cylflow.advdiff, "_evolve", counted(cylflow.advdiff._evolve, "evolutions"))
+        for name in ("evolve", "fundamental_solution", "check_lp_lq"):
+            monkeypatch.setattr(cylflow.advdiff, name, counted(getattr(cylflow.advdiff, name), name))
         out = tmp_path / "adv"
         code = main([
             "advdiff", "--drift", "steady_shear_u1", "--nx", "32", "--ny", "16", "--lambda", "8",
@@ -226,7 +243,7 @@ class TestSingleEvolution:
         ])
         assert code in (0, 1)
         cli_counts = dict(counts)
-        counts.update(steps=0, evolutions=0)
+        counts.update(dict.fromkeys(counts, 0))
         g = make_grid(32, 16, 8.0)
         y, sigma0 = (g.lam / 2.0, 0.5), 2.0 * max(g.dx, g.dy)
         ctx = dict(grid=g, drift=DriftSpec(kind="steady_shear_u1", amplitude=1.0), y=y, sigma0=sigma0,
@@ -240,8 +257,9 @@ class TestSingleEvolution:
 
     def test_steps_of_one_run_to_the_last_time(self, cli_run):
         _, cli_counts, ctx = cli_run
-        advdiff_run(ctx["bump"], ctx["drift"], max(self.LP_TIMES + self.ENV_TIMES))
-        assert cli_counts["evolutions"] == 1
+        assert cli_counts["evolve"] == cli_counts["fundamental_solution"] == 1
+        assert cli_counts["check_lp_lq"] == 2
+        evolve(ctx["bump"], ctx["drift"], [max(self.LP_TIMES + self.ENV_TIMES)])
         assert cli_counts["steps"] == ctx["counts"]["steps"] > 0
 
     def test_lplq_is_check_lp_lq_to_the_bit(self, cli_run):
@@ -249,7 +267,7 @@ class TestSingleEvolution:
         rows = self.rows(out / "lplq.csv")
         assert len(rows) == 6
         for i, (p, q) in enumerate([(1.0, np.inf), (2.0, 2.0)]):
-            res = check_lp_lq(ctx["drift"], ctx["bump"], p, q, self.LP_TIMES)
+            res = check_lp_lq(ctx["bump"], p, q, evolve(ctx["bump"], ctx["drift"], self.LP_TIMES))
             got = rows[3 * i: 3 * i + 3]
             assert [float(r[2]) for r in got] == list(res.times)
             assert [float(r[3]) for r in got] == list(res.ratios)
@@ -258,15 +276,20 @@ class TestSingleEvolution:
         out, _, ctx = cli_run
         rows = self.rows(out / "envelope.csv")
         assert [float(r[0]) for r in rows] == list(self.ENV_TIMES)
+        fields = fundamental_solution(ctx["drift"], ctx["y"], self.LP_TIMES + self.ENV_TIMES, ctx["sigma0"],
+                                      ctx["grid"])
         for i, t in enumerate(self.ENV_TIMES):
-            gam = fundamental_solution(ctx["drift"], ctx["y"], t, ctx["sigma0"], grid=ctx["grid"])
-            fit = check_gaussian_envelope(gam, ctx["y"], t, 1.0, 0.9)
-            expect = [fit.slope, fit.K2_est, fit.lambda_eff]
+            fit = check_gaussian_envelope(fields[t], ctx["y"], t, 1.0, 0.9)
             got = [float(v) for v in rows[i][1:4]]
+            # the same captures: to the bit
+            assert got == [fit.slope, fit.K2_est, fit.lambda_eff]
+            assert rows[i][4] == str(int(fit.passed))
+            alone = fundamental_solution(ctx["drift"], ctx["y"], [t], ctx["sigma0"], ctx["grid"])[t]
+            fit = check_gaussian_envelope(alone, ctx["y"], t, 1.0, 0.9)
+            expect = [fit.slope, fit.K2_est, fit.lambda_eff]
             if i == 0:
                 # the earliest capture: the same steps as a run to t alone
                 assert got == expect
             else:
                 # later captures follow landing steps at the earlier times
                 assert got == pytest.approx(expect, rel=1e-8)
-            assert rows[i][4] == str(int(fit.passed))

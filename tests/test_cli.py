@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ import pytest
 
 from cylflow.cli import _build_parser, main
 from cylflow.config import EstimatedConstant, RunConfig, update_constant
-from cylflow.diagnostics import TrajectoryCollector
+from cylflow.diagnostics import CSV_COLUMNS, TrajectoryCollector
 from cylflow.io import read_csv_records, read_state
 from cylflow.spectral import to_physical
 
@@ -362,6 +363,34 @@ class TestInputFaults:
         self._one_line(capsys, "verify-inequalities", str(const), word)
         assert const.read_text() == text and not out.exists()
 
+    def test_verify_inequalities_ledger_in_missing_directory(self, tmp_path, capsys):
+        const = tmp_path / "nodir" / "c.json"
+        out = tmp_path / "out"
+        argv = ["verify-inequalities", "--samples", "4", "--poincare-samples", "1", "--nx", "16", "--ny", "16"]
+        assert run_cli(*argv, "--constants", str(const), "--out", str(out)) == 2
+        self._one_line(capsys, "verify-inequalities", str(const))
+        assert not out.exists() and not const.parent.exists()
+
+    def test_report_ledger_in_missing_directory(self, sim_dir, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("read a snapshot")
+
+        monkeypatch.setattr("cylflow.cli.read_state", no_work)
+        const = tmp_path / "nodir" / "c.json"
+        rep_path = tmp_path / "report.json"
+        argv = ["report", "--run-dir", sim_dir, "--constants", str(const), "--out", str(rep_path)]
+        assert run_cli(*argv) == 2
+        self._one_line(capsys, "report", str(const))
+        assert not rep_path.exists() and not const.parent.exists()
+
+    def test_fit_rates_bad_value_is_located(self, tmp_path, capsys):
+        csv = tmp_path / "bad.csv"
+        values = ["0.5"] * len(CSV_COLUMNS)
+        values[CSV_COLUMNS.index("sup_u")] = "x"
+        csv.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(values) + "\n")
+        assert run_cli("fit-rates", "--csv", str(csv), "--t-lo", "0", "--t-hi", "1") == 2
+        self._one_line(capsys, "fit-rates", "bad.csv", "line 2", "sup_u", "'x'")
+
     @pytest.mark.parametrize("fault", ["truncated", "full_layout", "no_meta"])
     def test_report_bad_snapshot(self, fault, sim_dir, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -397,3 +426,24 @@ class TestInputFaults:
         assert run_cli(*argv) == 2
         self._one_line(capsys, "report", "state_00002.bin.meta", key)
         assert not const.exists() and not rep_path.exists()
+
+
+def test_cli_uses_only_public_names_of_the_package():
+    """The command line runs the package's public functions: no `_`-prefixed
+    name of another cylflow module, imported or read as an attribute."""
+    import cylflow.cli
+
+    tree = ast.parse(open(cylflow.cli.__file__, encoding="utf-8").read())
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    private.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if node.attr.startswith("_"):
+                private.append(f"{node.value.id}.{node.attr}")
+    assert modules and not private, private

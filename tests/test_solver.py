@@ -10,9 +10,9 @@ import cylflow.solver
 from cylflow.advdiff import (
     DriftSpec,
     _shear_advection,
-    advdiff_run,
     check_lp_lq,
     duality_residual,
+    evolve,
     fundamental_solution,
     periodized_gaussian,
 )
@@ -24,6 +24,7 @@ from cylflow.solver import (
     InstabilityError,
     _march,
     _nonlinear_ns,
+    _sup_speed_with_mean,
     cfl_dt,
     make_initial_data,
     mean_flow_profile,
@@ -42,6 +43,19 @@ from cylflow.spectral import (
     to_spectral,
     vertical_average,
 )
+
+
+def bisected_mean_flow(u, target):
+    """The 200-step bisection that once set `m_mean`: the oracle for
+    `make_initial_data`'s closed form."""
+    lo, hi = 0.0, target + _sup_speed_with_mean(u, 0.0) + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _sup_speed_with_mean(u, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 class TestInitialData:
@@ -74,6 +88,37 @@ class TestInitialData:
         assert abs(sup_u - 4.0) <= 0.05 * 4.0
         # <u1> = 0 in the default frame
         assert np.abs(vertical_average(u.u1).values).max() < 1e-12
+
+    @pytest.mark.parametrize("shape", [(32, 32, 8.0), (48, 48, 4.0), (64, 64, 16.0), (128, 64, 8.0)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_mean_flow_is_the_bisection_crossing(self, shape):
+        g = make_grid(*shape)
+        for kind, seeds in (("random_bandlimited", range(6)), ("vertical_shear", [0])):
+            for seed in seeds:
+                # far above, just above and one part in 1e12 above the sup
+                # speed that the vorticity induces
+                for romega, ratio in ((1.0, 10.0), (20.0, 1.5), (6.0, 1.001), (3.0, 1.0 + 1e-12)):
+                    spec = InitialDataSpec(kind=kind, seed=seed, target_romega=romega)
+                    w = make_initial_data(spec, g).omega.data
+                    u = cylflow.solver._velocity_arrays(g, w, 0.0, 0.0)
+                    target = ratio * _sup_speed_with_mean(u, 0.0)
+                    st = make_initial_data(replace(spec, target_ru=target), g)
+                    assert st.m_mean == bisected_mean_flow(u, target)
+
+    def test_mean_flow_of_the_cfl_benchmark_state(self):
+        # 128x128, R_omega 20, R_u 30, seed 0: the closed form alone is 1 ulp low
+        g = make_grid(128, 128, 16.0)
+        spec = InitialDataSpec(kind="random_bandlimited", seed=0, target_romega=20.0, target_ru=30.0)
+        st = make_initial_data(spec, g)
+        u = cylflow.solver._velocity_arrays(g, st.omega.data, 0.0, 0.0)
+        assert st.m_mean == bisected_mean_flow(u, 30.0)
+
+    def test_mean_flow_target_equal_to_base(self, grid64):
+        spec = InitialDataSpec(kind="random_bandlimited", seed=1, target_romega=5.0)
+        st = make_initial_data(spec, grid64)
+        base = _sup_speed_with_mean(cylflow.solver._velocity_arrays(grid64, st.omega.data, 0.0, 0.0), 0.0)
+        out = make_initial_data(replace(spec, target_ru=base), grid64)
+        assert out.m_mean == 0.0 and np.array_equal(out.omega.data, st.omega.data)
 
     def test_unreachable_targets(self, grid64):
         with pytest.raises(ValueError):
@@ -273,7 +318,7 @@ class TestRun:
             run(st, 0.1, diag_times=[0.5])
 
     @pytest.mark.parametrize("label", [
-        "advdiff_run inf", "advdiff_run nan", "fundamental_solution inf", "fundamental_solution nan",
+        "evolve inf", "evolve nan", "fundamental_solution inf", "fundamental_solution nan",
         "check_lp_lq inf", "duality_residual nan", "run inf", "run below t0",
     ])
     def test_end_time_rejected_before_any_step(self, label, monkeypatch):
@@ -290,11 +335,11 @@ class TestRun:
         f = periodized_gaussian(g, (4.0, 0.5), 0.5)
         inf, nan = math.inf, math.nan
         call = {
-            "advdiff_run inf": lambda: advdiff_run(f, d, inf),
-            "advdiff_run nan": lambda: advdiff_run(f, d, nan),
-            "fundamental_solution inf": lambda: fundamental_solution(d, (4.0, 0.5), inf, 0.5, grid=g),
-            "fundamental_solution nan": lambda: fundamental_solution(d, (4.0, 0.5), nan, 0.5, grid=g),
-            "check_lp_lq inf": lambda: check_lp_lq(d, f, 1, 2, [0.1, inf]),
+            "evolve inf": lambda: evolve(f, d, [inf]),
+            "evolve nan": lambda: evolve(f, d, [nan]),
+            "fundamental_solution inf": lambda: fundamental_solution(d, (4.0, 0.5), [inf], 0.5, g),
+            "fundamental_solution nan": lambda: fundamental_solution(d, (4.0, 0.5), [nan], 0.5, g),
+            "check_lp_lq inf": lambda: check_lp_lq(f, 1, 2, evolve(f, d, [0.1, inf])),
             "duality_residual nan": lambda: duality_residual(d, f, f, nan),
             "run inf": lambda: run(make_initial_data(InitialDataSpec(kind="shear_eigenmode"), g), inf),
             "run below t0": lambda: run(make_initial_data(InitialDataSpec(kind="shear_eigenmode"), g), -0.1),
@@ -563,7 +608,8 @@ class TestRealSpectrumCore:
             ("step", lambda: step(st, 1e-3)),
             ("cfl_dt", lambda: cfl_dt(st)),
             ("cfl_dt+step", lambda: step(fresh, cfl_dt(fresh))),
-            ("advdiff_step", lambda: advdiff_run(bump, drift, 1e-3, dt_acc=1e-3)),
+            ("advdiff_t0", lambda: evolve(bump, drift, [0.0])),
+            ("advdiff_step", lambda: evolve(bump, drift, [1e-3], dt_acc=1e-3)),
             ("add", lambda: TrajectoryCollector().add(st)),
         ):
             calls.clear()
@@ -571,7 +617,10 @@ class TestRealSpectrumCore:
             made[label] = list(calls)
         budget = {label: len(c) for label, c in made.items()}
         # cfl_dt computes stage a of the next step, and step reuses it
-        assert budget == {"step": 16, "cfl_dt": 4, "cfl_dt+step": 16, "advdiff_step": 0, "add": 4}
+        assert budget == {"step": 16, "cfl_dt": 4, "cfl_dt+step": 16, "advdiff_t0": 1, "advdiff_step": 1, "add": 4}
+        # an advdiff step makes none: evolve's one transform is the inverse
+        # of the field it returns, as at t = 0
+        assert made["advdiff_step"] == made["advdiff_t0"] == [("irfft2", (64, 33), (64, 64))]
         # a stage: the banded inverse of (u1, u2), whose x1 stage runs on the
         # columns n <= 21 only, and the banded forward of the two products
         stage = [
