@@ -24,6 +24,7 @@ from .spectral import (
     _as_physical_data,
     _as_spectral_data,
     _inverse,
+    _parseval_l2,
     circular_distance,
     lp_norm,
 )
@@ -111,7 +112,8 @@ class LpLqCheck:
 
 def _shear_advection(grid, drift):
     """The dealiased tendency -u.grad(omega) = -a(t) sin(2 pi x2) d1 omega
-    of the drift, as a function of (w_hat, t); it makes no transform.
+    of the drift, as a function of (w_hat, t, out) that writes into `out`
+    and returns it; it makes no transform.
 
     sin(2 pi x2) shifts the vertical mode by one either way, so column n is
     -(a k1 / 2) (w_hat[j, n-1] - w_hat[j, n+1]), cut to the dealias band.
@@ -124,8 +126,8 @@ def _shear_advection(grid, drift):
     half_k1 = 0.5 * grid.k1_odd[:, None] * grid.dealias_mask[:, :nb]
     neg_rows = -np.arange(grid.nx) % grid.nx  # row i holds mode j; neg_rows[i] holds -j
 
-    def tendency(w, t):
-        out = np.zeros_like(w)
+    def tendency(w, t, out):
+        out[:, nb:] = 0.0
         band = out[:, :nb]
         band[:, 0] = np.conj(w[neg_rows, 1])
         band[:, 1:] = w[:, : nb - 1]
@@ -138,23 +140,31 @@ def _shear_advection(grid, drift):
 
 def evolve(omega0, drift, times, *, dt_acc=1e-3):
     """One evolution of omega0 from t = 0 to the last of `times`, landing
-    exactly on each; returns {t: physical omega(t)}.  t = 0 is allowed, and
-    an empty `times` makes no step and returns {}."""
+    exactly on each; returns {t: physical omega(t)}, each a new array.
+    t = 0 is allowed and maps to omega0's own physical values; an empty
+    `times` makes no step and returns {}.  The steps share one work block,
+    allocated here."""
     grid = omega0.grid
     captured = {}
     tendency = _shear_advection(grid, drift)
     sup_sin = np.abs(np.sin(2.0 * np.pi * grid.x2)).max()
+    w0 = _as_spectral_data(omega0)
+    work = np.empty((6,) + w0.shape, dtype=np.complex128)
+    norm = _parseval_l2(w0)
 
     def limit(w, t):
         return _cfl_limit(grid, abs(drift.amplitude_at(t)) * sup_sin, 0.0, dt_acc)
 
     def advance(w, t, dt, t_new):
-        return _guarded_step(grid, w, t, dt, tendency)
+        nonlocal norm
+        w, norm = _guarded_step(grid, w, t, dt, tendency, norm, work=work)
+        return w
 
     def visit(w, tc):
-        captured[tc] = ScalarField(grid, _inverse(grid, w))
+        # t = 0 is omega0 as given, not its transform round trip
+        captured[tc] = ScalarField(grid, _as_physical_data(omega0).copy() if tc == 0.0 else _inverse(grid, w))
 
-    _march(_as_spectral_data(omega0), 0.0, max(times, default=0.0), times, limit, advance, visit)
+    _march(w0, 0.0, max(times, default=0.0), times, limit, advance, visit)
     return captured
 
 

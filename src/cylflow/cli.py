@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -156,15 +157,16 @@ def _cmd_advdiff(args):
         raise _UsageError(f"--y1 and --y2 must be finite, got {y[0]:g}, {y[1]:g}")
     sigma0 = args.sigma0 or 2.0 * max(grid.dx, grid.dy)
     # one evolution of the bump serves every smoothing ratio and envelope
-    # fit; a bad sigma0 fails here, before --out is created
-    lp_times = times if ps else []
+    # fit, and its t = 0 field is the bump itself, the ratios' denominator;
+    # a bad sigma0 fails here, before --out is created
+    lp_times = [0.0] + times if ps else []
     with _bad_values():
         fields = advdiff_mod.fundamental_solution(drift, y, lp_times + env_times, sigma0, grid, dt_acc=args.dt_acc)
     os.makedirs(args.out_dir, exist_ok=True)
 
     rows = []
     if ps:
-        bump = advdiff_mod.periodized_gaussian(grid, y, sigma0)
+        bump = fields[0.0]
         lp_fields = {t: fields[t] for t in times}
         for p, q in zip(ps, qs):
             res = advdiff_mod.check_lp_lq(bump, p, q, lp_fields)
@@ -477,8 +479,15 @@ def _build_parser():
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _parser():
+    """The one parser of the process, built on first use; parsing leaves it
+    as it was."""
+    return _build_parser()
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except _UsageError as exc:

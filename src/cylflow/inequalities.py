@@ -12,21 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .spectral import (
+    SPECTRAL,
     ScalarField,
     _as_physical_data,
     _as_spectral_data,
     _band_mask,
-    _derivative_multiplier,
     _forward,
     _inverse,
-    _parseval_l2,
+    _x2_mean_weights,
     circular_distance,
-    lp_norm,
-    spectral_derivative,
 )
 
 __all__ = [
@@ -63,22 +62,41 @@ class NashCheck:
     psi_c: float
 
 
-def _grad_l2(f):
-    """||grad f||_2 from the coefficients by Parseval; no transform."""
-    g = f.grid
-    spec = _as_spectral_data(f)
-    norms = (_parseval_l2(_derivative_multiplier(g, axis) * spec) for axis in (1, 2))
-    return math.sqrt(g.lam) * math.hypot(*norms)
+@lru_cache(maxsize=8)
+def _derivative_weights(grid, axes):
+    """Read-only table of Parseval weights for the half spectrum viewed as
+    float64: the sum over `axes` of the Nyquist-zeroed k_axis^2 of
+    `spectral_derivative`, times the column weights 1, 2, ..., 2, 1 of
+    `_x2_mean_weights`."""
+    ksq = np.zeros(grid.shape(SPECTRAL))
+    if 1 in axes:
+        ksq += grid.k1_odd[:, None] ** 2
+    if 2 in axes:
+        ksq += grid.k2_odd[None, : ksq.shape[1]] ** 2
+    w = np.repeat(ksq, 2, axis=1) * _x2_mean_weights(grid)
+    w.setflags(write=False)
+    return w
+
+
+def _derivative_sq(f, axes):
+    """Sum over `axes` of ||d_axis f||_2^2 in one weighted sum over the
+    coefficients; no inverse transform."""
+    v = _as_spectral_data(f).view(np.float64)
+    return f.grid.lam * float(np.vdot(v * v, _derivative_weights(f.grid, axes)))
 
 
 def nash_check(f):
     """Both branches of the cylinder Nash inequality and the psi-form
-    constant for one sample field, from one evaluation of its norms."""
-    l1 = lp_norm(f, 1)
-    l2 = lp_norm(f, 2)
+    constant for one sample field, from one evaluation of its norms:
+    ||f||_1 and ||f||_2 by quadrature of the physical samples, ||grad f||_2
+    by Parseval."""
+    g = f.grid
+    phys = _as_physical_data(f).ravel()
+    l1 = float(np.abs(phys).sum() * g.cell_area)
+    l2 = math.sqrt(float(phys @ phys) * g.cell_area)
     if l2 == 0.0:
         raise ValueError("the Nash checks require a nonzero field")
-    gl2 = _grad_l2(f)
+    gl2 = math.sqrt(_derivative_sq(f, (1, 2)))
     b1 = gl2 ** (1.0 / 3.0) * l1 ** (2.0 / 3.0)
     b2 = math.sqrt(gl2) * math.sqrt(l1)
     x = l2 / l1
@@ -88,7 +106,8 @@ def nash_check(f):
 
 
 def poincare_check(f, tol=1e-10):
-    """Poincare-Wirtinger ratio int f^2 / ((1/4pi^2) int |d2 f|^2).
+    """Poincare-Wirtinger ratio int f^2 / ((1/4pi^2) int |d2 f|^2), the
+    denominator by Parseval.
 
     Requires zero vertical average for every x1; at most 1 for band-limited
     fields, with equality exactly on the span of the |n| = 1 modes.
@@ -101,7 +120,7 @@ def poincare_check(f, tol=1e-10):
     if np.abs(phys.mean(axis=1)).max() > tol * sup:
         raise ValueError("poincare_check requires zero vertical average per x1")
     num = float((phys**2).sum() * g.cell_area)
-    den = lp_norm(spectral_derivative(f, 2), 2) ** 2 / (4.0 * np.pi**2)
+    den = _derivative_sq(f, (2,)) / (4.0 * np.pi**2)
     return num / den
 
 
@@ -172,6 +191,15 @@ def _periodized_bump_profile(x, center, width, period):
     return out
 
 
+@lru_cache(maxsize=8)
+def _generic_band(grid):
+    """Read-only mask of the generic family's band."""
+    band = max(2, min(grid.nx, grid.ny) // 6)
+    mask = _band_mask(grid, band, band)
+    mask.setflags(write=False)
+    return mask
+
+
 def sample_test_field(grid, rng, family):
     """One random test field from the named family.
 
@@ -195,13 +223,13 @@ def sample_test_field(grid, rng, family):
         d2 = circular_distance(x2, c2, 1.0)
         vals = np.exp(-(d1**2 + d2**2) / (2.0 * w**2))
     elif family == "vertical":
-        vals = np.zeros((grid.nx, grid.ny))
+        prof = np.zeros(grid.ny)
         for n in range(1, 4):
-            vals += rng.normal() * np.cos(2.0 * np.pi * n * x2 + rng.uniform(0, 2 * np.pi)) * np.ones_like(x1)
+            prof += rng.normal() * np.cos(2.0 * np.pi * n * grid.x2 + rng.uniform(0, 2 * np.pi))
+        vals = np.broadcast_to(prof, grid.shape())
     elif family == "generic":
-        band = max(2, min(grid.nx, grid.ny) // 6)
         spec = _forward(rng.standard_normal((grid.nx, grid.ny)))
-        vals = _inverse(grid, spec * _band_mask(grid, band, band))
+        vals = _inverse(grid, spec * _generic_band(grid))
     else:
         raise ValueError(f"unknown field family {family!r}")
     vals = vals - vals.mean()

@@ -99,7 +99,14 @@ class FlowState:
     def _stage_a(self):
         """(tendency, (sup|u1|, sup|u2|)) of this state: stage a of its next
         step, computed by `cfl_dt` and taken over by `step`."""
-        return _nonlinear_ns(self.grid, self.c, self.m_mean)(self.omega.data, self.t, speeds=True)
+        w = self.omega.data
+        return _nonlinear_ns(self.grid, self.c, self.m_mean)(w, self.t, np.empty_like(w), speeds=True)
+
+    @cached_property
+    def _norm(self):
+        """Coefficient L2 norm of omega: the growth guard's pre-step norm
+        for the next step, set by the `step` that made this state."""
+        return _parseval_l2(self.omega.data)
 
 
 @dataclass(frozen=True)
@@ -170,9 +177,9 @@ def _basdevant_tables(grid):
 def _nonlinear_ns(grid, c, m_mean):
     t0, t1 = _basdevant_tables(grid)
 
-    def tendency(w_hat, t, speeds=False):
-        """The tendency at w_hat; with speeds=True, the pair (tendency,
-        (sup|u1|, sup|u2|)), read off the same batched inverse.
+    def tendency(w_hat, t, out, speeds=False):
+        """The tendency at w_hat, written into `out`; with speeds=True, the
+        pair (out, (sup|u1|, sup|u2|)), read off the same batched inverse.
 
         Only the dealiased band of w_hat is read: modes outside it neither
         move the tendency nor the speeds.
@@ -184,7 +191,7 @@ def _nonlinear_ns(grid, c, m_mean):
         u *= u
         np.subtract(u[1], u[0], out=q[0])
         q_hat = _forward_banded(grid, q)
-        out = t0 * q_hat[0]
+        np.multiply(t0, q_hat[0], out=out)
         q_hat[1] *= t1
         out += q_hat[1]
         return (out, sup) if speeds else out
@@ -200,39 +207,44 @@ def _exp_factors(grid, dt):
     return E, E * E
 
 
-def ifrk4_step(grid, w_hat, t, dt, tendency, a=None):
+def ifrk4_step(grid, w_hat, t, dt, tendency, a=None, work=None):
     """One integrating-factor RK4 step for dw/dt = tendency(w, t) - |k|^2 w
     on spectral coefficients.  `a`, if given, is tendency(w_hat, t).
 
     Diffusion is integrated exactly; only decaying exponentials appear.
-    The stage inputs and the final combination are formed in one scratch
-    block of two arrays, with the roundings of
+    `work`, of shape (6,) + w_hat.shape and complex, holds two scratch
+    arrays and the four stage slots; without it the step allocates one.
+    The stage inputs and the final combination are formed in the scratch
+    arrays, with the roundings of
 
         b = tendency(E (w + dt/2 a)),  c = tendency(E w + dt/2 b),
         d = tendency(E2 w + dt (E c)),
         w_new = E2 w + dt/6 (E2 a + 2E (b + c) + d)
 
     evaluated left to right: each operation is the formula's, up to the
-    order of its two operands.  tendency must neither keep nor return its
-    argument, which is overwritten.
+    order of its two operands.  tendency(w, t, out) writes its value into
+    the slot `out` and returns it; it must not keep its argument, which is
+    overwritten.  w_new is a new array, never part of the block.
     """
     E, E2 = _exp_factors(grid, dt)
+    if work is None:
+        work = np.empty((6,) + w_hat.shape, dtype=np.complex128)
+    x, y, a_slot, b, c, d = work
     if a is None:
-        a = tendency(w_hat, t)
-    x, y = np.empty((2,) + w_hat.shape, dtype=np.complex128)
+        a = tendency(w_hat, t, a_slot)
     np.multiply(a, 0.5 * dt, out=x)
     x += w_hat
     x *= E
-    b = tendency(x, t + 0.5 * dt)
+    tendency(x, t + 0.5 * dt, b)
     np.multiply(E, w_hat, out=x)
     np.multiply(b, 0.5 * dt, out=y)
     x += y
-    c = tendency(x, t + 0.5 * dt)
+    tendency(x, t + 0.5 * dt, c)
     np.multiply(E, c, out=y)
     y *= dt
     np.multiply(E2, w_hat, out=x)
     x += y
-    d = tendency(x, t + dt)
+    tendency(x, t + dt, d)
     np.add(b, c, out=x)
     x *= 2.0 * E
     np.multiply(E2, a, out=y)
@@ -265,15 +277,15 @@ def cfl_dt(state, dt_acc=DEFAULT_DT_ACC):
     return _cfl_limit(state.grid, *state._stage_a[1], dt_acc)
 
 
-def _guarded_step(grid, w_hat, t, dt, tendency, a=None):
+def _guarded_step(grid, w_hat, t, dt, tendency, pre, a=None, work=None):
     """ifrk4_step that raises InstabilityError if the coefficient L2 norm
-    grows by more than 10x."""
-    pre = _parseval_l2(w_hat)
-    w_new = ifrk4_step(grid, w_hat, t, dt, tendency, a)
+    grows by more than 10x.  `pre` is the norm of w_hat, as returned by the
+    step that made it; returns (w_new, its norm)."""
+    w_new = ifrk4_step(grid, w_hat, t, dt, tendency, a, work)
     post = _parseval_l2(w_new)
     if not np.isfinite(post) or post > 10.0 * pre + 1e-300:
         raise InstabilityError(f"norm grew {post / max(pre, 1e-300):.3g}x in one step at t={t:.6g}", t=t)
-    return w_new
+    return w_new, post
 
 
 def step(state, dt):
@@ -282,15 +294,19 @@ def step(state, dt):
     The velocity is reconstructed from the stage vorticity at every stage;
     c and m_mean are conserved.  Stage a is taken from `cfl_dt` if it ran
     on this state, and dropped from the state either way.  Raises
-    InstabilityError if the vorticity L2 norm grows by more than 10x.
+    InstabilityError if the vorticity L2 norm grows by more than 10x; the
+    new state carries its norm for the guard of its own step.
     """
     if not (0.0 < dt < math.inf):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     g = state.grid
     stage = state.__dict__.pop("_stage_a", None)
     a = None if stage is None else stage[0]
-    w_new = _guarded_step(g, state.omega.data, state.t, dt, _nonlinear_ns(g, state.c, state.m_mean), a)
-    return replace(state, omega=ScalarField(g, w_new, SPECTRAL), t=state.t + dt)
+    tendency = _nonlinear_ns(g, state.c, state.m_mean)
+    w_new, norm = _guarded_step(g, state.omega.data, state.t, dt, tendency, state._norm, a)
+    new = replace(state, omega=ScalarField(g, w_new, SPECTRAL), t=state.t + dt)
+    new.__dict__["_norm"] = norm
+    return new
 
 
 def _march(x, t0, t1, times, limit, advance, visit):

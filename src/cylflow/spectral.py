@@ -271,7 +271,8 @@ def _x2_mean_weights(grid):
 
     This is discrete Parseval in x2, exact for any input: columns 0 and
     ny/2 count once, columns 1..ny/2-1 twice (for their conjugates).  Each
-    weight is repeated for the real and imaginary parts.
+    weight is repeated for the real and imaginary parts.  They weigh the
+    columns of any half spectrum of `grid` in Parseval's sum.
     """
     w = np.full(grid._ncols, 2.0)
     w[[0, -1]] = 1.0

@@ -13,7 +13,7 @@ from cylflow.advdiff import (
     periodized_gaussian,
 )
 from cylflow.cli import main
-from cylflow.spectral import ScalarField, integral, lp_norm, make_grid
+from cylflow.spectral import ScalarField, integral, lp_norm, make_grid, to_physical, to_spectral
 
 
 DT = 2e-3  # linear runs; RK4 error is far below the test tolerances
@@ -293,3 +293,57 @@ class TestSingleEvolution:
             else:
                 # later captures follow landing steps at the earlier times
                 assert got == pytest.approx(expect, rel=1e-8)
+
+
+class TestWorkBlock:
+    """`evolve` hands one work block to every step of an evolution."""
+
+    DRIFTS = [
+        DriftSpec(kind="zero"),
+        DriftSpec(kind="steady_shear_u1", amplitude=1.5),
+        DriftSpec(kind="time_periodic_shear", amplitude=2.0, period=0.3),
+    ]
+    TIMES = [0.0, 0.05, 0.12]
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Records the block of every step, or drops it when told to."""
+        seen = {"blocks": [], "drop": False}
+        step = cylflow.solver.ifrk4_step
+
+        def recorded(grid, w_hat, t, dt, tendency, a=None, work=None):
+            seen["blocks"].append(work)
+            return step(grid, w_hat, t, dt, tendency, a, None if seen["drop"] else work)
+
+        monkeypatch.setattr(cylflow.solver, "ifrk4_step", recorded)
+        return seen
+
+    @pytest.mark.parametrize("drift", DRIFTS, ids=lambda d: d.kind)
+    def test_bits_of_fresh_arrays(self, drift, blocks):
+        g = make_grid(64, 16, 8.0)
+        f = blob(g, center=(4.0, 0.3), width=0.5)
+        shared = evolve(f, drift, self.TIMES)
+        blocks["drop"] = True
+        fresh = evolve(f, drift, self.TIMES)
+        assert sorted(shared) == sorted(fresh) == self.TIMES
+        assert all(shared[t].data.tobytes() == fresh[t].data.tobytes() for t in self.TIMES)
+
+    def test_one_block_that_no_field_aliases(self, blocks):
+        g = make_grid(64, 16, 8.0)
+        f = blob(g, center=(4.0, 0.3), width=0.5)
+        fields = evolve(f, self.DRIFTS[2], self.TIMES)
+        work = blocks["blocks"][0]
+        assert len(blocks["blocks"]) > 10 and all(b is work for b in blocks["blocks"])
+        assert work.shape == (6, g.nx, g.ny // 2 + 1)
+        # t = 0 is the input's own values; every time is a new array
+        assert fields[0.0].data.tobytes() == f.data.tobytes()
+        assert not any(np.shares_memory(fields[t].data, a) for t in self.TIMES for a in (work, f.data))
+
+    def test_initial_time_in_either_representation(self):
+        """t = 0 is omega0's own physical values, whichever way it is given."""
+        g = make_grid(64, 16, 8.0)
+        f = blob(g, center=(4.0, 0.3), width=0.5)
+        spec = to_spectral(f)
+        for omega0, want in ((f, f.data), (spec, to_physical(spec).data)):
+            got = evolve(omega0, self.DRIFTS[1], [0.0, 0.05])[0.0]
+            assert got.repr == "physical" and got.data.tobytes() == want.tobytes()

@@ -447,3 +447,25 @@ def test_cli_uses_only_public_names_of_the_package():
             if node.attr.startswith("_"):
                 private.append(f"{node.value.id}.{node.attr}")
     assert modules and not private, private
+
+
+def test_successive_calls_behave_like_fresh_ones(tmp_path, capsys):
+    """main parses with one parser per process; a call leaves nothing
+    behind for the next one, also when it failed on a bad value."""
+    import cylflow.cli
+
+    argvs = [
+        ["simulate", "--nx", "32", "--ny", "32", "--lambda", "8", "--t-end", "0.05", "--diag-step", "0.05",
+         "--kind", "shear_eigenmode", "--target-romega", "1.0", "--out", str(tmp_path / "sim"), "--no-snapshots"],
+        ["verify-inequalities", "--samples", "1", "--out", str(tmp_path / "bad")],
+        ["verify-inequalities", "--samples", "80", "--poincare-samples", "10", "--nx", "32", "--ny", "32",
+         "--lambda", "8", "--out", str(tmp_path / "ineq")],
+    ]
+    assert [main(argv) for argv in argvs] == [0, 2, 0]
+    assert cylflow.cli._parser() is cylflow.cli._parser()
+    for argv in argvs:
+        assert vars(cylflow.cli._parser().parse_args(argv)) == vars(_build_parser().parse_args(argv))
+    assert (tmp_path / "sim" / "diagnostics.csv").exists() and not (tmp_path / "bad").exists()
+    summary = json.load(open(tmp_path / "ineq" / "summary.json"))
+    assert summary["samples"] == 80 and summary["config"]["seed"] == 0
+    assert "--samples" in capsys.readouterr().err

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cylflow.inequalities
 from cylflow.diagnostics import TheoremCheckConfig, TrajectoryCollector, theorem_checks
 from cylflow.inequalities import (
     FIELD_FAMILIES,
-    _grad_l2,
+    _derivative_sq,
     flux_bound_constants,
     nash_check,
     nash_suite,
@@ -62,24 +63,31 @@ class TestNashCheck:
 
 
 class TestGradL2:
-    """nash_check takes ||grad f||_2 from the coefficients by Parseval; it
-    must equal the grid quadrature of the spectral derivatives."""
+    """nash_check takes ||grad f||_2^2, and poincare_check ||d2 f||_2^2, from
+    the coefficients in one weighted Parseval sum; each must equal the grid
+    quadrature of the spectral derivatives."""
 
     @staticmethod
-    def quadrature(f):
-        return math.hypot(*(lp_norm(spectral_derivative(f, axis), 2) for axis in (1, 2)))
+    def quadrature(f, axes):
+        return sum(lp_norm(spectral_derivative(f, axis), 2) ** 2 for axis in axes)
+
+    def check(self, f):
+        grad = self.quadrature(f, (1, 2))
+        assert _derivative_sq(f, (1, 2)) == pytest.approx(grad, rel=1e-12)
+        # d2 alone vanishes up to roundoff on the broad family; hold it to
+        # roundoff of the whole gradient there
+        assert _derivative_sq(f, (2,)) == pytest.approx(self.quadrature(f, (2,)), rel=1e-12, abs=1e-14 * grad)
 
     @pytest.mark.parametrize("family", FIELD_FAMILIES)
     def test_matches_quadrature(self, family, grid64):
         rng = np.random.default_rng(11)
         for _ in range(4):
-            f = sample_test_field(grid64, rng, family)
-            assert _grad_l2(f) == pytest.approx(self.quadrature(f), rel=1e-12)
+            self.check(sample_test_field(grid64, rng, family))
 
     def test_nyquist_row_and_column(self):
         # white noise plus pure Nyquist-row and Nyquist-column modes: the
         # inverse transform keeps only the Hermitian part of those modes, so
-        # the two agree only if the multipliers zero the Nyquist mode
+        # the two agree only if the weights zero the Nyquist mode
         g = make_grid(16, 12, 4.0)
         rng = np.random.default_rng(5)
         x1, x2 = g.meshgrid()
@@ -88,8 +96,7 @@ class TestGradL2:
             + 3.0 * np.cos(np.pi * g.nx * x1 / g.lam) * np.sin(2 * np.pi * x2)
             + 2.0 * np.cos(np.pi * g.ny * x2) * np.cos(2 * np.pi * x1 / g.lam)
         )
-        f = ScalarField(g, data)
-        assert _grad_l2(f) == pytest.approx(self.quadrature(f), rel=1e-12)
+        self.check(ScalarField(g, data))
 
 
 class TestPsiNash:
@@ -245,6 +252,85 @@ class TestFluxBoundConstants:
         )
         reps = flux_bound_constants(traj)
         assert reps["g_ratio"].max_ratio <= 1.0 + 1e-10
+
+
+def oracle_test_field(grid, rng, family):
+    """`sample_test_field` as it was written with 2-D loops: the same draws
+    in the same order, a band mask built per sample and the vertical modes
+    summed on the whole grid."""
+    x1 = grid.x1[:, None]
+    x2 = grid.x2[None, :]
+    if family == "broad":
+        w = rng.uniform(1.5, grid.lam / 4.0)
+        c = rng.uniform(0.0, grid.lam)
+        d = np.abs(x1 - c) % grid.lam
+        d = np.minimum(d, grid.lam - d)
+        prof = sum(np.exp(-((d + p) ** 2) / (2.0 * w**2)) for p in (0.0, -grid.lam, grid.lam))
+        vals = prof * np.ones_like(x2)
+    elif family == "narrow":
+        w = rng.uniform(0.05, 0.25)
+        c1 = rng.uniform(0.0, grid.lam)
+        c2 = rng.uniform(0.0, 1.0)
+        d1 = np.abs(x1 - c1) % grid.lam
+        d1 = np.minimum(d1, grid.lam - d1)
+        d2 = np.abs(x2 - c2) % 1.0
+        d2 = np.minimum(d2, 1.0 - d2)
+        vals = np.exp(-(d1**2 + d2**2) / (2.0 * w**2))
+    elif family == "vertical":
+        vals = np.zeros((grid.nx, grid.ny))
+        for n in range(1, 4):
+            vals += rng.normal() * np.cos(2.0 * np.pi * n * x2 + rng.uniform(0, 2 * np.pi)) * np.ones_like(x1)
+    else:  # generic
+        band = max(2, min(grid.nx, grid.ny) // 6)
+        spec = np.fft.rfft2(rng.standard_normal((grid.nx, grid.ny)))
+        keep = (np.abs(grid.j1) <= band)[:, None] & (np.abs(grid.j2[: grid.ny // 2 + 1]) <= band)[None, :]
+        vals = np.fft.irfft2(spec * keep, s=(grid.nx, grid.ny))
+    vals = vals - vals.mean()
+    return ScalarField(grid, rng.uniform(0.5, 2.0) * vals)
+
+
+class TestNashSuiteOracle:
+    """nash_suite against norms taken by grid quadrature (`lp_norm` of the
+    field and of its `spectral_derivative`s), on fields drawn in the same
+    order from the same stream."""
+
+    N = 60
+
+    @pytest.mark.parametrize("shape", [(64, 64), (128, 32)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_quadrature_oracle(self, shape, seed):
+        g = make_grid(*shape, 16.0)
+        rows, report = nash_suite(g, self.N, seed)
+        rng = np.random.default_rng(seed)
+        fams = list(FIELD_FAMILIES)
+        want = []
+        for _ in range(self.N):
+            fam = fams[rng.choice(len(fams), p=np.full(len(fams), 1.0 / len(fams)))]
+            f = oracle_test_field(g, rng, fam)
+            l1, l2 = lp_norm(f, 1), lp_norm(f, 2)
+            gl2 = math.hypot(*(lp_norm(spectral_derivative(f, axis), 2) for axis in (1, 2)))
+            b1, b2 = gl2 ** (1 / 3) * l1 ** (2 / 3), math.sqrt(gl2 * l1)
+            x = l2 / l1
+            want.append((fam, l2, b1, b2, l2 / max(b1, b2), gl2 / (l2 * min(x, x * x))))
+        assert [r["family"] for r in rows] == [w[0] for w in want]
+        assert set(w[0] for w in want) == set(FIELD_FAMILIES)
+        for r, w in zip(rows, want):
+            got = [r[k] for k in ("lhs", "rhs_branch1", "rhs_branch2", "ratio", "psi_c")]
+            assert got == pytest.approx(list(w[1:]), rel=1e-12)
+        assert report.max_ratio == max(r["ratio"] for r in rows)
+
+    def test_one_nash_check_per_sample(self, grid64, monkeypatch):
+        # the benchmark counts inequalities.nash_samples as nash_check calls
+        calls = []
+        check = cylflow.inequalities.nash_check
+
+        def counted(f):
+            calls.append(f)
+            return check(f)
+
+        monkeypatch.setattr(cylflow.inequalities, "nash_check", counted)
+        rows, _ = nash_suite(grid64, 37, seed=2)
+        assert len(rows) == len(calls) == 37
 
 
 def test_nash_suite_report(grid64):

@@ -22,6 +22,7 @@ from cylflow.solver import (
     FlowState,
     InitialDataSpec,
     InstabilityError,
+    _guarded_step,
     _march,
     _nonlinear_ns,
     _sup_speed_with_mean,
@@ -38,6 +39,7 @@ from cylflow.spectral import (
     _derivative_multiplier,
     _forward,
     _inverse,
+    _parseval_l2,
     make_grid,
     to_physical,
     to_spectral,
@@ -239,6 +241,43 @@ class TestStep:
             s = st
             for _ in range(50):
                 s = step(s, 0.05)
+
+    def test_instability_sentinel_with_a_carried_norm(self, grid64):
+        """The guard reads the norm the previous step returned; it still
+        raises when the step grows that norm more than 10x."""
+        st = make_initial_data(InitialDataSpec(kind="random_bandlimited", seed=1, target_romega=5.0), grid64)
+        w = st.omega.data
+
+        def zero(w, t, out):
+            out[...] = 0.0
+            return out
+
+        def blowup(w, t, out):
+            out = zero(w, t, out)
+            out += 1e3 * w
+            return out
+
+        w1, n1 = _guarded_step(grid64, w, 0.0, 1e-3, zero, _parseval_l2(w))
+        assert n1 == _parseval_l2(w1)
+        with pytest.raises(InstabilityError):
+            _guarded_step(grid64, w1, 1e-3, 1e-2, blowup, n1)
+        # a carried norm far below the state's own is what the guard compares
+        with pytest.raises(InstabilityError):
+            _guarded_step(grid64, w1, 1e-3, 1e-3, zero, n1 / 100.0)
+        w2, n2 = _guarded_step(grid64, w1, 1e-3, 1e-3, zero, n1)
+        assert n2 <= n1
+
+    def test_step_carries_the_norm_of_the_new_state(self, grid64):
+        """Each state made by `step` carries its own coefficient norm, which
+        the guard of its step reads in place of recomputing it."""
+        st = make_initial_data(InitialDataSpec(kind="random_bandlimited", seed=1, target_romega=5.0), grid64)
+        s1 = step(st, 1e-3)
+        assert vars(s1)["_norm"] == _parseval_l2(s1.omega.data)
+        assert "_norm" not in vars(replace(s1))
+        # a wrong carried norm is what the guard compares
+        s1.__dict__["_norm"] = 1e-3 * s1._norm
+        with pytest.raises(InstabilityError):
+            step(s1, 1e-3)
 
     def test_rejects_nonpositive_dt(self, grid64):
         st = make_initial_data(InitialDataSpec(kind="shear_eigenmode", target_romega=1.0), grid64)
@@ -481,7 +520,7 @@ class TestBasdevantTendency:
         w = _forward(rng.standard_normal(g.shape())) * g.dealias_mask
         w[0, 0] = 0.0
         c, m_mean = 0.7, -1.3
-        got = _nonlinear_ns(g, c, m_mean)(w, 0.0)
+        got = _nonlinear_ns(g, c, m_mean)(w, 0.0, np.empty_like(w))
         d1, d2 = _derivative_multiplier(g, 1), _derivative_multiplier(g, 2)
         fields = np.concatenate((_biot_savart(g, w, c, m_mean), np.stack((d1 * w, d2 * w))))
         want = advective_tendency(g, *_inverse(g, fields))
@@ -500,8 +539,8 @@ class TestBasdevantTendency:
         outside = noise * ~grid64.dealias_mask * np.abs(st.omega.data).max() / np.abs(noise).max()
         rough = replace(st, omega=ScalarField(grid64, st.omega.data + outside, "spectral"))
         tendency = _nonlinear_ns(grid64, st.c, st.m_mean)
-        got, got_speeds = tendency(rough.omega.data, 0.0, speeds=True)
-        want, want_speeds = tendency(st.omega.data, 0.0, speeds=True)
+        got, got_speeds = tendency(rough.omega.data, 0.0, np.empty_like(st.omega.data), speeds=True)
+        want, want_speeds = tendency(st.omega.data, 0.0, np.empty_like(st.omega.data), speeds=True)
         assert got.tobytes() == want.tobytes()
         assert got_speeds == want_speeds
         assert cfl_dt(rough, dt_acc=1.0) == cfl_dt(st, dt_acc=1.0)
@@ -522,7 +561,7 @@ def test_shear_stencil_matches_the_advective_form(shape, drift, a):
     whole half spectrum."""
     g = make_grid(*shape)
     w = _forward(np.random.default_rng(12).standard_normal(g.shape()))
-    got = _shear_advection(g, drift)(w, 0.3)
+    got = _shear_advection(g, drift)(w, 0.3, np.empty_like(w))
     u1 = a * np.sin(2.0 * np.pi * g.x2)[None, :] * np.ones((g.nx, 1))
     d1, d2 = _derivative_multiplier(g, 1), _derivative_multiplier(g, 2)
     want = advective_tendency(g, u1, np.zeros_like(u1), *_inverse(g, np.stack((d1 * w, d2 * w))))
