@@ -145,7 +145,6 @@ def evolve(omega0, drift, times, *, dt_acc=1e-3):
     `times` makes no step and returns {}.  The steps share one work block,
     allocated here."""
     grid = omega0.grid
-    captured = {}
     tendency = _shear_advection(grid, drift)
     sup_sin = np.abs(np.sin(2.0 * np.pi * grid.x2)).max()
     w0 = _as_spectral_data(omega0)
@@ -160,12 +159,12 @@ def evolve(omega0, drift, times, *, dt_acc=1e-3):
         w, norm = _guarded_step(grid, w, t, dt, tendency, norm, work=work)
         return w
 
-    def visit(w, tc):
-        # t = 0 is omega0 as given, not its transform round trip
-        captured[tc] = ScalarField(grid, _as_physical_data(omega0).copy() if tc == 0.0 else _inverse(grid, w))
-
-    _march(w0, 0.0, max(times, default=0.0), times, limit, advance, visit)
-    return captured
+    fields = {}
+    for w, tc in _march(w0, 0.0, max(times, default=0.0), times, limit, advance):
+        if tc is not None:
+            # t = 0 is omega0 as given, not its transform round trip
+            fields[tc] = ScalarField(grid, _as_physical_data(omega0).copy() if tc == 0.0 else _inverse(grid, w))
+    return fields
 
 
 def periodized_gaussian(grid, y, sigma):

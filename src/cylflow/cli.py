@@ -33,7 +33,7 @@ from .config import (
     update_constant,
 )
 from .io import read_csv_records, read_state, write_csv_records, write_state
-from .solver import InitialDataSpec, make_initial_data, run
+from .solver import make_initial_data, run
 from .spectral import ScalarField, make_grid
 
 __all__ = ["main"]
@@ -77,31 +77,11 @@ def _load_config(args):
 
 def _cmd_simulate(args):
     cfg = _load_config(args)
-    center = cfg.center
-    try:
-        center = float(center)
-    except ValueError:
-        pass
     with _bad_values():
-        grid = make_grid(cfg.nx, cfg.ny, cfg.lam)
-        spec = InitialDataSpec(
-            kind=cfg.kind,
-            seed=cfg.seed,
-            target_ru=cfg.target_ru,
-            target_romega=cfg.target_romega,
-            band=cfg.band,
-        )
-        options = diag_mod.DiagnosticsOptions(rho=cfg.rho, center=center)
-        state = make_initial_data(spec, grid)
+        state = make_initial_data(cfg.initial_data_spec(), cfg.grid())
     os.makedirs(cfg.out_dir, exist_ok=True)
-    collector = diag_mod.TrajectoryCollector(options)
-    final = run(
-        state,
-        cfg.t_end,
-        diag_times=cfg.diag_schedule(),
-        collector=collector,
-        dt_acc=cfg.dt_acc,
-    )
+    collector = diag_mod.TrajectoryCollector(cfg.diagnostics_options())
+    final = run(state, cfg.t_end, cfg.diag_schedule(), dt_acc=cfg.dt_acc, collector=collector)
     records = collector.finalize()
     write_csv_records(records, os.path.join(cfg.out_dir, "diagnostics.csv"))
     with open(os.path.join(cfg.out_dir, "config.txt"), "w", encoding="utf-8") as fh:
@@ -221,6 +201,8 @@ def _cmd_verify_inequalities(args):
         raise _UsageError(f"--samples must be >= 2 for the split-half check, got {args.samples}")
     if args.poincare_samples < 1:
         raise _UsageError(f"--poincare-samples must be >= 1, got {args.poincare_samples}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.constants_path:
         # a corrupt ledger, or one in a missing directory, fails before any output
         with _bad_values():

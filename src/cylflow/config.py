@@ -16,6 +16,10 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .diagnostics import DiagnosticsOptions
+from .solver import InitialDataSpec
+from .spectral import make_grid
+
 __all__ = [
     "RunConfig",
     "EstimatedConstant",
@@ -47,26 +51,36 @@ class RunConfig:
     snapshots: bool = True
 
     def validate(self):
-        if self.nx < 8 or self.ny < 8 or self.nx % 2 or self.ny % 2:
-            raise ValueError(f"nx, ny must be even and >= 8, got {self.nx}, {self.ny}")
-        for name in ("lam", "t_end", "dt_acc", "diag_step", "rho"):
+        """Check every value by building the grid, the initial-data spec and
+        the diagnostics options; returns self."""
+        self.grid()
+        for name in ("t_end", "dt_acc", "diag_step"):
             value = getattr(self, name)
             if not (0 < value < math.inf):
-                label = "lambda" if name == "lam" else name
-                raise ValueError(f"{label} must be finite and positive, got {value}")
-        if not (0 <= self.target_ru < math.inf and 0 <= self.target_romega < math.inf):
-            raise ValueError(
-                "Reynolds targets must be finite and non-negative, "
-                f"got {self.target_ru}, {self.target_romega}"
-            )
-        if self.band < 1:
-            raise ValueError("band must be >= 1")
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        self.initial_data_spec()
+        self.diagnostics_options()
         sched = self.diag_schedule()
         if not all(math.isfinite(t) for t in sched):
             raise ValueError(f"diagnostic times must be finite, got {self.diag_times}")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("diagnostic schedule must be strictly increasing")
         return self
+
+    def grid(self):
+        return make_grid(self.nx, self.ny, self.lam)
+
+    def initial_data_spec(self):
+        return InitialDataSpec(
+            kind=self.kind, seed=self.seed, target_ru=self.target_ru, target_romega=self.target_romega, band=self.band
+        )
+
+    def diagnostics_options(self):
+        """The options, with a numeric center as a float."""
+        center = self.center
+        with contextlib.suppress(ValueError):
+            center = float(center)
+        return DiagnosticsOptions(rho=self.rho, center=center)
 
     def diag_schedule(self):
         """Diagnostic times: the explicit list, or multiples of diag_step."""

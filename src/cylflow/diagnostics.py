@@ -105,8 +105,13 @@ class DiagnosticsOptions:
     center: object = "argmax_e"  # initial energy-density argmax, or an explicit x1
 
     def __post_init__(self):
-        if isinstance(self.center, str) and self.center != "argmax_e":
-            raise ValueError(f"unknown center policy {self.center!r}")
+        if not (0 < self.rho < math.inf):
+            raise ValueError(f"rho must be finite and positive, got {self.rho}")
+        if isinstance(self.center, str):
+            if self.center != "argmax_e":
+                raise ValueError(f"unknown center policy {self.center!r}")
+        elif not math.isfinite(self.center):
+            raise ValueError(f"center must be 'argmax_e' or a finite x1, got {self.center}")
 
 
 @lru_cache(maxsize=8)

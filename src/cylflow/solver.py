@@ -50,6 +50,7 @@ __all__ = [
     "cfl_dt",
     "ifrk4_step",
     "step",
+    "march",
     "run",
     "momentum_residual",
 ]
@@ -58,7 +59,7 @@ INITIAL_DATA_KINDS = ("shear_eigenmode", "vertical_shear", "random_bandlimited",
 
 DEFAULT_DT_ACC = 1e-3
 
-# Fraction of the advective CFL limit taken per step, by `run` and advdiff.
+# Fraction of the advective CFL limit taken per step, by `march` and advdiff.
 CFL_SAFETY = 0.9
 
 
@@ -128,6 +129,8 @@ class InitialDataSpec:
     def __post_init__(self):
         if self.kind not in INITIAL_DATA_KINDS:
             raise ValueError(f"unknown initial data kind {self.kind!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0 <= self.target_ru < math.inf and 0 <= self.target_romega < math.inf):
             raise ValueError(
                 "Reynolds targets must be finite and non-negative, "
@@ -309,15 +312,16 @@ def step(state, dt):
     return new
 
 
-def _march(x, t0, t1, times, limit, advance, visit):
-    """The adaptive stepping loop shared by `run` and advdiff.
+def _march(x, t0, t1, times, limit, advance):
+    """The adaptive stepping loop shared by `march` and advdiff.
 
     Advances x from t0 to t1 in steps of at most limit(x, t), shortened to
     land exactly on each of `times`; advance(x, t, dt, t_new) returns the
-    next x.  visit(x, tc) is called once for each requested time tc (at the
-    start for times equal to t0).  Returns the final x.  Raises ValueError
-    before any step if t1 is not finite or lies below t0, and where limit
-    returns a step that is not positive and finite.
+    next x.  Yields (x, tc) once for each requested time tc equal to t0,
+    then once after every step, with tc the requested time the step landed
+    on, or None.  Raises ValueError, on the first `next()` and before any
+    step, if t1 is not finite or lies below t0, and where limit returns a
+    step that is not positive and finite.
     """
     if not (t0 <= t1 < math.inf):
         raise ValueError(f"end time must be finite and not below {t0:g}, got {t1}")
@@ -326,7 +330,7 @@ def _march(x, t0, t1, times, limit, advance, visit):
         raise ValueError(f"requested times must lie within [{t0:g}, {t1:g}]")
     for tc in stops:
         if tc <= t0 + 1e-14:
-            visit(x, tc)
+            yield x, tc
     stops = [tc for tc in stops if tc > t0 + 1e-14]
     t = t0
     while t < t1 - 1e-14:
@@ -341,43 +345,33 @@ def _march(x, t0, t1, times, limit, advance, visit):
         t_new = stop if landing else t + dt
         x = advance(x, t, dt, t_new)
         t = t_new
-        if landing and stops:
-            visit(x, stops.pop(0))
-    return x
+        yield x, (stops.pop(0) if landing and stops else None)
 
 
-def run(
-    state0,
-    t_end,
-    diag_times=(),
-    *,
-    dt_acc=DEFAULT_DT_ACC,
-    collector=None,
-    sup_omega_trace=None,
-):
-    """Integrate to t_end with adaptive steps that land exactly on diag_times.
+def march(state0, t_end, diag_times=(), *, dt_acc=DEFAULT_DT_ACC):
+    """The states of a run to t_end in `cfl_dt` steps that land exactly on
+    diag_times: `_march`'s (state, tc), state0 itself for a tc equal to
+    state0.t, then one pair after every step."""
+    def advance(state, t, dt, t_new):
+        state = step(state, dt)
+        return state if state.t == t_new else replace(state, t=t_new)
+
+    return _march(state0, state0.t, t_end, diag_times, lambda s, t: cfl_dt(s, dt_acc=dt_acc), advance)
+
+
+def run(state0, t_end, diag_times=(), *, dt_acc=DEFAULT_DT_ACC, collector=None):
+    """Integrate to t_end with adaptive steps that land exactly on diag_times;
+    returns the final state (state0 itself if nothing steps).
 
     At each diagnostic time the state is handed to `collector.add`, if a
     collector is given; its `finalize()` builds the records once the run
-    is over.  `sup_omega_trace`, if given, receives (t, sup|omega|) after
-    every internal step.  Deterministic for identical inputs.
+    is over.  Deterministic for identical inputs.
     """
-    def advance(state, t, dt, t_new):
-        state = step(state, dt)
-        if state.t != t_new:
-            state = replace(state, t=t_new)
-        if sup_omega_trace is not None:
-            w_phys = _inverse(state.grid, state.omega.data)
-            sup_omega_trace.append((state.t, float(np.abs(w_phys).max())))
-        return state
-
-    def visit(state, tc):
-        if collector is not None:
+    state = state0
+    for state, tc in march(state0, t_end, diag_times, dt_acc=dt_acc):
+        if tc is not None and collector is not None:
             collector.add(state)
-
-    return _march(
-        state0, state0.t, t_end, diag_times, lambda s, t: cfl_dt(s, dt_acc=dt_acc), advance, visit
-    )
+    return state
 
 
 def momentum_residual(state, dt=1e-3):

@@ -238,13 +238,21 @@ class TestCleanFailures:
             (["simulate", "--diag-times", "nan"], "diagnostic times"),
             (["simulate", "--nx", "48", "--ny", "48", "--band", "17"], "band"),
             (["simulate", "--nx", "48", "--ny", "48", "--band", "16"], "band"),
+            (["simulate", "--center", "nan"], "nan"),
+            (["simulate", "--center", "inf"], "inf"),
+            (["simulate", "--seed", "-1"], "seed"),
+            (["verify-inequalities", "--seed", "-1"], "--seed"),
+            (["simulate", "--config", "{nan_center}"], "nan"),
+            (["simulate", "--config", "{bogus_kind}"], "bogus"),
         ],
     )
     def test_bad_value(self, argv, word, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus_key = 1\n")
+        configs = {"cfg": "bogus_key = 1\n", "nan_center": "center = nan\n", "bogus_kind": "kind = bogus\n"}
+        for name, text in configs.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
         out = tmp_path / "out"
-        argv = [a.format(cfg=cfg, missing=tmp_path / "missing.cfg") for a in argv]
+        paths = {name: tmp_path / f"{name}.cfg" for name in configs}
+        argv = [a.format(missing=tmp_path / "missing.cfg", **paths) for a in argv]
         assert run_cli(*argv, "--out", str(out)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and argv[0] in err[0] and word in err[0]

@@ -13,7 +13,7 @@ from cylflow.config import (
     serialize_config,
     update_constant,
 )
-from cylflow.diagnostics import CSV_COLUMNS, DiagnosticsRecord
+from cylflow.diagnostics import CSV_COLUMNS, DiagnosticsOptions, DiagnosticsRecord
 from cylflow.io import (
     read_csv_records,
     read_field,
@@ -70,6 +70,22 @@ class TestParseConfig:
     def test_values_finite(self, text):
         with pytest.raises(ValueError, match="finite"):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text, word",
+        [("kind = bogus\n", "bogus"), ("seed = -1\n", "seed"), ("center = nan\n", "nan"),
+         ("center = inf\n", "inf"), ("center = middle\n", "middle"), ("nx = 7\n", "nx=7")],
+    )
+    def test_values_checked_by_the_objects_they_build(self, text, word):
+        with pytest.raises(ValueError, match=word):
+            parse_config(text)
+
+    def test_builds_what_simulate_uses(self):
+        cfg = parse_config("nx = 32\nlambda = 8\ncenter = 3.5\nrho = 2\nkind = laminar_small\nseed = 4\n")
+        assert (cfg.grid().nx, cfg.grid().ny, cfg.grid().lam) == (32, 64, 8.0)
+        assert cfg.initial_data_spec() == InitialDataSpec(kind="laminar_small", seed=4, target_romega=1.0)
+        assert cfg.diagnostics_options() == DiagnosticsOptions(rho=2.0, center=3.5)
+        assert RunConfig().diagnostics_options().center == "argmax_e"
 
     def test_schedule_strictly_increasing(self):
         with pytest.raises(ValueError):

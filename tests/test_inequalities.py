@@ -332,6 +332,23 @@ class TestNashSuiteOracle:
         rows, _ = nash_suite(grid64, 37, seed=2)
         assert len(rows) == len(calls) == 37
 
+    @pytest.mark.parametrize("weights", [
+        {"broad": 1.0, "narrow": 2.0, "vertical": 0.0, "generic": 3.0},
+        {"generic": 0.3, "narrow": 0.0, "broad": 0.0, "vertical": 5.5},
+    ])
+    def test_family_draw_is_rng_choice(self, grid32, weights):
+        # the family stream of rng.choice, zero weights included
+        rows, _ = nash_suite(grid32, 40, 3, weights)
+        rng = np.random.default_rng(3)
+        fams = list(weights)
+        p = np.array(list(weights.values()))
+        want = []
+        for _ in range(40):
+            want.append(fams[rng.choice(len(fams), p=p / p.sum())])
+            sample_test_field(grid32, rng, want[-1])
+        assert [r["family"] for r in rows] == want
+        assert {f for f, w in weights.items() if w == 0.0}.isdisjoint(want)
+
 
 def test_nash_suite_report(grid64):
     rows, report = nash_suite(grid64, 200, seed=0)

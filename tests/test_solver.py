@@ -28,6 +28,7 @@ from cylflow.solver import (
     _sup_speed_with_mean,
     cfl_dt,
     make_initial_data,
+    march,
     mean_flow_profile,
     momentum_residual,
     reconstruct_velocity,
@@ -337,6 +338,60 @@ class TestRun:
                 imported += [a.name for a in node.names]
         assert not [m for m in imported if "diagnostics" in m.split(".")]
 
+    def test_one_stepping_loop(self):
+        # `march` and advdiff's `evolve` are the only drivers of _march, and
+        # run takes no per-step hook: a caller that wants every step iterates
+        package = pathlib.Path(cylflow.solver.__file__).parent
+        callers = set()
+        for path in sorted(package.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(top):
+                    func = node.func if isinstance(node, ast.Call) else None
+                    if getattr(func, "id", getattr(func, "attr", None)) == "_march":
+                        callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+        assert callers == {"solver.march", "advdiff.evolve"}
+        tree = ast.parse(pathlib.Path(cylflow.solver.__file__).read_text(encoding="utf-8"))
+        (run_def,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "run"]
+        a = run_def.args
+        assert a.vararg is None and a.kwarg is None
+        assert [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs] == [
+            "state0", "t_end", "diag_times", "dt_acc", "collector"
+        ]
+
+    def test_march_yields_each_step_once(self, grid64, monkeypatch):
+        st = make_initial_data(InitialDataSpec(kind="random_bandlimited", seed=1, target_romega=5.0), grid64)
+        steps = []
+        real_step = cylflow.solver.step
+
+        def counted(state, dt):
+            steps.append(dt)
+            return real_step(state, dt)
+
+        monkeypatch.setattr(cylflow.solver, "step", counted)
+        times = [0.0, 0.0125, 0.03]
+        yielded = list(march(st, 0.03, times, dt_acc=4e-3))
+        assert yielded[0][0] is st and yielded[0][1] == 0.0
+        after = yielded[1:]
+        assert len(after) == len(steps) > len(times)
+        ts = [s.t for s, _ in after]
+        assert all(b > a for a, b in zip([st.t] + ts, ts))
+        assert [tc for _, tc in yielded if tc is not None] == times
+        assert all(s.t == tc for s, tc in yielded if tc is not None)
+        assert ts[-1] == 0.03
+
+    def test_draining_march_is_run(self, grid64):
+        spec = InitialDataSpec(kind="random_bandlimited", seed=2, target_romega=6.0, target_ru=7.0)
+        times = [0.0, 0.01, 0.02, 0.025]
+        coll_run = TrajectoryCollector()
+        final = run(make_initial_data(spec, grid64), 0.025, times, dt_acc=4e-3, collector=coll_run)
+        coll_march = TrajectoryCollector()
+        for last, tc in march(make_initial_data(spec, grid64), 0.025, times, dt_acc=4e-3):
+            if tc is not None:
+                coll_march.add(last)
+        assert last.t == final.t and last.omega.data.tobytes() == final.omega.data.tobytes()
+        records = [np.array([r.csv_values() for r in c.finalize()]) for c in (coll_run, coll_march)]
+        assert records[0].shape == (4, 12) and records[0].tobytes() == records[1].tobytes()
+
     @pytest.mark.parametrize("bad", [0.0, -1e-3, float("nan"), float("inf")])
     def test_march_rejects_a_bad_step_limit(self, bad):
         # a zero step used to loop forever; the limit fails the test on its
@@ -349,7 +404,7 @@ class TestRun:
             return bad
 
         with pytest.raises(ValueError, match="step limit must be positive and finite"):
-            _march(0.0, 0.0, 1.0, (), limit, lambda x, t, dt, t_new: x, lambda x, tc: None)
+            list(_march(0.0, 0.0, 1.0, (), limit, lambda x, t, dt, t_new: x))
 
     def test_diag_times_validated(self, grid64):
         st = make_initial_data(InitialDataSpec(kind="shear_eigenmode", target_romega=1.0), grid64)
@@ -389,8 +444,7 @@ class TestRun:
     def test_nan_requested_time_rejected(self):
         # a NaN stop used to pass the range check and never land
         with pytest.raises(ValueError, match="requested times"):
-            _march(0.0, 0.0, 1.0, [0.5, float("nan")], lambda x, t: 0.1,
-                   lambda x, t, dt, t_new: x, lambda x, tc: None)
+            next(_march(0.0, 0.0, 1.0, [0.5, float("nan")], lambda x, t: 0.1, lambda x, t, dt, t_new: x))
 
     def test_mean_vorticity_stays_exactly_zero(self, grid64):
         st = make_initial_data(InitialDataSpec(kind="random_bandlimited", target_romega=7.0), grid64)
@@ -650,13 +704,16 @@ class TestRealSpectrumCore:
             ("advdiff_t0", lambda: evolve(bump, drift, [0.0])),
             ("advdiff_step", lambda: evolve(bump, drift, [1e-3], dt_acc=1e-3)),
             ("add", lambda: TrajectoryCollector().add(st)),
+            ("run", lambda: run(replace(st), 2e-3, dt_acc=1e-3)),
         ):
             calls.clear()
             call()
             made[label] = list(calls)
         budget = {label: len(c) for label, c in made.items()}
         # cfl_dt computes stage a of the next step, and step reuses it
-        assert budget == {"step": 16, "cfl_dt": 4, "cfl_dt+step": 16, "advdiff_t0": 1, "advdiff_step": 1, "add": 4}
+        assert budget == {
+            "step": 16, "cfl_dt": 4, "cfl_dt+step": 16, "advdiff_t0": 1, "advdiff_step": 1, "add": 4, "run": 32
+        }
         # an advdiff step makes none: evolve's one transform is the inverse
         # of the field it returns, as at t = 0
         assert made["advdiff_step"] == made["advdiff_t0"] == [("irfft2", (64, 33), (64, 64))]
@@ -671,6 +728,8 @@ class TestRealSpectrumCore:
         assert made["step"] == 4 * stage
         assert made["cfl_dt"] == stage
         assert made["cfl_dt+step"] == 4 * stage
+        # two dt_acc steps, each one cfl_dt and one step: the loop adds none
+        assert made["run"] == 8 * stage
         # add: the stepping core's x1 stage on twice the rows, for six
         # fields and for the pressure, on the columns n <= 21 only; one x2
         # stage of three fields, and the pressure's products
