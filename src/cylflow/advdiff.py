@@ -23,8 +23,9 @@ from .spectral import (
     ScalarField,
     _as_physical_data,
     _as_spectral_data,
+    _derivative_multiplier,
     _inverse,
-    _parseval_l2,
+    _parseval_sq,
     circular_distance,
     lp_norm,
 )
@@ -123,7 +124,7 @@ def _shear_advection(grid, drift):
     Nyquist column on every grid of at least 8 points.
     """
     nb = grid.band[1] + 1
-    half_k1 = 0.5 * grid.k1_odd[:, None] * grid.dealias_mask[:, :nb]
+    half_k1 = 0.5 * _derivative_multiplier(grid, 1).imag * grid.dealias_mask[:, :nb]
     neg_rows = -np.arange(grid.nx) % grid.nx  # row i holds mode j; neg_rows[i] holds -j
 
     def tendency(w, t, out):
@@ -149,7 +150,7 @@ def evolve(omega0, drift, times, *, dt_acc=1e-3):
     sup_sin = np.abs(np.sin(2.0 * np.pi * grid.x2)).max()
     w0 = _as_spectral_data(omega0)
     work = np.empty((6,) + w0.shape, dtype=np.complex128)
-    norm = _parseval_l2(w0)
+    norm = math.sqrt(_parseval_sq(grid, w0))
 
     def limit(w, t):
         return _cfl_limit(grid, abs(drift.amplitude_at(t)) * sup_sin, 0.0, dt_acc)

@@ -26,7 +26,7 @@ from .spectral import (
     _derivative_multiplier,
     _forward,
     _inverse,
-    _parseval_l2,
+    _parseval_sq,
     dealias,
     spectral_derivative,
     to_spectral,
@@ -109,16 +109,15 @@ def _biot_savart_tables(grid):
     return tables
 
 
-def _biot_savart(grid, w_hat, c, m_mean, out=None):
+def _biot_savart(grid, w_hat, c, m_mean):
     """Spectral velocity, stacked as (u1_hat, u2_hat) in one (2, ...) array,
-    of vorticity coefficients.  `out`, if given, receives the result.
+    of vorticity coefficients.
 
     u_hat = (-d2 psi, d1 psi) with lap psi = omega; the (0, 0) slots carry
     the constants c = <u1> and m_mean, which the vorticity cannot fix.
     """
     neg_inv, neg_d2, d1 = _biot_savart_tables(grid)
-    if out is None:
-        out = np.empty((2,) + w_hat.shape, dtype=np.complex128)
+    out = np.empty((2,) + w_hat.shape, dtype=np.complex128)
     psi = w_hat * neg_inv
     np.multiply(neg_d2, psi, out=out[0])
     np.multiply(d1, psi, out=out[1])
@@ -216,7 +215,7 @@ def divergence_identity_residual(u):
     rhs = _pressure_rhs(g, u1, grad[1][0] - grad[0][1])
 
     # L2 norm via Parseval on the coefficient difference
-    return np.sqrt(g.lam) * _parseval_l2(lhs - rhs) / sup**2
+    return np.sqrt(g.lam * _parseval_sq(g, lhs - rhs)) / sup**2
 
 
 def velocity_by_kernel_quadrature(omega_osc, n_images=8):

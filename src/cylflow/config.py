@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsOptions
-from .solver import InitialDataSpec
+from .solver import InitialDataSpec, _requested_times
 from .spectral import make_grid
 
 __all__ = [
@@ -53,18 +53,19 @@ class RunConfig:
     def validate(self):
         """Check every value by building the grid, the initial-data spec and
         the diagnostics options; returns self."""
-        self.grid()
+        grid = self.grid()
         for name in ("t_end", "dt_acc", "diag_step"):
             value = getattr(self, name)
             if not (0 < value < math.inf):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        self.initial_data_spec()
+        self.initial_data_spec().check_band(grid)
         self.diagnostics_options()
         sched = self.diag_schedule()
         if not all(math.isfinite(t) for t in sched):
             raise ValueError(f"diagnostic times must be finite, got {self.diag_times}")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("diagnostic schedule must be strictly increasing")
+        _requested_times(sched, 0.0, self.t_end)
         return self
 
     def grid(self):
@@ -85,7 +86,10 @@ class RunConfig:
     def diag_schedule(self):
         """Diagnostic times: the explicit list, or multiples of diag_step."""
         if self.diag_times.strip():
-            return [float(s) for s in self.diag_times.split(",") if s.strip()]
+            try:
+                return [float(s) for s in self.diag_times.split(",") if s.strip()]
+            except ValueError:
+                raise ValueError(f"diag_times must be a comma list of numbers, got {self.diag_times!r}") from None
         n = int(round(self.t_end / self.diag_step))
         ts = [i * self.diag_step for i in range(n + 1)]
         if ts[-1] < self.t_end - 1e-12:
@@ -95,6 +99,7 @@ class RunConfig:
 
 
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
 
 # config file key -> dataclass field (the file spells the period "lambda")
 _KEY_TO_FIELD = {("lambda" if f.name == "lam" else f.name): f.name for f in fields(RunConfig)}
@@ -107,7 +112,6 @@ def parse_config(text):
     keys fall back to documented defaults.
     """
     values = {}
-    seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -119,27 +123,20 @@ def parse_config(text):
         val = val.strip()
         if key not in _KEY_TO_FIELD:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
+        if _KEY_TO_FIELD[key] in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
-        values[_KEY_TO_FIELD[key]] = val
+        values[_KEY_TO_FIELD[key]] = (lineno, key, val)
 
     kwargs = {}
     for f in fields(RunConfig):
         if f.name not in values:
             continue
-        raw = values[f.name]
-        if f.type == "bool" or isinstance(f.default, bool):
-            low = raw.lower()
-            if low not in _BOOL_STRINGS:
-                raise ValueError(f"key {f.name!r}: expected a boolean, got {raw!r}")
-            kwargs[f.name] = _BOOL_STRINGS[low]
-        elif isinstance(f.default, int):
-            kwargs[f.name] = int(raw)
-        elif isinstance(f.default, float):
-            kwargs[f.name] = float(raw)
-        else:
-            kwargs[f.name] = raw
+        lineno, key, raw = values[f.name]
+        typ = type(f.default)
+        try:
+            kwargs[f.name] = _BOOL_STRINGS[raw.lower()] if typ is bool else typ(raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"line {lineno}: key {key!r} expects {_TYPE_NAMES[typ]}, got {raw!r}") from None
     return RunConfig(**kwargs).validate()
 
 

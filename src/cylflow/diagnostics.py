@@ -6,10 +6,11 @@ All profile quantities are vertical averages of pointwise products of at
 most three band fields, at the x1 points of the zero-padded grid
 `spectral._padded_grid` (x1 doubled, which makes the x1-derivatives of
 profiles exact).  A mean of two fields is taken by Parseval in x2 from
-coefficients transformed along x1 only (`spectral._x2_mean_weights`),
-which is exact for any input.  Only the three-field means sample x2, at
-the ny points of the state's own grid: the band has |n| < ny/3, so a
-cubic product stays below |n| = ny and that mean is already exact.
+coefficients transformed along x1 only (row 0 of
+`spectral._parseval_weights`), which is exact for any input.  Only the
+three-field means sample x2, at the ny points of the state's own grid:
+the band has |n| < ny/3, so a cubic product stays below |n| = ny and that
+mean is already exact.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .spectral import (
     Profile,
     _derivative_multiplier,
     _padded_grid,
+    _parseval_weights,
     _x1_inverse,
     _x2_inverse,
-    _x2_mean_weights,
     circular_distance,
     profile_derivative,
 )
@@ -116,15 +117,14 @@ class DiagnosticsOptions:
 
 @lru_cache(maxsize=8)
 def _mean_weights(grid):
-    """Read-only (3, 2*(ny//2+1)) weights on interleaved mixed coefficients
-    (`spectral._x2_mean_weights`), whose rows give the vertical mean of a
-    product of two fields, of their oscillatory parts (column 0 dropped),
-    and of their x2-derivatives (k2**2, with the Nyquist column zeroed as
-    in `_derivative_multiplier`)."""
-    w = _x2_mean_weights(grid)
+    """Read-only (3, 2*(ny//2+1)) weights on interleaved mixed coefficients,
+    from row 0 of the `()` and `(2,)` tables of `spectral._parseval_weights`:
+    the rows give the vertical mean of a product of two fields, of their
+    oscillatory parts (column 0 dropped), and of their x2-derivatives."""
+    w = _parseval_weights(grid, ())[0]
     osc = w.copy()
     osc[:2] = 0.0
-    weights = np.stack((w, osc, w * np.repeat(grid.k2_odd[: grid._ncols] ** 2, 2)))
+    weights = np.stack((w, osc, _parseval_weights(grid, (2,))[0]))
     weights.setflags(write=False)
     return weights
 

@@ -17,14 +17,13 @@ from functools import lru_cache
 import numpy as np
 
 from .spectral import (
-    SPECTRAL,
     ScalarField,
     _as_physical_data,
     _as_spectral_data,
     _band_mask,
     _forward,
     _inverse,
-    _x2_mean_weights,
+    _parseval_sq,
     circular_distance,
 )
 
@@ -62,29 +61,6 @@ class NashCheck:
     psi_c: float
 
 
-@lru_cache(maxsize=8)
-def _derivative_weights(grid, axes):
-    """Read-only table of Parseval weights for the half spectrum viewed as
-    float64: the sum over `axes` of the Nyquist-zeroed k_axis^2 of
-    `spectral_derivative`, times the column weights 1, 2, ..., 2, 1 of
-    `_x2_mean_weights`."""
-    ksq = np.zeros(grid.shape(SPECTRAL))
-    if 1 in axes:
-        ksq += grid.k1_odd[:, None] ** 2
-    if 2 in axes:
-        ksq += grid.k2_odd[None, : ksq.shape[1]] ** 2
-    w = np.repeat(ksq, 2, axis=1) * _x2_mean_weights(grid)
-    w.setflags(write=False)
-    return w
-
-
-def _derivative_sq(f, axes):
-    """Sum over `axes` of ||d_axis f||_2^2 in one weighted sum over the
-    coefficients; no inverse transform."""
-    v = _as_spectral_data(f).view(np.float64)
-    return f.grid.lam * float(np.vdot(v * v, _derivative_weights(f.grid, axes)))
-
-
 def nash_check(f):
     """Both branches of the cylinder Nash inequality and the psi-form
     constant for one sample field, from one evaluation of its norms:
@@ -96,7 +72,7 @@ def nash_check(f):
     l2 = math.sqrt(float(phys @ phys) * g.cell_area)
     if l2 == 0.0:
         raise ValueError("the Nash checks require a nonzero field")
-    gl2 = math.sqrt(_derivative_sq(f, (1, 2)))
+    gl2 = math.sqrt(g.lam * _parseval_sq(g, _as_spectral_data(f), (1, 2)))
     b1 = gl2 ** (1.0 / 3.0) * l1 ** (2.0 / 3.0)
     b2 = math.sqrt(gl2) * math.sqrt(l1)
     x = l2 / l1
@@ -120,7 +96,7 @@ def poincare_check(f, tol=1e-10):
     if np.abs(phys.mean(axis=1)).max() > tol * sup:
         raise ValueError("poincare_check requires zero vertical average per x1")
     num = float((phys**2).sum() * g.cell_area)
-    den = _derivative_sq(f, (2,)) / (4.0 * np.pi**2)
+    den = g.lam * _parseval_sq(g, _as_spectral_data(f), (2,)) / (4.0 * np.pi**2)
     return num / den
 
 

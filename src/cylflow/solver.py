@@ -35,7 +35,7 @@ from .spectral import (
     _forward_banded,
     _inverse,
     _inverse_banded,
-    _parseval_l2,
+    _parseval_sq,
     _profile_inverse,
     spectral_derivative,
 )
@@ -107,7 +107,7 @@ class FlowState:
     def _norm(self):
         """Coefficient L2 norm of omega: the growth guard's pre-step norm
         for the next step, set by the `step` that made this state."""
-        return _parseval_l2(self.omega.data)
+        return math.sqrt(_parseval_sq(self.grid, self.omega.data))
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,12 @@ class InitialDataSpec:
             )
         if self.band < 1:
             raise ValueError("band must be >= 1")
+
+    def check_band(self, grid):
+        """Raise ValueError if a random kind's band exceeds the dealias band
+        of `grid`; the shear kinds ignore `band`."""
+        if self.kind in ("random_bandlimited", "laminar_small") and self.band > min(grid.band):
+            raise ValueError(f"band {self.band} exceeds the dealiased range of {grid!r}")
 
 
 def _velocity_arrays(grid, w_hat, c, m_mean):
@@ -285,7 +291,7 @@ def _guarded_step(grid, w_hat, t, dt, tendency, pre, a=None, work=None):
     grows by more than 10x.  `pre` is the norm of w_hat, as returned by the
     step that made it; returns (w_new, its norm)."""
     w_new = ifrk4_step(grid, w_hat, t, dt, tendency, a, work)
-    post = _parseval_l2(w_new)
+    post = math.sqrt(_parseval_sq(grid, w_new))
     if not np.isfinite(post) or post > 10.0 * pre + 1e-300:
         raise InstabilityError(f"norm grew {post / max(pre, 1e-300):.3g}x in one step at t={t:.6g}", t=t)
     return w_new, post
@@ -312,6 +318,16 @@ def step(state, dt):
     return new
 
 
+def _requested_times(times, t0, t1):
+    """`times` as sorted floats without repeats; raises ValueError, naming
+    the value, for one outside [t0, t1] by more than 1e-12."""
+    stops = sorted(set(float(t) for t in times))
+    for tc in stops:
+        if not (t0 - 1e-12 <= tc <= t1 + 1e-12):
+            raise ValueError(f"requested times must lie within [{t0:g}, {t1:g}], got {tc!r}")
+    return stops
+
+
 def _march(x, t0, t1, times, limit, advance):
     """The adaptive stepping loop shared by `march` and advdiff.
 
@@ -320,14 +336,13 @@ def _march(x, t0, t1, times, limit, advance):
     next x.  Yields (x, tc) once for each requested time tc equal to t0,
     then once after every step, with tc the requested time the step landed
     on, or None.  Raises ValueError, on the first `next()` and before any
-    step, if t1 is not finite or lies below t0, and where limit returns a
-    step that is not positive and finite.
+    step, if t1 is not finite or lies below t0, or a requested time lies
+    outside [t0, t1], and where limit returns a step that is not positive
+    and finite.
     """
     if not (t0 <= t1 < math.inf):
         raise ValueError(f"end time must be finite and not below {t0:g}, got {t1}")
-    stops = sorted(set(float(t) for t in times))
-    if any(not (t0 - 1e-12 <= tc <= t1 + 1e-12) for tc in stops):
-        raise ValueError(f"requested times must lie within [{t0:g}, {t1:g}]")
+    stops = _requested_times(times, t0, t1)
     for tc in stops:
         if tc <= t0 + 1e-14:
             yield x, tc
@@ -415,8 +430,6 @@ def _random_band_limited_vorticity(grid, rng, band):
     ensembles differ by phase only; this keeps suite statistics (sup norms,
     mean-flow fraction) comparable across seeds.
     """
-    if band > min(grid.band):
-        raise ValueError(f"band {band} exceeds the dealiased range of {grid!r}")
     phys = rng.standard_normal((grid.nx, grid.ny))
     spec = _forward(phys)
     keep = _band_mask(grid, band, band)
@@ -465,6 +478,7 @@ def make_initial_data(spec, grid):
     within 5%; otherwise a mismatched target_ru is an error.
     """
     g = grid
+    spec.check_band(g)
     x1, x2 = g.meshgrid()
     if spec.kind == "shear_eigenmode":
         w_phys = np.cos(2.0 * np.pi * x2) * np.ones_like(x1)

@@ -247,38 +247,12 @@ def _forward_banded(grid, phys):
     return mixed
 
 
-def _parseval_l2(spec):
-    """L2 norm of the full coefficient array that a half spectrum stands for:
-    columns 1..ny/2-1 count for their conjugates too.  By Parseval, a
-    field's L2 norm is sqrt(lam) times this."""
-    sq = np.abs(spec) ** 2
-    return float(np.sqrt(sq.sum() + sq[:, 1:-1].sum()))
-
-
 def _profile_forward(values):
     return np.fft.fft(values) / values.shape[0]
 
 
 def _profile_inverse(spec):
     return np.fft.ifft(spec * spec.shape[0]).real
-
-
-@lru_cache(maxsize=8)
-def _x2_mean_weights(grid):
-    """Read-only weights w with which the vertical mean <f g>(x1) of two
-    fields on `_padded_grid(grid)` is (F.view(float64) * G.view(float64)) @ w,
-    for F, G their mixed coefficients from `_x1_inverse`.
-
-    This is discrete Parseval in x2, exact for any input: columns 0 and
-    ny/2 count once, columns 1..ny/2-1 twice (for their conjugates).  Each
-    weight is repeated for the real and imaginary parts.  They weigh the
-    columns of any half spectrum of `grid` in Parseval's sum.
-    """
-    w = np.full(grid._ncols, 2.0)
-    w[[0, -1]] = 1.0
-    w = np.repeat(w, 2)
-    w.setflags(write=False)
-    return w
 
 
 @lru_cache(maxsize=8)
@@ -307,6 +281,40 @@ def _derivative_multiplier(grid, axis, order=1):
         mult = ((1j * k[: grid._ncols]) ** order)[None, :]
     mult.setflags(write=False)
     return mult
+
+
+@lru_cache(maxsize=32)
+def _parseval_weights(grid, axes=()):
+    """Read-only weights W, shape (nx, 2*(ny//2+1)), of Parseval's sum over
+    a half spectrum F viewed as float64: with v = F.view(float64),
+    np.vdot(v * v, W) sums, over the full coefficient array that F stands
+    for, |F|^2 times the sum over `axes` of k_axis^2 (1 for no axes), the
+    symbols of `_derivative_multiplier` with their Nyquist modes zeroed.
+    Times lam, that is ||f||_2^2, or the sum of ||d_axis f||_2^2.
+
+    Columns 0 and ny/2 count once and columns 1..ny/2-1 twice, for their
+    conjugates; each weight is repeated for the real and imaginary parts.
+    The rows are equal unless 1 is in `axes`, so row 0 also weighs mixed
+    coefficients F, G from `_x1_inverse`: (F.view(float64) *
+    G.view(float64)) @ row is the vertical mean <f g>(x1), exact for any
+    input.
+    """
+    cols = np.full(grid._ncols, 2.0)
+    cols[[0, -1]] = 1.0
+    ksq = np.full(grid.shape(SPECTRAL), 0.0 if axes else 1.0)
+    for axis in axes:
+        ksq += _derivative_multiplier(grid, axis).imag ** 2
+    w = np.repeat(ksq, 2, axis=1) * np.repeat(cols, 2)
+    w.setflags(write=False)
+    return w
+
+
+def _parseval_sq(grid, spec, axes=()):
+    """The weighted sum of `_parseval_weights(grid, axes)` over the half
+    spectrum `spec`: for no axes the squared L2 norm of the full
+    coefficient array, which is 1/lam times the field's squared L2 norm."""
+    v = spec.view(np.float64)
+    return float(np.vdot(v * v, _parseval_weights(grid, axes)))
 
 
 def to_spectral(f):

@@ -244,10 +244,28 @@ class TestCleanFailures:
             (["verify-inequalities", "--seed", "-1"], "--seed"),
             (["simulate", "--config", "{nan_center}"], "nan"),
             (["simulate", "--config", "{bogus_kind}"], "bogus"),
+            (["simulate", "--nx", "16", "--ny", "16", "--lambda", "4", "--t-end", "0.01", "--diag-times", "0,0.02"],
+             "got 0.02"),
+            (["simulate", "--t-end", "0.01", "--diag-times=-0.01,0.01"], "got -0.01"),
+            (["simulate", "--config", "{late_diag}"], "got 0.2"),
+            (["simulate", "--config", "{wide_band}"], "band 6"),
+            (["simulate", "--config", "{abc_nx}"], "line 1: key 'nx' expects an integer, got 'abc'"),
+            (["simulate", "--config", "{frac_seed}"], "line 1: key 'seed' expects an integer, got '1.5'"),
+            (["simulate", "--config", "{x_lambda}"], "line 1: key 'lambda' expects a number, got 'x'"),
+            (["simulate", "--diag-times", "0,abc"], "diag_times must be a comma list of numbers, got '0,abc'"),
         ],
     )
     def test_bad_value(self, argv, word, tmp_path, capsys):
-        configs = {"cfg": "bogus_key = 1\n", "nan_center": "center = nan\n", "bogus_kind": "kind = bogus\n"}
+        configs = {
+            "cfg": "bogus_key = 1\n",
+            "nan_center": "center = nan\n",
+            "bogus_kind": "kind = bogus\n",
+            "late_diag": "t_end = 0.1\ndiag_times = 0,0.2\n",
+            "wide_band": "nx = 16\nny = 16\nband = 6\n",
+            "abc_nx": "nx = abc\n",
+            "frac_seed": "seed = 1.5\n",
+            "x_lambda": "lambda = x\n",
+        }
         for name, text in configs.items():
             (tmp_path / f"{name}.cfg").write_text(text)
         out = tmp_path / "out"

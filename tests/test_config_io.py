@@ -87,6 +87,37 @@ class TestParseConfig:
         assert cfg.diagnostics_options() == DiagnosticsOptions(rho=2.0, center=3.5)
         assert RunConfig().diagnostics_options().center == "argmax_e"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nx = abc\n", "line 1: key 'nx' expects an integer, got 'abc'"),
+            ("seed = 1.5\n", "line 1: key 'seed' expects an integer, got '1.5'"),
+            ("nx = 32\nlambda = x\n", "line 2: key 'lambda' expects a number, got 'x'"),
+            ("snapshots = Maybe\n", "line 1: key 'snapshots' expects a boolean, got 'Maybe'"),
+        ],
+    )
+    def test_malformed_value_names_line_and_key(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_config(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, word", [("t_end = 0.1\ndiag_times = 0,0.2\n", "0.2"),
+                                            ("t_end = 0.1\ndiag_times = -0.01,0.1\n", "-0.01")])
+    def test_diag_times_within_the_run(self, text, word):
+        with pytest.raises(ValueError, match=f"requested times must lie within .*got {word}$"):
+            parse_config(text)
+        # the run's own tolerance: a sum that rounds past t_end still lands
+        assert parse_config(f"t_end = 0.3\ndiag_times = 0.1,{0.1 + 0.2!r}\n").t_end == 0.3
+
+    def test_random_band_within_the_dealias_band(self):
+        with pytest.raises(ValueError, match="band 6 exceeds"):
+            parse_config("nx = 16\nny = 16\nband = 6\n")
+        with pytest.raises(ValueError, match="band 6 exceeds"):
+            parse_config("nx = 16\nny = 16\nband = 6\nkind = laminar_small\n")
+        assert parse_config("nx = 16\nny = 16\nband = 5\n").band == 5
+        # the shear kinds ignore band
+        assert parse_config("nx = 16\nny = 16\nband = 6\nkind = shear_eigenmode\n").band == 6
+
     def test_schedule_strictly_increasing(self):
         with pytest.raises(ValueError):
             parse_config("diag_times = 0.2,0.1\n")

@@ -16,10 +16,10 @@ from cylflow.spectral import (
     _forward_banded,
     _inverse,
     _inverse_banded,
-    _parseval_l2,
+    _parseval_sq,
+    _parseval_weights,
     _x1_inverse,
     _x2_inverse,
-    _x2_mean_weights,
     dealias,
     integral,
     lp_norm,
@@ -194,7 +194,7 @@ def test_parseval(seed):
     g = make_grid(32, 32, 8.0)
     f = random_band_limited(g, seed=seed, band=9)
     quad = integral(ScalarField(g, f.data**2))
-    parseval = g.lam * _parseval_l2(to_spectral(f).data) ** 2
+    parseval = g.lam * _parseval_sq(g, to_spectral(f).data)
     assert quad == pytest.approx(parseval, rel=1e-12, abs=1e-300)
 
 
@@ -290,12 +290,66 @@ def test_x2_mean_weights_match_padded_samples(shape):
     g = make_grid(*shape, 3.0)
     half = _forward(np.random.default_rng(6).standard_normal((2,) + shape)) * g.dealias_mask
     fa, fb = _x1_inverse(g, half, 2 * g.nx)
-    got = (fa.view(np.float64) * fb.view(np.float64)) @ _x2_mean_weights(g)
+    got = (fa.view(np.float64) * fb.view(np.float64)) @ _parseval_weights(g)[0]
     want = np.prod(_x2_inverse(g, _x1_inverse(g, half, 2 * g.nx)), axis=0).mean(axis=1)
     scale = np.abs(want).max()
     assert np.abs(got - want).max() <= 1e-13 * scale
     # the mixed coefficients are zero beyond the band's last column
     assert not fa[:, g.band[1] + 1 :].any() and np.abs(fa[:, g.band[1]]).min() > 0.0
+
+
+@pytest.mark.parametrize("shape", [(48, 48), (128, 32), (12, 12), (16, 24)])
+def test_parseval_weights_keep_the_bits_of_the_recipes_they_replace(shape):
+    """Each table has the bits of the recipe that built it before there was
+    one table: the column weights 1, 2, ..., 2, 1 (each repeated for re and
+    im), the Nash and Poincare tables from the Nyquist-zeroed wavenumbers,
+    and the diagnostics' x2-derivative row."""
+    g = make_grid(*shape, 5.0)
+    cols = np.full(g.ny // 2 + 1, 2.0)
+    cols[[0, -1]] = 1.0
+    cols = np.repeat(cols, 2)
+    k1sq = g.k1_odd[:, None] ** 2
+    k2sq = g.k2_odd[None, : g.ny // 2 + 1] ** 2
+    recipes = {
+        (): np.broadcast_to(cols, (g.nx, cols.size)),
+        (1,): np.repeat(np.broadcast_to(k1sq, g.shape("spectral")), 2, axis=1) * cols,
+        (2,): np.repeat(np.broadcast_to(k2sq, g.shape("spectral")), 2, axis=1) * cols,
+        (1, 2): np.repeat(k1sq + k2sq, 2, axis=1) * cols,
+    }
+    for axes, want in recipes.items():
+        got = _parseval_weights(g, axes)
+        assert not got.flags.writeable
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), axes
+    assert _parseval_weights(g, (2,))[0].tobytes() == (cols * np.repeat(k2sq[0], 2)).tobytes()
+
+
+@pytest.mark.parametrize("axes", [(), (1,), (2,), (1, 2)])
+def test_parseval_sq_is_the_full_spectrum_sum(axes):
+    """On white noise, whose Nyquist row and column are not zero, the half
+    spectrum's weighted sum equals the full fft2 sum of |F|^2 times the sum
+    over `axes` of |i k|^2 (1 for no axes), and lam times it equals the
+    quadrature of `spectral_derivative`."""
+    g = make_grid(16, 12, 4.0)
+    f = ScalarField(g, np.random.default_rng(4).standard_normal(g.shape()))
+    full = np.fft.fft2(f.data, norm="forward")
+    symbols = {1: g.k1_odd[:, None], 2: g.k2_odd[None, :]}
+    ksq = sum((symbols[a] ** 2 for a in axes), np.zeros((1, 1))) if axes else 1.0
+    got = _parseval_sq(g, to_spectral(f).data, axes)
+    assert got == pytest.approx((np.abs(full) ** 2 * ksq).sum(), rel=1e-12)
+    quad = sum(lp_norm(spectral_derivative(f, a), 2) ** 2 for a in axes) if axes else lp_norm(f, 2) ** 2
+    assert g.lam * got == pytest.approx(quad, rel=1e-12)
+
+
+def test_only_spectral_reads_the_nyquist_zeroed_wavenumbers():
+    """`grid.k1_odd` and `grid.k2_odd` are read in spectral alone; every other
+    module takes the derivative symbol from `_derivative_multiplier` and its
+    Parseval weights from `_parseval_weights`."""
+    readers = []
+    for path in sorted(pathlib.Path(cylflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(isinstance(node, ast.Attribute) and node.attr in ("k1_odd", "k2_odd") for node in ast.walk(tree)):
+            readers.append(path.name)
+    assert readers == ["spectral.py"]
 
 
 @pytest.mark.parametrize("shape", [(64, 64), (48, 30), (40, 50)])
