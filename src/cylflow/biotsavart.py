@@ -109,18 +109,18 @@ def _biot_savart_tables(grid):
     return tables
 
 
-def _biot_savart(grid, w_hat, c, m_mean):
-    """Spectral velocity, stacked as (u1_hat, u2_hat) in one (2, ...) array,
-    of vorticity coefficients.
+def _biot_savart(grid, w_hat, c, m_mean, out=None):
+    """Spectral velocity, stacked as (u1_hat, u2_hat) in one (2, ...) array
+    (`out` if given), of vorticity coefficients.
 
     u_hat = (-d2 psi, d1 psi) with lap psi = omega; the (0, 0) slots carry
     the constants c = <u1> and m_mean, which the vorticity cannot fix.
     """
     neg_inv, neg_d2, d1 = _biot_savart_tables(grid)
-    out = np.empty((2,) + w_hat.shape, dtype=np.complex128)
-    psi = w_hat * neg_inv
+    out = np.empty((2,) + w_hat.shape, dtype=np.complex128) if out is None else out
+    psi = np.multiply(w_hat, neg_inv, out=out[1])
     np.multiply(neg_d2, psi, out=out[0])
-    np.multiply(d1, psi, out=out[1])
+    np.multiply(d1, psi, out=psi)
     out[0, 0, 0] = c
     out[1, 0, 0] = m_mean
     return out
@@ -169,15 +169,23 @@ def divergence_residual(u):
     return float(np.abs(d).max() / scale)
 
 
-def _pressure_rhs(grid, u1, w):
-    """Dealiased spectral coefficients of lap(u1^2) + 2 d2(omega u1) from physical u1, omega."""
-    q1, q2 = _forward(np.stack((u1 * u1, w * u1))) * grid.dealias_mask
-    return -grid.ksq * q1 + 2.0 * _derivative_multiplier(grid, 2) * q2
+def _pressure_rhs(grid, u1, w, work=None):
+    """Dealiased spectral coefficients of lap(u1^2) + 2 d2(omega u1) from
+    physical u1, omega, in the first slot of `work` if given: buffers
+    (2, nx, ny) for the products and (2, nx, ny//2+1) for their transform."""
+    prod, q = work if work is not None else (np.empty((2,) + u1.shape), None)
+    np.multiply(u1, u1, out=prod[0])
+    np.multiply(w, u1, out=prod[1])
+    q = np.multiply(_forward(prod, out=q), grid.dealias_mask, out=q)
+    np.multiply(-grid.ksq, q[0], out=q[0])
+    np.multiply(2.0 * _derivative_multiplier(grid, 2), q[1], out=q[1])
+    return np.add(q[0], q[1], out=q[0])
 
 
-def _pressure_hat(grid, u1, w):
-    """Spectral coefficients of the zero-mean pressure from physical u1, omega."""
-    p = _pressure_rhs(grid, u1, w) * grid.inv_ksq
+def _pressure_hat(grid, u1, w, work=None):
+    """Spectral coefficients of the zero-mean pressure from physical u1, omega (`work` of `_pressure_rhs`)."""
+    p = _pressure_rhs(grid, u1, w, work)
+    p *= grid.inv_ksq
     p[0, 0] = 0.0
     return p
 

@@ -331,11 +331,13 @@ def _cmd_report(args):
     if not names:
         raise _UsageError(f"no snapshots under {snap_dir}")
     with _bad_values():
-        states = [read_state(os.path.join(snap_dir, n)) for n in names]
-    states.sort(key=lambda s: s.t)
+        states = sorted(((read_state(os.path.join(snap_dir, n)), n) for n in names), key=lambda sn: sn[0].t)
     collector = diag_mod.TrajectoryCollector()
-    for s in states:
-        collector.add(s)
+    for s, name in states:
+        try:
+            collector.add(s)
+        except ValueError as exc:
+            raise _UsageError(f"{os.path.join(snap_dir, name)}: {exc}") from None
 
     estimated = c3 is None
     if estimated:
@@ -347,7 +349,7 @@ def _cmd_report(args):
     with _bad_values():
         report = diag_mod.theorem_checks(collector, cfg)
     if estimated:
-        g = states[0].grid
+        g = collector.snapshots[0].state.grid
         update_constant(
             args.constants_path,
             EstimatedConstant(

@@ -10,7 +10,9 @@ coefficients transformed along x1 only (row 0 of
 `spectral._parseval_weights`), which is exact for any input.  Only the
 three-field means sample x2, at the ny points of the state's own grid:
 the band has |n| < ny/3, so a cubic product stays below |n| = ny and that
-mean is already exact.
+mean is already exact.  A collector holds one grid and one buffer set for
+it, made at its first `add` and filled in place by every later one; no
+array a snapshot keeps aliases the buffers.
 """
 
 from __future__ import annotations
@@ -130,8 +132,8 @@ def _mean_weights(grid):
 
 
 class _FineFields:
-    """All profile ingredients of one state on the padded x1 grid of
-    `_padded_grid(state.grid)`.
+    """The buffer set of a collector: the profile ingredients of a state on
+    `grid`, on the padded x1 grid `_padded_grid(grid)`, that `fill` writes.
 
     One batched x1 stage of the dealiased band gives the mixed
     coefficients (x1 sampled, x2 spectral) of the velocity, the vorticity
@@ -140,34 +142,48 @@ class _FineFields:
     through the x1 stage only.
     """
 
-    def __init__(self, state):
-        g = state.grid
-        self.fine = _padded_grid(g)
-        # the fine samples at this stride are the state's own grid values
-        self.coarse = np.s_[::2]
-        w_hat = state.omega.data
-        u1h, u2h = _biot_savart(g, w_hat, state.c, state.m_mean)
-        d1 = _derivative_multiplier(g, 1)
-        mixed = _x1_inverse(g, np.stack((u1h, u2h, w_hat, d1 * u1h, d1 * u2h, d1 * w_hat)), 2 * g.nx)
-        self.u1, self.u2, self.w = _x2_inverse(g, mixed[:3])
-        # on the fine grid a vertical mean is the exact n = 0 profile
-        self.uh1 = self.u1 - self.u1.mean(axis=1, keepdims=True)
-        self.uh2 = self.u2 - self.u2.mean(axis=1, keepdims=True)
-        p = _x1_inverse(g, _pressure_hat(g, self.u1[self.coarse], self.w[self.coarse]), 2 * g.nx)
-        # interleaved (re, im) mixed coefficients, for `_means`
-        self.mixed = dict(zip(("u1", "u2", "w", "d1u1", "d1u2", "d1w"), mixed.view(np.float64)))
-        self.mixed["p"] = p.view(np.float64)
-        self.weights = _mean_weights(g)
+    def __init__(self, grid):
+        self.grid, self.fine = grid, _padded_grid(grid)
+        rows, ncols = 2 * grid.nx, grid._ncols
+        # One allocation, which the heap keeps for the next collector (as
+        # separate arrays, it was given back and faulted in again).  First
+        # the mixed coefficients of u1, u2, omega, their x1-derivatives and
+        # p, zeros as `_x1_inverse` wants of an `out` it has not filled, and
+        # as (re, im) pairs for `_means`.  Then the x2 samples of u1, u2,
+        # omega and two slots of scratch, which also hold the half spectra
+        # of the first six mixed fields until `fill` samples, and at their
+        # end the pressure's transform in `fill` and the products of `_means`.
+        nm = 14 * rows * ncols
+        block = np.zeros(nm + 5 * rows * grid.ny + 2 * rows)
+        self._mixed = block[:nm].view(np.complex128).reshape(7, rows, ncols)
+        self.mixed = dict(zip(("u1", "u2", "w", "d1u1", "d1u2", "d1w", "p"), self._mixed.view(np.float64)))
+        flat = block[nm:]
+        self._samples = flat[: 5 * rows * grid.ny].reshape(5, rows, grid.ny)
+        self._spec = flat[: 12 * grid.nx * ncols].view(np.complex128).reshape(6, grid.nx, ncols)
+        self._pair = flat[-2 * rows * ncols :].reshape(rows, 2 * ncols)
+        self.weights = _mean_weights(grid)
+
+    def fill(self, state):
+        g, spec, samples = self.grid, self._spec, self._samples
+        _biot_savart(g, state.omega.data, state.c, state.m_mean, out=spec[:2])
+        spec[2] = state.omega.data
+        np.multiply(_derivative_multiplier(g, 1), spec[:3], out=spec[3:])
+        _x1_inverse(g, spec, 2 * g.nx, out=self._mixed[:6])
+        _x2_inverse(g, self._mixed[:3], out=samples[:3])
+        # the fine samples at stride 2 are the state's own grid values
+        work = samples[3].reshape(2, g.nx, g.ny), self._pair.view(np.complex128).reshape(2, g.nx, -1)
+        _x1_inverse(g, _pressure_hat(g, samples[0, ::2], samples[2, ::2], work), 2 * g.nx, out=self._mixed[6])
         self.M = state.m0_norm
 
     def _means(self, a, b):
         """Vertical means of f_a * f_b by Parseval in x2: of the full
         fields, of their oscillatory parts, and of their x2-derivatives."""
-        return self.weights @ (self.mixed[a] * self.mixed[b]).T
+        return self.weights @ np.multiply(self.mixed[a], self.mixed[b], out=self._pair).T
 
     def profiles(self):
-        """Exact fine-grid profiles as a dict of length-2nx arrays."""
-        u1, u2, uh1, uh2, w = self.u1, self.u2, self.uh1, self.uh2, self.w
+        """Exact fine-grid profiles (length-2nx arrays) and the sup norms of
+        u, omega and u_hat, once per `fill`: it leaves u_hat in the samples."""
+        u1, u2, w = self._samples[:3]
         m = self._means
         uu, uu_osc, uu_d2 = m("u1", "u1")
         vv, vv_osc, vv_d2 = m("u2", "u2")
@@ -182,19 +198,34 @@ class _FineFields:
         e = 0.5 * (uu + vv) + 0.5 * self.M**2
         d1e = u_d1u + v_d1v
         d = d1u_d1u + uu_d2 + d1v_d1v + vv_d2
-        h = pu + 0.5 * ((u1**2 + u2**2) * u1).mean(axis=1)
         eps = 0.5 * ww
         d1eps = m("w", "d1w")[0]
-        zeta = 0.5 * (w**2 * u1).mean(axis=1)
         delta = m("d1w", "d1w")[0] + ww_d2
         e_hat = 0.5 * (uu_osc + vv_osc)
         d1e_hat = u_d1u_osc + v_d1v_osc
         d_hat = d1u_d1u + uu_d2 + d1v_d1v_osc + vv_d2
-        h_hat = pu_osc + 0.5 * ((uh1**2 + uh2**2) * uh1).mean(axis=1)
         q12 = m("u1", "u2")[1]
         # m' is column 0 of the mixed d1u2
         g_hat = self.mixed["d1u2"][:, 0] * q12
         forcing = m("d1u1", "u2")[1] + m("u1", "d1u2")[1]
+        # three-field means and sups (on the state's own grid, every other
+        # row; a rounded sqrt is monotone: the sqrt of the max is the max)
+        s, t = self._samples[3:]
+        np.add(np.square(u1, out=s), np.square(u2, out=t), out=s)
+        sup_u = math.sqrt(s[::2].max())
+        s *= u1
+        h = pu + 0.5 * s.mean(axis=1)
+        sup_w = float(np.abs(w, out=s)[::2].max())
+        np.square(w, out=s)
+        s *= u1
+        zeta = 0.5 * s.mean(axis=1)
+        # on the fine grid a vertical mean is the exact n = 0 profile
+        u1 -= u1.mean(axis=1, keepdims=True)
+        u2 -= u2.mean(axis=1, keepdims=True)
+        np.add(np.square(u1, out=s), np.square(u2, out=t), out=s)
+        sup_uhat = math.sqrt(s[::2].max())
+        s *= u1
+        h_hat = pu_osc + 0.5 * s.mean(axis=1)
         return {
             "e": e,
             "h": h,
@@ -214,40 +245,30 @@ class _FineFields:
             "d1e": d1e,
             "d1eps": d1eps,
             "d1e_hat": d1e_hat,
-        }
-
-
-def _coarse_sups(ff):
-    """Sup norms on the state's own grid (fine samples subsample exactly)."""
-    s = ff.coarse
-    sup_u = float(np.sqrt(ff.u1[s] ** 2 + ff.u2[s] ** 2).max())
-    sup_w = float(np.abs(ff.w[s]).max())
-    sup_uhat = float(np.sqrt(ff.uh1[s] ** 2 + ff.uh2[s] ** 2).max())
-    return sup_u, sup_w, sup_uhat
+        }, (sup_u, sup_w, sup_uhat)
 
 
 def _chi(x1, a, rho, lam):
     return np.exp(-rho * circular_distance(x1, a, lam))
 
 
-def localized_sum(profile, rho, a):
-    """Weighted integral of a profile against exp(-rho dist(x1, a))."""
+def _localizer(grid, rho, a):
+    """`localized_sum` of profile values on `grid`, the weights built once."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    g = profile.grid
-    w = _chi(g.x1, a, rho, g.lam)
-    return float((w * profile.values).sum() * g.dx)
+    w = _chi(grid.x1, a, rho, grid.lam)
+    return lambda values: float((w * values).sum() * grid.dx)
 
 
-def _localized_sum_fine(grid, values, rho, a):
-    return localized_sum(Profile(_padded_grid(grid), values), rho, a)
+def localized_sum(profile, rho, a):
+    """Weighted integral of a profile against exp(-rho dist(x1, a))."""
+    return _localizer(profile.grid, rho, a)(profile.values)
 
 
-def _residual_triple(grid, pr_lo, pr_mid, pr_hi, h):
+def _residual_triple(fine, pr_lo, pr_mid, pr_hi, h):
     """L2-in-x1 residuals (energy, enstrophy, oscillatory) of the three
     local dissipation laws at the middle of three snapshots h apart: the
     centered time difference against the exact spatial terms."""
-    fine = _padded_grid(grid)
 
     def l2(v):
         return float(np.sqrt((v**2).sum() * fine.dx))
@@ -270,11 +291,16 @@ def _ul2_from_profile(dx, q):
     window length rounds to the nearest grid multiple.  The window needs a
     horizontal period of at least 2; on a narrower box the collector
     records 0."""
-    n = q.shape[0]
-    w = max(1, int(round(1.0 / dx)))
-    idx = (np.arange(n)[:, None] - w + np.arange(2 * w)[None, :]) % n
-    masses = q[idx].sum(axis=1) * dx
+    masses = q[_ul2_windows(q.shape[0], max(1, int(round(1.0 / dx))))].sum(axis=1) * dx
     return float(np.sqrt(masses.max()))
+
+
+@lru_cache(maxsize=8)
+def _ul2_windows(n, w):
+    """Read-only indices of the n periodic windows of 2w points."""
+    idx = (np.arange(n)[:, None] - w + np.arange(2 * w)[None, :]) % n
+    idx.setflags(write=False)
+    return idx
 
 
 def fit_decay_rate(series, window, model):
@@ -328,16 +354,21 @@ class TrajectoryCollector:
         self.options = options or DiagnosticsOptions()
         self.snapshots = []
         self._center = None
+        self._fields = None
 
     def add(self, state):
-        ff = _FineFields(state)
-        pr = ff.profiles()
+        ff = self._fields
+        if ff is None:
+            ff = self._fields = _FineFields(state.grid)
+        elif state.grid != ff.grid:
+            raise ValueError(f"state on {state.grid!r}, but this trajectory is on {ff.grid!r}")
+        ff.fill(state)
+        pr, (sup_u, sup_w, sup_uhat) = ff.profiles()
         if self._center is None:
             if self.options.center == "argmax_e":
                 self._center = float(ff.fine.x1[int(np.argmax(pr["e"]))])
             else:
                 self._center = float(self.options.center)
-        sup_u, sup_w, sup_uhat = _coarse_sups(ff)
         ul2 = _ul2_from_profile(ff.fine.dx, 2.0 * pr["e_hat"]) if state.grid.lam >= 2.0 else 0.0
         forcing_sup = float(np.abs(pr["forcing"]).max())
         self.snapshots.append(
@@ -361,20 +392,19 @@ class TrajectoryCollector:
         opts = self.options
         recs = []
         snaps = self.snapshots
-        g = snaps[0].state.grid if snaps else None
+        fine = _padded_grid(snaps[0].state.grid) if snaps else None
+        loc = _localizer(fine, opts.rho, self._center) if snaps else None
         for i, s in enumerate(snaps):
-            e_rho = _localized_sum_fine(g, s.fine["e"], opts.rho, self._center)
-            d_rho = _localized_sum_fine(g, s.fine["d"], opts.rho, self._center)
-            ens_rho = _localized_sum_fine(g, s.fine["eps"], opts.rho, self._center)
-            ensd_rho = _localized_sum_fine(g, s.fine["delta"], opts.rho, self._center)
+            e_rho = loc(s.fine["e"])
+            d_rho = loc(s.fine["d"])
+            ens_rho = loc(s.fine["eps"])
+            ensd_rho = loc(s.fine["delta"])
             r_e = r_eps = r_osc = 0.0
             if 0 < i < len(snaps) - 1:
                 h1 = snaps[i].t - snaps[i - 1].t
                 h2 = snaps[i + 1].t - snaps[i].t
                 if abs(h1 - h2) <= 1e-9 * max(h1, 1e-300):
-                    r_e, r_eps, r_osc = _residual_triple(
-                        g, snaps[i - 1].fine, s.fine, snaps[i + 1].fine, h1
-                    )
+                    r_e, r_eps, r_osc = _residual_triple(fine, snaps[i - 1].fine, s.fine, snaps[i + 1].fine, h1)
             recs.append(
                 DiagnosticsRecord(
                     t=s.t,
@@ -491,18 +521,19 @@ def theorem_checks(collector, config):
         if T > collector.snapshots[-1].t + 1e-9:
             continue
         rho = 1.0 / math.sqrt(beta * T)
+        loc = _localizer(_padded_grid(g), rho, collector.center)
         sT = _snapshot_at(collector, T)
-        e_rho_T = _localized_sum_fine(g, sT.fine["e"], rho, collector.center)
+        e_rho_T = loc(sT.fine["e"])
         upto = [s for s in collector.snapshots if s.t <= T + 1e-12]
-        d_vals = [_localized_sum_fine(g, s.fine["d"], rho, collector.center) for s in upto]
+        d_vals = [loc(s.fine["d"]) for s in upto]
         int_d = _trapezoid([s.t for s in upto], d_vals)
         lhs = e_rho_T + 0.5 * int_d
         rhs = 4.0 * e_star0 * math.sqrt(beta * T)
         energy_rows.append({"T": T, "rho": rho, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else 0.0})
 
-        ens_T = _localized_sum_fine(g, sT.fine["eps"], rho, collector.center)
+        ens_T = loc(sT.fine["eps"])
         late = [s for s in upto if s.t >= T / 2.0 - 1e-12]
-        dd_vals = [_localized_sum_fine(g, s.fine["delta"], rho, collector.center) for s in late]
+        dd_vals = [loc(s.fine["delta"]) for s in late]
         int_dd = _trapezoid([s.t for s in late], dd_vals)
         scale = (1.0 + M) * e_star0
         enstrophy_rows.append(

@@ -124,34 +124,33 @@ def flux_bound_constants(collector):
         raise ValueError("empty trajectory")
     M = collector.snapshots[0].state.m0_norm
     g = collector.snapshots[0].state.grid
-    vals = {"C3": [], "C4": [], "C8": [], "g_ratio": []}
-    skipped = {k: 0 for k in vals}
+    parts = {"C3": [], "C4": [], "C8": [], "g_ratio": []}
+    skipped = {k: 0 for k in parts}
     for s in collector.snapshots:
         pr = s.fine
         kappa_t = s.sup_omega / (4.0 * np.pi**2)
         den_e = (1.0 + M) ** 2 * pr["e"] * pr["d"]
         keep = den_e > _FLUX_THRESHOLD
         skipped["C3"] += int((~keep).sum())
-        vals["C3"].extend((pr["f"][keep] ** 2 / den_e[keep]).tolist())
+        parts["C3"].append(pr["f"][keep] ** 2 / den_e[keep])
         den_ens = (1.0 + M) ** 2 * pr["eps"] * pr["delta"]
         keep = den_ens > _FLUX_THRESHOLD
         skipped["C4"] += int((~keep).sum())
-        vals["C4"].extend((pr["phi"][keep] ** 2 / den_ens[keep]).tolist())
+        parts["C4"].append(pr["phi"][keep] ** 2 / den_ens[keep])
         if kappa_t > 0.0:
             den_hat = kappa_t**2 * pr["d_hat"]
             keep = pr["d_hat"] > _FLUX_THRESHOLD
             skipped["C8"] += int((~keep).sum())
-            vals["C8"].extend((pr["f_hat"][keep] ** 2 / den_hat[keep]).tolist())
-            vals["g_ratio"].extend(
-                (np.abs(pr["g_hat"][keep]) / (kappa_t * pr["d_hat"][keep])).tolist()
-            )
+            parts["C8"].append(pr["f_hat"][keep] ** 2 / den_hat[keep])
+            parts["g_ratio"].append(np.abs(pr["g_hat"][keep]) / (kappa_t * pr["d_hat"][keep]))
     cfg = {"nx": g.nx, "ny": g.ny, "lambda": g.lam, "M": M}
     out = {}
-    for name, v in vals.items():
+    for name, p in parts.items():
+        v = np.concatenate(p) if p else np.empty(0)
         out[name] = InequalityReport(
             name=name,
-            samples=len(v),
-            max_ratio=float(max(v)) if v else 0.0,
+            samples=v.size,
+            max_ratio=float(v.max()) if v.size else 0.0,
             quantiles=_quantiles(v),
             config=dict(cfg, skipped=skipped[name]),
         )

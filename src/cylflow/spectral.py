@@ -189,9 +189,9 @@ class Profile:
 # field to and from its half spectrum (nx, ny//2+1).
 
 
-def _forward(phys):
-    """Half-spectrum coefficients of real physical data; leading axes are a batch."""
-    return np.fft.rfft2(phys, norm="forward")
+def _forward(phys, out=None):
+    """Half-spectrum coefficients (into `out`) of real physical data; leading axes are a batch."""
+    return np.fft.rfft2(phys, norm="forward", out=out)
 
 
 def _inverse(grid, spec):
@@ -206,26 +206,29 @@ def _inverse(grid, spec):
 # the rows.
 
 
-def _x1_inverse(grid, spec, rows):
+def _x1_inverse(grid, spec, rows, out=None):
     """Mixed coefficients (..., rows, ny//2+1) of the dealiased band of
     half-spectrum coefficients: x1 sampled at `rows` points by zero padding
     (`rows` >= nx), x2 still spectral.  The band stops short of row nx/2,
     so a real field's samples are real and, for rows = 2nx, every other row
     holds its own grid values.  Leading axes are a batch; `spec` is left as
-    it is."""
+    it is.  `out`, if given, is an earlier output or zeros of that shape."""
     r, nb = grid.band[0], grid.band[1] + 1
-    # full width: irfft along x2 would pad a copy of a narrower buffer
-    mixed = np.zeros(spec.shape[:-2] + (rows, grid._ncols), dtype=np.complex128)
-    mixed[..., : r + 1, :nb] = spec[..., : r + 1, :nb]
-    mixed[..., -r:, :nb] = spec[..., -r:, :nb]
-    band = mixed[..., :nb]
+    if out is None:
+        # full width: irfft along x2 would pad a copy of a narrower buffer
+        out = np.zeros(spec.shape[:-2] + (rows, grid._ncols), dtype=np.complex128)
+    else:
+        out[..., r + 1 : rows - r, :nb] = 0.0
+    out[..., : r + 1, :nb] = spec[..., : r + 1, :nb]
+    out[..., -r:, :nb] = spec[..., -r:, :nb]
+    band = out[..., :nb]
     np.fft.ifft(band, axis=-2, norm="forward", out=band)
-    return mixed
+    return out
 
 
-def _x2_inverse(grid, mixed):
-    """Samples along x2 of mixed coefficients from `_x1_inverse`."""
-    return np.fft.irfft(mixed, n=grid.ny, axis=-1, norm="forward")
+def _x2_inverse(grid, mixed, out=None):
+    """Samples along x2 of mixed coefficients from `_x1_inverse`, into `out`."""
+    return np.fft.irfft(mixed, n=grid.ny, axis=-1, norm="forward", out=out)
 
 
 def _inverse_banded(grid, spec):

@@ -2,7 +2,7 @@ import ast
 import json
 import os
 import shutil
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,8 +10,9 @@ import pytest
 from cylflow.cli import _build_parser, main
 from cylflow.config import EstimatedConstant, RunConfig, update_constant
 from cylflow.diagnostics import CSV_COLUMNS, TrajectoryCollector
-from cylflow.io import read_csv_records, read_state
-from cylflow.spectral import to_physical
+from cylflow.io import read_csv_records, read_state, write_state
+from cylflow.solver import InitialDataSpec, make_initial_data
+from cylflow.spectral import make_grid, to_physical
 
 
 def run_cli(*argv):
@@ -417,24 +418,31 @@ class TestInputFaults:
         assert run_cli("fit-rates", "--csv", str(csv), "--t-lo", "0", "--t-hi", "1") == 2
         self._one_line(capsys, "fit-rates", "bad.csv", "line 2", "sup_u", "'x'")
 
-    @pytest.mark.parametrize("fault", ["truncated", "full_layout", "no_meta"])
+    @pytest.mark.parametrize("fault", ["truncated", "full_layout", "no_meta", "mixed_grid"])
     def test_report_bad_snapshot(self, fault, sim_dir, tmp_path, capsys):
         run_dir = tmp_path / "run"
         shutil.copytree(os.path.join(sim_dir, "snapshots"), run_dir / "snapshots")
         bad = run_dir / "snapshots" / "state_00002.bin"
+        words = ()
         if fault == "truncated":
             bad.write_bytes(bad.read_bytes()[:100])
         elif fault == "full_layout":
             # the full (nx, ny) fft2 coefficients that older snapshots held
             w = to_physical(read_state(str(bad)).omega).data
             bad.write_bytes((np.fft.fft2(w) / w.size).astype("<c16").tobytes())
-        else:
+        elif fault == "no_meta":
             os.remove(f"{bad}.meta")
+        else:
+            # a 48x32 state at the replaced snapshot's time in a 32x32 run
+            old = read_state(str(bad))
+            wide = make_initial_data(InitialDataSpec(kind="shear_eigenmode"), make_grid(48, 32, old.grid.lam))
+            write_state(replace(wide, t=old.t), str(bad))
+            words = ("nx=48, ny=32", "nx=32, ny=32")
         rep_path = tmp_path / "report.json"
         const = tmp_path / "constants.json"
         argv = ["report", "--run-dir", str(run_dir), "--constants", str(const), "--out", str(rep_path)]
         assert run_cli(*argv) == 2
-        self._one_line(capsys, "report", "state_00002.bin")
+        self._one_line(capsys, "report", "state_00002.bin", *words)
         assert not const.exists() and not rep_path.exists()
 
     @pytest.mark.parametrize(
