@@ -176,8 +176,9 @@ def _cmd_advdiff(args):
 
 
 def _parse_weights(text):
-    """A family=weight list: each family one of FIELD_FAMILIES, each weight a
-    finite float >= 0, and the weights summing to a positive total."""
+    """A family=weight list: each family one of FIELD_FAMILIES and named
+    once, each weight a finite float >= 0, and the weights summing to a
+    positive total."""
     families = ineq_mod.FIELD_FAMILIES
     weights = {}
     for part in text.split(","):
@@ -185,6 +186,8 @@ def _parse_weights(text):
         name = name.strip()
         if name not in families:
             raise ValueError(f"--weights: unknown family {name!r}, expected one of {', '.join(families)}")
+        if name in weights:
+            raise ValueError(f"--weights: family {name!r} is given twice")
         weights[name] = float(w)
         if not (math.isfinite(weights[name]) and weights[name] >= 0.0):
             raise ValueError(f"--weights: {name} needs a finite weight >= 0, got {w.strip()!r}")
@@ -342,12 +345,12 @@ def _cmd_report(args):
     estimated = c3 is None
     if estimated:
         c3 = ineq_mod.flux_bound_constants(collector)["C3"].max_ratio
-    cfg = diag_mod.TheoremCheckConfig(
-        c3=c3, window=window, t_grid=t_grid, tau=args.tau, laminar_window=laminar_window
-    )
-    # a --t-grid time between snapshots fails here, before anything is written
+    # a --t-grid time between snapshots or a reversed window fails here,
+    # before anything is written
     with _bad_values():
-        report = diag_mod.theorem_checks(collector, cfg)
+        report = diag_mod.theorem_checks(
+            collector, c3=c3, t_grid=t_grid, tau=args.tau, window=window, laminar_window=laminar_window
+        )
     if estimated:
         g = collector.snapshots[0].state.grid
         update_constant(

@@ -41,7 +41,6 @@ __all__ = [
     "RateFit",
     "DiagnosticsOptions",
     "TrajectoryCollector",
-    "TheoremCheckConfig",
     "CSV_COLUMNS",
     "v_volume",
     "localized_sum",
@@ -428,27 +427,6 @@ class TrajectoryCollector:
         return [(s.t, getattr(s, key)) for s in self.snapshots]
 
 
-@dataclass
-class TheoremCheckConfig:
-    """Inputs for the theorem-level report.
-
-    c3 is the empirical flux constant from the constants ledger (beta =
-    c3 (1+M)^2).  The vorticity-decay fit window defaults to
-    [1, 0.1 (lam/2pi)^2] to precede the finite-box exponential crossover.
-    """
-
-    c3: float
-    window: tuple = None
-    t_grid: tuple = (1.0, 4.0, 16.0)
-    tau: float = 0.1
-    laminar_window: tuple = (0.05, 0.5)
-
-    def vorticity_window(self, lam):
-        if self.window is not None:
-            return self.window
-        return (1.0, 0.1 * (lam / (2.0 * np.pi)) ** 2)
-
-
 def _snapshot_at(collector, t):
     for s in collector.snapshots:
         if abs(s.t - t) <= 1e-9 * max(1.0, abs(t)):
@@ -456,25 +434,27 @@ def _snapshot_at(collector, t):
     raise ValueError(f"missing diagnostics at requested time t={t}")
 
 
-def _trapezoid(ts, vs):
-    return float(np.trapezoid(vs, ts)) if len(ts) > 1 else 0.0
-
-
-def theorem_checks(collector, config):
+def theorem_checks(collector, *, c3, t_grid=(1.0, 4.0, 16.0), tau=0.1, window=None, laminar_window=(0.05, 0.5)):
     """Quantitative report on the theorem-shaped estimates for one run.
 
     Sections: (a) uniform velocity bound ratio; (b) vorticity-decay shape
-    over the fit window; (c) localized energy/enstrophy bounds at the
-    configured horizons with rho = 1/sqrt(beta T); (d) laminar-regime decay
-    rates when kappa < 1; (e) the ul2-to-sup smoothing ratio at lag tau.
+    over the fit `window`; (c) localized energy/enstrophy bounds at the
+    horizons `t_grid` with rho = 1/sqrt(beta T), beta = c3 (1+M)^2, and c3
+    the empirical flux constant of the constants ledger; (d) laminar-regime
+    decay rates over `laminar_window` when kappa < 1; (e) the ul2-to-sup
+    smoothing ratio at lag `tau`.  The vorticity-decay window defaults to
+    [1, 0.1 (lam/2pi)^2], to precede the finite-box exponential crossover.
     """
-    if not (math.isfinite(config.c3) and config.c3 > 0.0):
-        raise ValueError(f"C3 must be finite and > 0, got {config.c3!r}")
-    if not (math.isfinite(config.tau) and config.tau > 0.0):
-        raise ValueError(f"tau must be finite and > 0, got {config.tau!r}")
-    for T in config.t_grid:
+    if not (math.isfinite(c3) and c3 > 0.0):
+        raise ValueError(f"C3 must be finite and > 0, got {c3!r}")
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
+    for T in t_grid:
         if not T > 0.0:
             raise ValueError(f"every t-grid time must be > 0, got {T!r}")
+    for name, win in (("window", window), ("laminar_window", laminar_window)):
+        if win is not None and not (math.isfinite(win[0]) and math.isfinite(win[1]) and win[0] < win[1]):
+            raise ValueError(f"{name} must be finite with lo < hi, got {win[0]!r},{win[1]!r}")
     if not collector.snapshots:
         raise ValueError("empty trajectory")
     first = collector.snapshots[0]
@@ -490,7 +470,7 @@ def theorem_checks(collector, config):
             "M": M,
             "e_star0": e_star0,
             "Ru0": ru0,
-            "c3": config.c3,
+            "c3": c3,
         }
     }
 
@@ -504,7 +484,7 @@ def theorem_checks(collector, config):
     }
 
     # (b) vorticity decay shape over the pre-crossover window
-    t_lo, t_hi = config.vorticity_window(g.lam)
+    t_lo, t_hi = window or (1.0, 0.1 * (g.lam / (2.0 * np.pi)) ** 2)
     in_win = [s for s in collector.snapshots if t_lo <= s.t <= t_hi]
     denom_b = (1.0 + M) * e_star0
     ratio_b = max((s.sup_omega**2 * math.sqrt(s.t) for s in in_win), default=0.0)
@@ -515,9 +495,9 @@ def theorem_checks(collector, config):
     }
 
     # (c) localized energy and enstrophy bounds at the configured horizons
-    beta = config.c3 * (1.0 + M) ** 2
+    beta = c3 * (1.0 + M) ** 2
     energy_rows, enstrophy_rows = [], []
-    for T in config.t_grid:
+    for T in t_grid:
         if T > collector.snapshots[-1].t + 1e-9:
             continue
         rho = 1.0 / math.sqrt(beta * T)
@@ -526,7 +506,7 @@ def theorem_checks(collector, config):
         e_rho_T = loc(sT.fine["e"])
         upto = [s for s in collector.snapshots if s.t <= T + 1e-12]
         d_vals = [loc(s.fine["d"]) for s in upto]
-        int_d = _trapezoid([s.t for s in upto], d_vals)
+        int_d = float(np.trapezoid(d_vals, [s.t for s in upto]))
         lhs = e_rho_T + 0.5 * int_d
         rhs = 4.0 * e_star0 * math.sqrt(beta * T)
         energy_rows.append({"T": T, "rho": rho, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else 0.0})
@@ -534,7 +514,7 @@ def theorem_checks(collector, config):
         ens_T = loc(sT.fine["eps"])
         late = [s for s in upto if s.t >= T / 2.0 - 1e-12]
         dd_vals = [loc(s.fine["delta"]) for s in late]
-        int_dd = _trapezoid([s.t for s in late], dd_vals)
+        int_dd = float(np.trapezoid(dd_vals, [s.t for s in late]))
         scale = (1.0 + M) * e_star0
         enstrophy_rows.append(
             {
@@ -560,7 +540,7 @@ def theorem_checks(collector, config):
                 laminar[f"{label}_rate"] = "exact_zero"
                 continue
             try:
-                fit = fit_decay_rate(series, config.laminar_window, "exponential")
+                fit = fit_decay_rate(series, laminar_window, "exponential")
             except ValueError as exc:
                 laminar[f"{label}_rate"] = f"unavailable: {exc}"
                 continue
@@ -573,7 +553,7 @@ def theorem_checks(collector, config):
     # (e) smoothing: sup |u_hat(t+tau)| against ul2(u_hat(t))
     pairs = []
     for s in collector.snapshots:
-        target = s.t + config.tau
+        target = s.t + tau
         try:
             s2 = _snapshot_at(collector, target)
         except ValueError:
@@ -581,7 +561,7 @@ def theorem_checks(collector, config):
         if s.ul2_uhat > 1e-13:
             pairs.append(s2.sup_uhat / s.ul2_uhat)
     report["smoothing"] = {
-        "tau": config.tau,
+        "tau": tau,
         "pairs": len(pairs),
         "max_ratio": max(pairs) if pairs else 0.0,
     }

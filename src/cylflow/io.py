@@ -2,11 +2,10 @@
 
 Diagnostics rows use a fixed column order and 17 significant digits, so
 float64 values round-trip exactly and identical runs produce bitwise
-identical files.  Snapshots are raw little-endian float64, row-major with
-x1 outermost; spectral snapshots store the nx*(ny/2+1) complex
-coefficients of the rfft2 half spectrum as interleaved (re, im) float64
-pairs.  Each snapshot has a plain-text
-key=value sidecar at <path>.meta.
+identical files.  A snapshot is one spectral field: the nx*(ny/2+1)
+complex coefficients of its rfft2 half spectrum, row-major with x1
+outermost, as interleaved little-endian (re, im) float64 pairs.  Each
+snapshot has a plain-text key=value sidecar at <path>.meta.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from .diagnostics import CSV_COLUMNS, DiagnosticsRecord
 from .solver import FlowState
-from .spectral import PHYSICAL, SPECTRAL, ScalarField, SpectralGrid
+from .spectral import SPECTRAL, ScalarField, SpectralGrid
 
 __all__ = [
     "write_csv_records",
@@ -85,18 +84,16 @@ def _read_sidecar(path):
 
 
 def write_field(f, path, time=0.0, extra=None):
-    """Raw snapshot of one field plus its sidecar."""
-    if f.repr == PHYSICAL:
-        raw = np.ascontiguousarray(f.data, dtype="<f8")
-    else:
-        raw = np.ascontiguousarray(f.data, dtype="<c16")
+    """Raw snapshot of one spectral field plus its sidecar."""
+    if f.repr != SPECTRAL:
+        raise ValueError(f"a snapshot holds a spectral field, got a {f.repr} one")
     with open(path, "wb") as fh:
-        fh.write(raw.tobytes())
+        fh.write(np.ascontiguousarray(f.data, dtype="<c16").tobytes())
     meta = {
         "nx": f.grid.nx,
         "ny": f.grid.ny,
         "lambda": float(f.grid.lam),
-        "repr": f.repr,
+        "repr": SPECTRAL,
         "time": float(time),
     }
     if extra:
@@ -108,32 +105,30 @@ _REQUIRED_META = ("nx", "ny", "lambda", "repr", "time")
 
 
 def read_field(path):
-    """Read a field snapshot; returns (ScalarField, meta dict).
+    """Read a field snapshot; returns (spectral ScalarField, meta dict).
 
-    A sidecar without the required keys, an unknown representation or a
-    byte count that does not match the grid raises ValueError naming the
-    file; a missing file raises OSError.
+    A sidecar without the required keys or with a repr other than
+    spectral, or a byte count that does not match the grid, raises
+    ValueError naming the file; a missing file raises OSError.
     """
     meta = _read_sidecar(path)
     missing = [k for k in _REQUIRED_META if k not in meta]
     if missing:
         raise ValueError(f"snapshot sidecar {path}.meta lacks {', '.join(missing)}")
-    rep = meta["repr"]
-    if rep not in (PHYSICAL, SPECTRAL):
-        raise ValueError(f"snapshot {path} has unknown repr {rep!r}")
+    if meta["repr"] != SPECTRAL:
+        raise ValueError(f"snapshot sidecar {path}.meta: repr must be {SPECTRAL}, got {meta['repr']!r}")
     try:
         grid = SpectralGrid(int(meta["nx"]), int(meta["ny"]), float(meta["lambda"]))
     except ValueError as exc:
         raise ValueError(f"snapshot sidecar {path}.meta: {exc}") from exc
     with open(path, "rb") as fh:
         raw = fh.read()
-    dtype = np.dtype("<f8" if rep == PHYSICAL else "<c16")
-    shape = grid.shape(rep)
-    expected = shape[0] * shape[1] * dtype.itemsize
+    shape = grid.shape(SPECTRAL)
+    expected = shape[0] * shape[1] * 16
     if len(raw) != expected:
         raise ValueError(f"snapshot {path} holds {len(raw)} bytes, expected {expected}")
-    data = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    return ScalarField(grid, data, rep), meta
+    data = np.frombuffer(raw, dtype="<c16").reshape(shape).copy()
+    return ScalarField(grid, data, SPECTRAL), meta
 
 
 def write_state(state, path):
@@ -164,10 +159,11 @@ def _finite_meta(path, meta, key):
 
 def read_state(path):
     """Inverse of write_state; bitwise round trip.  A bad sidecar value
-    raises ValueError naming the file and the key."""
+    raises ValueError naming the file and the key, and a non-finite
+    coefficient one naming the file."""
     fld, meta = read_field(path)
-    if fld.repr != SPECTRAL:
-        raise ValueError(f"state snapshot {path} is not spectral")
+    if not np.isfinite(fld.data.view(np.float64)).all():
+        raise ValueError(f"snapshot {path} holds a non-finite coefficient")
     c, m_mean, t, m0_norm = (_finite_meta(path, meta, k) for k in ("c", "m_mean", "time", "m0_norm"))
     try:
         return FlowState(grid=fld.grid, omega=fld, c=c, m_mean=m_mean, t=t, m0_norm=m0_norm)

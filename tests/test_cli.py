@@ -254,6 +254,7 @@ class TestCleanFailures:
             (["simulate", "--config", "{frac_seed}"], "line 1: key 'seed' expects an integer, got '1.5'"),
             (["simulate", "--config", "{x_lambda}"], "line 1: key 'lambda' expects a number, got 'x'"),
             (["simulate", "--diag-times", "0,abc"], "diag_times must be a comma list of numbers, got '0,abc'"),
+            (["verify-inequalities", "--weights", "broad=0,broad=1"], "'broad' is given twice"),
         ],
     )
     def test_bad_value(self, argv, word, tmp_path, capsys):
@@ -301,6 +302,9 @@ class TestCleanFailures:
             ("--tau", "nan"),
             ("--tau", "0"),
             ("--tau", "-0.01"),
+            ("--window", "0.05,0.005"),
+            ("--window", "nan,1"),
+            ("--laminar-window", "0.5,0.05"),
         ],
     )
     def test_report_bad_value_writes_nothing(self, flag, value, sim_dir, tmp_path, capsys):
@@ -418,7 +422,7 @@ class TestInputFaults:
         assert run_cli("fit-rates", "--csv", str(csv), "--t-lo", "0", "--t-hi", "1") == 2
         self._one_line(capsys, "fit-rates", "bad.csv", "line 2", "sup_u", "'x'")
 
-    @pytest.mark.parametrize("fault", ["truncated", "full_layout", "no_meta", "mixed_grid"])
+    @pytest.mark.parametrize("fault", ["truncated", "full_layout", "no_meta", "mixed_grid", "non_finite"])
     def test_report_bad_snapshot(self, fault, sim_dir, tmp_path, capsys):
         run_dir = tmp_path / "run"
         shutil.copytree(os.path.join(sim_dir, "snapshots"), run_dir / "snapshots")
@@ -432,6 +436,11 @@ class TestInputFaults:
             bad.write_bytes((np.fft.fft2(w) / w.size).astype("<c16").tobytes())
         elif fault == "no_meta":
             os.remove(f"{bad}.meta")
+        elif fault == "non_finite":
+            coeffs = np.frombuffer(bad.read_bytes(), dtype="<c16").copy()
+            coeffs[5] = np.nan
+            bad.write_bytes(coeffs.tobytes())
+            words = ("non-finite",)
         else:
             # a 48x32 state at the replaced snapshot's time in a 32x32 run
             old = read_state(str(bad))

@@ -217,13 +217,15 @@ class TestCsv:
 
 class TestSnapshots:
     def test_field_round_trip_bitwise(self, tmp_path, grid64):
-        f = random_band_limited(grid64, seed=1)
+        f = to_spectral(random_band_limited(grid64, seed=1))
         path = str(tmp_path / "f.bin")
         write_field(f, path, time=0.25)
         back, meta = read_field(path)
         assert np.array_equal(back.data, f.data)
         assert back.grid == grid64
         assert float(meta["time"]) == 0.25
+        with pytest.raises(ValueError, match="spectral"):
+            write_field(random_band_limited(grid64, seed=1), str(tmp_path / "p.bin"))
 
     def test_spectral_field_round_trip(self, tmp_path, grid64):
         f = to_spectral(random_band_limited(grid64, seed=2))
@@ -251,15 +253,15 @@ class TestSnapshots:
 
     def test_truncated_file_named(self, tmp_path, grid64):
         path = str(tmp_path / "short.bin")
-        write_field(random_band_limited(grid64, seed=3), path)
+        write_field(to_spectral(random_band_limited(grid64, seed=3)), path)
         with open(path, "r+b") as fh:
-            fh.truncate(64 * 64 * 8 - 8)
+            fh.truncate(64 * 33 * 16 - 16)
         with pytest.raises(ValueError, match="short.bin"):
             read_field(path)
 
     def test_sidecar_missing_key_named(self, tmp_path, grid64):
         path = str(tmp_path / "nokey.bin")
-        write_field(random_band_limited(grid64, seed=3), path)
+        write_field(to_spectral(random_band_limited(grid64, seed=3)), path)
         meta = open(path + ".meta").read().splitlines()
         with open(path + ".meta", "w") as fh:
             fh.write("\n".join(ln for ln in meta if not ln.startswith("repr=")) + "\n")
@@ -270,7 +272,7 @@ class TestSnapshots:
         "key, value",
         [
             ("lambda", "inf"), ("c", "nan"), ("m_mean", "inf"), ("time", "-inf"), ("time", "-1"),
-            ("m0_norm", "nan"), ("c", "abc"),
+            ("m0_norm", "nan"), ("c", "abc"), ("repr", "physical"),
         ],
     )
     def test_state_sidecar_bad_value_named(self, key, value, tmp_path, grid64):

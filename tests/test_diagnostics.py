@@ -8,7 +8,6 @@ from cylflow.biotsavart import _biot_savart, _pressure_hat
 from cylflow.diagnostics import (
     DiagnosticsOptions,
     Profile,
-    TheoremCheckConfig,
     TrajectoryCollector,
     _ul2_from_profile,
     fit_decay_rate,
@@ -464,11 +463,52 @@ class TestFitDecayRate:
 
 
 class TestTheoremChecks:
+    def test_estimates_equal_the_written_out_formulas(self):
+        """Sections (a), (b), (d) and (e), which acceptance criteria 9-12
+        read, equal to the bit the estimates written out here from the
+        snapshots: C7, C6, the laminar fits and floor, and C10 with its
+        partners matched by time rounded to 9 digits."""
+        g = make_grid(32, 32, 8.0)
+        st = make_initial_data(InitialDataSpec(kind="random_bandlimited", seed=3, target_romega=4.0), g)
+        coll = TrajectoryCollector()
+        run(st, 0.62, diag_times=[round(0.02 * i, 10) for i in range(32)], collector=coll)
+        window, tau = (0.1, 0.5), 0.1
+        rep = theorem_checks(coll, c3=1.0, t_grid=(), tau=tau, window=window)
+        snaps = coll.snapshots
+        M, e_star0, ru0 = st.m0_norm, float(snaps[0].fine["e"].max()), snaps[0].sup_u
+
+        c7 = max(s.sup_u for s in snaps) / (ru0 + M + (1 + M) * e_star0)
+        assert rep["velocity_bound"]["ratio"] == c7
+
+        c6 = [s.sup_omega**2 * np.sqrt(s.t) / ((1 + M) * e_star0) for s in snaps if window[0] <= s.t <= window[1]]
+        assert rep["vorticity_decay"]["samples"] == len(c6) == 21
+        assert rep["vorticity_decay"]["ratio"] == max(c6)
+        default = theorem_checks(coll, c3=1.0, t_grid=())["vorticity_decay"]
+        assert default["window"] == (1.0, 0.1 * (8.0 / (2 * np.pi)) ** 2)
+
+        lam = rep["laminar"]
+        kappa = M / (4 * np.pi**2)
+        floor = 2 * np.pi**2 * (1 - kappa)
+        assert lam["kappa"] == kappa and lam["rate_floor"] == floor
+        for label, key in (("ul2", "ul2_uhat"), ("uhat", "sup_uhat")):
+            fit = fit_decay_rate(coll.series(key), (0.05, 0.5), "exponential")
+            assert lam[f"{label}_rate"] == fit.exponent_or_rate
+        assert lam["passes_floor"] is (lam["ul2_rate"] >= floor)
+
+        by_t = {round(s.t, 9): s for s in snaps}
+        c10 = [
+            by_t[round(s.t + tau, 9)].sup_uhat / s.ul2_uhat
+            for s in snaps
+            if round(s.t + tau, 9) in by_t and s.ul2_uhat > 1e-13
+        ]
+        assert rep["smoothing"]["pairs"] == len(c10) == 27
+        assert rep["smoothing"]["max_ratio"] == max(c10)
+
     def test_zero_initial_data(self, grid64):
         st = uniform_state(grid64, 0.0)
         coll = TrajectoryCollector()
         run(st, 0.2, diag_times=np.linspace(0, 0.2, 5), collector=coll)
-        rep = theorem_checks(coll, TheoremCheckConfig(c3=1.0, t_grid=(0.1, 0.2)))
+        rep = theorem_checks(coll, c3=1.0, t_grid=(0.1, 0.2))
         assert rep["velocity_bound"]["ratio"] == 0.0
         assert rep["vorticity_decay"]["ratio"] == 0.0
         assert rep["smoothing"]["max_ratio"] == 0.0
@@ -481,9 +521,7 @@ class TestTheoremChecks:
         st = shear_state(grid64, A)
         coll = TrajectoryCollector()
         run(st, 0.55, diag_times=np.arange(0, 0.551, 0.025), collector=coll)
-        rep = theorem_checks(
-            coll, TheoremCheckConfig(c3=1.0, t_grid=(0.5,), laminar_window=(0.05, 0.5))
-        )
+        rep = theorem_checks(coll, c3=1.0, t_grid=(0.5,), laminar_window=(0.05, 0.5))
         lam = rep["laminar"]
         assert lam["kappa"] == pytest.approx(0.1, rel=1e-10)
         assert lam["uhat_rate"] == pytest.approx(4 * np.pi**2, rel=0.01)
@@ -496,4 +534,4 @@ class TestTheoremChecks:
         coll = TrajectoryCollector()
         run(st, 0.2, diag_times=[0.0, 0.1, 0.2], collector=coll)
         with pytest.raises(ValueError):
-            theorem_checks(coll, TheoremCheckConfig(c3=1.0, t_grid=(0.15,)))
+            theorem_checks(coll, c3=1.0, t_grid=(0.15,))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cylflow.inequalities
-from cylflow.diagnostics import TheoremCheckConfig, TrajectoryCollector, theorem_checks
+from cylflow.diagnostics import TrajectoryCollector, theorem_checks
 from cylflow.inequalities import (
     FIELD_FAMILIES,
     flux_bound_constants,
@@ -173,7 +173,7 @@ class TestKappa:
         def kappa(romega):
             coll = TrajectoryCollector()
             coll.add(make_initial_data(InitialDataSpec(kind="shear_eigenmode", target_romega=romega), grid64))
-            return theorem_checks(coll, TheoremCheckConfig(c3=1.0, t_grid=()))["laminar"]["kappa"]
+            return theorem_checks(coll, c3=1.0, t_grid=())["laminar"]["kappa"]
 
         assert kappa(0.0) == 0.0
         assert kappa(4 * np.pi**2) == pytest.approx(1.0)
