@@ -32,7 +32,7 @@ from .config import (
     serialize_config,
     update_constant,
 )
-from .io import read_csv_records, read_state, write_csv_records, write_state
+from .io import csv_row, read_csv_records, read_state, write_csv, write_csv_records, write_file, write_json, write_state
 from .solver import make_initial_data, run
 from .spectral import ScalarField, make_grid
 
@@ -84,8 +84,7 @@ def _cmd_simulate(args):
     final = run(state, cfg.t_end, cfg.diag_schedule(), dt_acc=cfg.dt_acc, collector=collector)
     records = collector.finalize()
     write_csv_records(records, os.path.join(cfg.out_dir, "diagnostics.csv"))
-    with open(os.path.join(cfg.out_dir, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(cfg))
+    write_file(os.path.join(cfg.out_dir, "config.txt"), serialize_config(cfg))
     if cfg.snapshots:
         snap_dir = os.path.join(cfg.out_dir, "snapshots")
         os.makedirs(snap_dir, exist_ok=True)
@@ -98,9 +97,7 @@ def _cmd_simulate(args):
         "center": collector.center,
         "records": len(records),
     }
-    with open(os.path.join(cfg.out_dir, "run.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(cfg.out_dir, "run.json"), summary)
     print(f"simulate: wrote {len(records)} records to {cfg.out_dir}")
     return 0
 
@@ -152,23 +149,16 @@ def _cmd_advdiff(args):
             res = advdiff_mod.check_lp_lq(bump, p, q, lp_fields)
             for t, r in zip(res.times, res.ratios):
                 rows.append((p, q, t, r))
-        with open(os.path.join(args.out_dir, "lplq.csv"), "w", encoding="utf-8") as fh:
-            fh.write("p,q,t,ratio\n")
-            for p, q, t, r in rows:
-                qtxt = "inf" if q == np.inf else format(q, ".17g")
-                fh.write(f"{p:.17g},{qtxt},{t:.17g},{r:.17g}\n")
+        write_csv(os.path.join(args.out_dir, "lplq.csv"), ("p", "q", "t", "ratio"), rows)
 
     env_rows = [
         (t, advdiff_mod.check_gaussian_envelope(fields[t], y, t, drift.amplitude, args.envelope_lambda))
         for t in env_times
     ]
     if env_rows:
-        with open(os.path.join(args.out_dir, "envelope.csv"), "w", encoding="utf-8") as fh:
-            fh.write("t,slope,K2_est,lambda_eff,passed\n")
-            for t, fit in env_rows:
-                fh.write(
-                    f"{t:.17g},{fit.slope:.17g},{fit.K2_est:.17g},{fit.lambda_eff:.17g},{int(fit.passed)}\n"
-                )
+        env_cells = ((t, fit.slope, fit.K2_est, fit.lambda_eff, int(fit.passed)) for t, fit in env_rows)
+        env_header = ("t", "slope", "K2_est", "lambda_eff", "passed")
+        write_csv(os.path.join(args.out_dir, "envelope.csv"), env_header, env_cells)
 
     failures = sum(not fit.passed for _, fit in env_rows)
     print(f"advdiff: {len(rows)} smoothing ratios, {len(env_rows)} envelope fits, {failures} failures")
@@ -212,13 +202,8 @@ def _cmd_verify_inequalities(args):
             load_constants(args.constants_path)
     rows, report = ineq_mod.nash_suite(grid, args.samples, args.seed, weights)
     os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "nash_samples.csv"), "w", encoding="utf-8") as fh:
-        fh.write("family,lhs,rhs_branch1,rhs_branch2,ratio,psi_c\n")
-        for r in rows:
-            fh.write(
-                f"{r['family']},{r['lhs']:.17g},{r['rhs_branch1']:.17g},"
-                f"{r['rhs_branch2']:.17g},{r['ratio']:.17g},{r['psi_c']:.17g}\n"
-            )
+    cols = ("family", "lhs", "rhs_branch1", "rhs_branch2", "ratio", "psi_c")
+    write_csv(os.path.join(args.out_dir, "nash_samples.csv"), cols, ([r[c] for c in cols] for r in rows))
 
     # split-half stability of the suite maximum
     ratios = [r["ratio"] for r in rows]
@@ -243,9 +228,7 @@ def _cmd_verify_inequalities(args):
         "poincare_max": poincare_max,
         "config": report.config,
     }
-    with open(os.path.join(args.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(args.out_dir, "summary.json"), summary)
     if args.constants_path:
         update_constant(
             args.constants_path,
@@ -274,9 +257,9 @@ def _cmd_kernel_table(args):
     with _bad_values():
         xs = _parse_lattice(args.x1, "--x1")
         ys = _parse_lattice(args.x2, "--x2")
-        out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
-    try:
-        out.write("x1,x2,K,gradperpK_1,gradperpK_2\n")
+        out = contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", encoding="utf-8")
+    with out as fh:
+        fh.write(csv_row(("x1", "x2", "K", "gradperpK_1", "gradperpK_2")))
         for x in xs:
             for y in ys:
                 try:
@@ -284,10 +267,7 @@ def _cmd_kernel_table(args):
                     g1, g2 = grad_perp_K(x, y)
                 except ValueError:
                     k, g1, g2 = math.nan, math.nan, math.nan
-                out.write(f"{x:.17g},{y:.17g},{k:.17g},{g1:.17g},{g2:.17g}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+                fh.write(csv_row((x, y, k, g1, g2)))
     return 0
 
 
@@ -360,9 +340,7 @@ def _cmd_report(args):
             ),
         )
         print(f"report: estimated C3={c3:.4g} from the run and recorded it in {args.constants_path}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, default=float)
-        fh.write("\n")
+    write_json(args.out, report)
 
     failures = 0
     for row in report["localized_energy"]:
@@ -377,9 +355,12 @@ def _cmd_report(args):
             f"laminar: ul2 rate {lam_sec['ul2_rate']:.3f} vs floor {lam_sec['rate_floor']:.3f} "
             f"{'PASS' if ok else 'FAIL'}"
         )
-    print(f"velocity bound ratio: {report['velocity_bound']['ratio']:.4f}")
-    print(f"vorticity decay ratio: {report['vorticity_decay']['ratio']:.4f}")
-    print(f"smoothing max ratio: {report['smoothing']['max_ratio']:.4f}")
+    for label, x in (
+        ("velocity bound ratio", report["velocity_bound"]["ratio"]),
+        ("vorticity decay ratio", report["vorticity_decay"]["ratio"]),
+        ("smoothing max ratio", report["smoothing"]["max_ratio"]),
+    ):
+        print(f"{label}: {'not measured' if x is None else f'{x:.4f}'}")
     print(f"report: wrote {args.out}")
     return 1 if failures else 0
 

@@ -12,11 +12,12 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .diagnostics import DiagnosticsOptions
+from .io import flat_text, parse_flat, write_json
 from .solver import InitialDataSpec, _requested_times
 from .spectral import make_grid
 
@@ -111,30 +112,14 @@ def parse_config(text):
     Unknown keys, duplicate keys and malformed values are errors; missing
     keys fall back to documented defaults.
     """
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
+    kwargs = {}
+    for key, (lineno, raw) in parse_flat(text).items():
         if key not in _KEY_TO_FIELD:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if _KEY_TO_FIELD[key] in values:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        values[_KEY_TO_FIELD[key]] = (lineno, key, val)
-
-    kwargs = {}
-    for f in fields(RunConfig):
-        if f.name not in values:
-            continue
-        lineno, key, raw = values[f.name]
-        typ = type(f.default)
+        name = _KEY_TO_FIELD[key]
+        typ = type(getattr(RunConfig, name))
         try:
-            kwargs[f.name] = _BOOL_STRINGS[raw.lower()] if typ is bool else typ(raw)
+            kwargs[name] = _BOOL_STRINGS[raw.lower()] if typ is bool else typ(raw)
         except (KeyError, ValueError):
             raise ValueError(f"line {lineno}: key {key!r} expects {_TYPE_NAMES[typ]}, got {raw!r}") from None
     return RunConfig(**kwargs).validate()
@@ -142,16 +127,7 @@ def parse_config(text):
 
 def serialize_config(cfg):
     """Emit the flat key=value form; parse(serialize(cfg)) equals cfg."""
-    lines = []
-    for f in fields(RunConfig):
-        key = "lambda" if f.name == "lam" else f.name
-        v = getattr(cfg, f.name)
-        if isinstance(v, bool):
-            v = "true" if v else "false"
-        elif isinstance(v, float):
-            v = format(v, ".17g")
-        lines.append(f"{key} = {v}")
-    return "\n".join(lines) + "\n"
+    return flat_text((key, getattr(cfg, name)) for key, name in _KEY_TO_FIELD.items())
 
 
 @dataclass
@@ -203,19 +179,8 @@ def update_constant(path, est):
     """
     entries = load_constants(path)
     entries[est.name] = est
-    payload = {
-        name: {"value": e.value, "provenance": e.provenance} for name, e in sorted(entries.items())
-    }
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    payload = {name: {"value": e.value, "provenance": e.provenance} for name, e in entries.items()}
+    write_json(path, payload, sort_keys=True)
 
 
 def get_constant(path, name):

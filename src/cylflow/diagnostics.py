@@ -443,7 +443,9 @@ def theorem_checks(collector, *, c3, t_grid=(1.0, 4.0, 16.0), tau=0.1, window=No
     the empirical flux constant of the constants ledger; (d) laminar-regime
     decay rates over `laminar_window` when kappa < 1; (e) the ul2-to-sup
     smoothing ratio at lag `tau`.  The vorticity-decay window defaults to
-    [1, 0.1 (lam/2pi)^2], to precede the finite-box exponential crossover.
+    [1, 0.1 (lam/2pi)^2], to precede the finite-box exponential crossover;
+    for lam < 2pi sqrt(10) it is empty.  A ratio of (a), (b) or (e) with a
+    zero denominator or no sample in its window is None: not measured.
     """
     if not (math.isfinite(c3) and c3 > 0.0):
         raise ValueError(f"C3 must be finite and > 0, got {c3!r}")
@@ -480,18 +482,18 @@ def theorem_checks(collector, *, c3, t_grid=(1.0, 4.0, 16.0), tau=0.1, window=No
     report["velocity_bound"] = {
         "sup_u": sup_u_all,
         "denominator": denom_a,
-        "ratio": sup_u_all / denom_a if denom_a > 0 else 0.0,
+        "ratio": sup_u_all / denom_a if denom_a > 0 else None,
     }
 
     # (b) vorticity decay shape over the pre-crossover window
     t_lo, t_hi = window or (1.0, 0.1 * (g.lam / (2.0 * np.pi)) ** 2)
     in_win = [s for s in collector.snapshots if t_lo <= s.t <= t_hi]
     denom_b = (1.0 + M) * e_star0
-    ratio_b = max((s.sup_omega**2 * math.sqrt(s.t) for s in in_win), default=0.0)
+    peak_b = max((s.sup_omega**2 * math.sqrt(s.t) for s in in_win), default=None)
     report["vorticity_decay"] = {
         "window": (t_lo, t_hi),
         "samples": len(in_win),
-        "ratio": ratio_b / denom_b if denom_b > 0 else 0.0,
+        "ratio": peak_b / denom_b if peak_b is not None and denom_b > 0 else None,
     }
 
     # (c) localized energy and enstrophy bounds at the configured horizons
@@ -563,6 +565,6 @@ def theorem_checks(collector, *, c3, t_grid=(1.0, 4.0, 16.0), tau=0.1, window=No
     report["smoothing"] = {
         "tau": tau,
         "pairs": len(pairs),
-        "max_ratio": max(pairs) if pairs else 0.0,
+        "max_ratio": max(pairs, default=None),
     }
     return report

@@ -1,14 +1,28 @@
-"""CSV diagnostics and raw binary snapshots.
+"""The package's one write path, and its readers.
 
-Diagnostics rows use a fixed column order and 17 significant digits, so
-float64 values round-trip exactly and identical runs produce bitwise
-identical files.  A snapshot is one spectral field: the nx*(ny/2+1)
-complex coefficients of its rfft2 half spectrum, row-major with x1
-outermost, as interleaved little-endian (re, im) float64 pairs.  Each
-snapshot has a plain-text key=value sidecar at <path>.meta.
+`write_file` writes every output whole to a temporary file beside it and
+renames that over the target, so a failed write leaves the old file (or
+none), never a half-written one.  One encoder per format:
+
+- CSV (`write_csv`, `csv_row`): diagnostics.csv, lplq.csv, envelope.csv,
+  nash_samples.csv and the kernel table.  `_fmt` encodes a cell: a str as
+  it is, a bool as true/false, an int in decimal, and anything else as a
+  float with 17 significant digits, so float64 values round-trip exactly
+  and identical runs produce bitwise identical files.
+- JSON (`write_json`, indent 2): run.json, summary.json, report.json and
+  the constants ledger.
+- Flat key = value text (`flat_text`, `parse_flat`): config.txt and the
+  snapshot sidecars; a value is encoded as a CSV cell.
+- Snapshots: one spectral field, the nx*(ny/2+1) complex coefficients of
+  its rfft2 half spectrum, row-major with x1 outermost, as interleaved
+  little-endian (re, im) float64 pairs, with a flat sidecar at <path>.meta.
 """
 
 from __future__ import annotations
+
+import contextlib
+import json
+import os
 
 import numpy as np
 
@@ -17,6 +31,12 @@ from .solver import FlowState
 from .spectral import SPECTRAL, ScalarField, SpectralGrid
 
 __all__ = [
+    "write_file",
+    "csv_row",
+    "write_csv",
+    "write_json",
+    "flat_text",
+    "parse_flat",
     "write_csv_records",
     "read_csv_records",
     "write_field",
@@ -26,17 +46,73 @@ __all__ = [
 ]
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def write_file(path, data):
+    """Write text (as UTF-8) or bytes to a temporary file beside `path`, then
+    rename it over `path`; on any failure the temporary file goes and `path`
+    is left as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _fmt(v):
+    """One CSV cell or flat value."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v) if isinstance(v, int) else format(float(v), ".17g")
+
+
+def csv_row(cells):
+    """One CSV line, newline included."""
+    return ",".join(map(_fmt, cells)) + "\n"
+
+
+def write_csv(path, header, rows):
+    """The header line, then one line per row of cells."""
+    write_file(path, "".join(map(csv_row, (header, *rows))))
+
+
+def write_json(path, obj, *, sort_keys=False):
+    """Indent 2 and a trailing newline; a value JSON does not know is written as a float."""
+    write_file(path, json.dumps(obj, indent=2, sort_keys=sort_keys, default=float) + "\n")
+
+
+def flat_text(items, sep=" = "):
+    """The flat document of (key, value) pairs, one `key<sep>value` line each."""
+    return "".join(f"{k}{sep}{_fmt(v)}\n" for k, v in items)
+
+
+def parse_flat(text, source=""):
+    """{key: (line number, value)} of a flat key = value document, in line
+    order; `#` starts a comment.  A line without `=` or a repeated key raises
+    a ValueError naming `source` (when given) and the line."""
+    where = f"{source}, " if source else ""
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{where}line {lineno}: expected key = value, got {raw!r}")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"{where}line {lineno}: duplicate key {key!r}")
+        values[key] = (lineno, val.strip())
+    return values
 
 
 def write_csv_records(records, path):
     """Write diagnostics records in the fixed schema (header always)."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        lines.append(",".join(_fmt(v) for v in r.csv_values()))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, CSV_COLUMNS, (r.csv_values() for r in records))
 
 
 def read_csv_records(path):
@@ -67,38 +143,13 @@ def read_csv_records(path):
     return records
 
 
-def _write_sidecar(path, meta):
-    with open(path + ".meta", "w", encoding="utf-8", newline="\n") as fh:
-        for k, v in meta.items():
-            fh.write(f"{k}={_fmt(v) if isinstance(v, float) else v}\n")
-
-
-def _read_sidecar(path):
-    meta = {}
-    with open(path + ".meta", "r", encoding="utf-8") as fh:
-        for ln in fh.read().splitlines():
-            if ln.strip():
-                k, _, v = ln.partition("=")
-                meta[k.strip()] = v.strip()
-    return meta
-
-
 def write_field(f, path, time=0.0, extra=None):
     """Raw snapshot of one spectral field plus its sidecar."""
     if f.repr != SPECTRAL:
         raise ValueError(f"a snapshot holds a spectral field, got a {f.repr} one")
-    with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(f.data, dtype="<c16").tobytes())
-    meta = {
-        "nx": f.grid.nx,
-        "ny": f.grid.ny,
-        "lambda": float(f.grid.lam),
-        "repr": SPECTRAL,
-        "time": float(time),
-    }
-    if extra:
-        meta.update(extra)
-    _write_sidecar(path, meta)
+    write_file(path, np.ascontiguousarray(f.data, dtype="<c16").tobytes())
+    meta = {"nx": f.grid.nx, "ny": f.grid.ny, "lambda": float(f.grid.lam), "repr": SPECTRAL, "time": float(time)}
+    write_file(path + ".meta", flat_text({**meta, **(extra or {})}.items(), sep="="))
 
 
 _REQUIRED_META = ("nx", "ny", "lambda", "repr", "time")
@@ -107,11 +158,13 @@ _REQUIRED_META = ("nx", "ny", "lambda", "repr", "time")
 def read_field(path):
     """Read a field snapshot; returns (spectral ScalarField, meta dict).
 
-    A sidecar without the required keys or with a repr other than
-    spectral, or a byte count that does not match the grid, raises
-    ValueError naming the file; a missing file raises OSError.
+    A sidecar line without `=` or a repeated key, a sidecar without the
+    required keys or with a repr other than spectral, or a byte count that
+    does not match the grid, raises ValueError naming the file; a missing
+    file raises OSError.
     """
-    meta = _read_sidecar(path)
+    with open(path + ".meta", "r", encoding="utf-8") as fh:
+        meta = {k: v for k, (_, v) in parse_flat(fh.read(), f"snapshot sidecar {path}.meta").items()}
     missing = [k for k in _REQUIRED_META if k not in meta]
     if missing:
         raise ValueError(f"snapshot sidecar {path}.meta lacks {', '.join(missing)}")
@@ -133,16 +186,8 @@ def read_field(path):
 
 def write_state(state, path):
     """Snapshot a FlowState (spectral vorticity plus conserved scalars)."""
-    write_field(
-        state.omega,
-        path,
-        time=state.t,
-        extra={
-            "c": _fmt(state.c),
-            "m_mean": _fmt(state.m_mean),
-            "m0_norm": _fmt(state.m0_norm),
-        },
-    )
+    extra = {"c": state.c, "m_mean": state.m_mean, "m0_norm": state.m0_norm}
+    write_field(state.omega, path, time=state.t, extra=extra)
 
 
 def _finite_meta(path, meta, key):

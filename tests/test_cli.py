@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from cylflow import diagnostics as diag_mod
 from cylflow.cli import _build_parser, main
 from cylflow.config import EstimatedConstant, RunConfig, update_constant
 from cylflow.diagnostics import CSV_COLUMNS, TrajectoryCollector
@@ -109,6 +110,35 @@ class TestReport:
         )
         assert code in (0, 1)
         assert json.load(open(rep_path))["provenance"]["c3"] == json.load(open(const))["C3"]["value"]
+
+    def test_unmeasured_ratio_is_null(self, tmp_path, capsys):
+        """At lambda = 16 the default vorticity-decay window [1, 0.1 (lam/2pi)^2]
+        is empty: the report writes null and says so, not a ratio of 0."""
+        run_dir = str(tmp_path / "run")
+        argv = ["simulate", "--nx", "16", "--ny", "16", "--lambda", "16", "--t-end", "1.2", "--out", run_dir]
+        assert run_cli(*argv) == 0
+        rep_path = tmp_path / "report.json"
+        assert run_cli("report", "--run-dir", run_dir, "--c3", "1.0", "--t-grid", "1", "--out", str(rep_path)) in (0, 1)
+        decay = json.loads(rep_path.read_text())["vorticity_decay"]
+        assert decay["samples"] == 0 and decay["ratio"] is None
+        assert "vorticity decay ratio: not measured" in capsys.readouterr().out.splitlines()
+
+    def test_failed_report_write_keeps_previous_report(self, sim_dir, tmp_path, monkeypatch):
+        rep_path = tmp_path / "report.json"
+        argv = ["report", "--run-dir", sim_dir, "--c3", "1.0", "--t-grid", "0.1", "--out", str(rep_path)]
+        assert run_cli(*argv) in (0, 1)
+        before = rep_path.read_bytes()
+        checks = diag_mod.theorem_checks
+
+        def unserializable(*args, **kwargs):
+            # a value JSON cannot encode, after most of the report
+            return {**checks(*args, **kwargs), "laminar": object()}
+
+        monkeypatch.setattr(diag_mod, "theorem_checks", unserializable)
+        with pytest.raises(TypeError):
+            run_cli(*argv)
+        assert rep_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
 class TestAdvdiff:
@@ -468,6 +498,21 @@ class TestInputFaults:
         argv = ["report", "--run-dir", str(run_dir), "--constants", str(const), "--out", str(rep_path)]
         assert run_cli(*argv) == 2
         self._one_line(capsys, "report", "state_00002.bin.meta", key)
+        assert not const.exists() and not rep_path.exists()
+
+    @pytest.mark.parametrize("fault", ["repeated_key", "no_equals"])
+    def test_report_malformed_sidecar_line(self, fault, sim_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(os.path.join(sim_dir, "snapshots"), run_dir / "snapshots")
+        meta = run_dir / "snapshots" / "state_00002.bin.meta"
+        text = meta.read_text()
+        meta.write_text(text + (text.splitlines()[0] if fault == "repeated_key" else "no separator") + "\n")
+        rep_path = tmp_path / "report.json"
+        const = tmp_path / "constants.json"
+        argv = ["report", "--run-dir", str(run_dir), "--constants", str(const), "--out", str(rep_path)]
+        assert run_cli(*argv) == 2
+        # the state's sidecar holds eight keys, so the bad line is line 9
+        self._one_line(capsys, "report", "state_00002.bin.meta", "line 9")
         assert not const.exists() and not rep_path.exists()
 
 

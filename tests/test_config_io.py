@@ -15,11 +15,13 @@ from cylflow.config import (
 )
 from cylflow.diagnostics import CSV_COLUMNS, DiagnosticsOptions, DiagnosticsRecord
 from cylflow.io import (
+    csv_row,
     read_csv_records,
     read_field,
     read_state,
     write_csv_records,
     write_field,
+    write_json,
     write_state,
 )
 from cylflow.solver import InitialDataSpec, make_initial_data
@@ -214,6 +216,42 @@ class TestCsv:
         write_csv_records([_record(0.1)], p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ("narrow", "narrow"),
+            (7, f"{7}"),
+            (int(True), f"{int(True)}"),
+            (1.0 / 3.0, f"{1.0 / 3.0:.17g}"),
+            (np.float64(0.1), f"{np.float64(0.1):.17g}"),
+            (np.inf, f"{np.inf:.17g}"),
+            (-np.inf, f"{-np.inf:.17g}"),
+            (np.nan, f"{np.nan:.17g}"),
+            (1e-300, f"{1e-300:.17g}"),
+        ],
+    )
+    def test_cell_encoder(self, value, expected):
+        """Each cell as the f-strings that wrote the CSV files before, and
+        a float cell reads back as the same float64."""
+        assert csv_row([value]) == expected + "\n"
+        if isinstance(value, float):
+            back = float(csv_row([value]))
+            assert back == value or (np.isnan(back) and np.isnan(value))
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("name", ["report.json", "run.json"])
+    def test_failed_json_write_keeps_previous_file(self, name, tmp_path):
+        path = tmp_path / name
+        write_json(str(path), {"ratio": 0.5})
+        before = path.read_bytes()
+        # a value that is not a number fails `default=float` after the
+        # first key is already encoded
+        with pytest.raises(TypeError):
+            write_json(str(path), {"ratio": 0.25, "grid": object()})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
 
 class TestSnapshots:
     def test_field_round_trip_bitwise(self, tmp_path, grid64):
@@ -258,6 +296,18 @@ class TestSnapshots:
             fh.truncate(64 * 33 * 16 - 16)
         with pytest.raises(ValueError, match="short.bin"):
             read_field(path)
+
+    @pytest.mark.parametrize("fault", ["repeated_key", "no_equals"])
+    def test_malformed_sidecar_line_named(self, fault, tmp_path, grid64):
+        st = make_initial_data(InitialDataSpec(kind="random_bandlimited", seed=7, target_romega=3.0), grid64)
+        path = str(tmp_path / "bad.bin")
+        write_state(st, path)
+        meta = open(path + ".meta").read()
+        with open(path + ".meta", "a") as fh:
+            fh.write((meta.splitlines()[0] if fault == "repeated_key" else "no separator") + "\n")
+        # the state's sidecar holds eight keys, so the bad line is line 9
+        with pytest.raises(ValueError, match=r"bad\.bin\.meta, line 9"):
+            read_state(path)
 
     def test_sidecar_missing_key_named(self, tmp_path, grid64):
         path = str(tmp_path / "nokey.bin")

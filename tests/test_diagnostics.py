@@ -485,6 +485,7 @@ class TestTheoremChecks:
         assert rep["vorticity_decay"]["ratio"] == max(c6)
         default = theorem_checks(coll, c3=1.0, t_grid=())["vorticity_decay"]
         assert default["window"] == (1.0, 0.1 * (8.0 / (2 * np.pi)) ** 2)
+        assert default["samples"] == 0 and default["ratio"] is None
 
         lam = rep["laminar"]
         kappa = M / (4 * np.pi**2)
@@ -505,13 +506,15 @@ class TestTheoremChecks:
         assert rep["smoothing"]["max_ratio"] == max(c10)
 
     def test_zero_initial_data(self, grid64):
+        # every denominator is 0 and no smoothing pair exists: nothing is
+        # measured, which the report says as None, not as a ratio of 0
         st = uniform_state(grid64, 0.0)
         coll = TrajectoryCollector()
         run(st, 0.2, diag_times=np.linspace(0, 0.2, 5), collector=coll)
         rep = theorem_checks(coll, c3=1.0, t_grid=(0.1, 0.2))
-        assert rep["velocity_bound"]["ratio"] == 0.0
-        assert rep["vorticity_decay"]["ratio"] == 0.0
-        assert rep["smoothing"]["max_ratio"] == 0.0
+        assert rep["velocity_bound"]["ratio"] is None
+        assert rep["vorticity_decay"]["ratio"] is None
+        assert rep["smoothing"]["pairs"] == 0 and rep["smoothing"]["max_ratio"] is None
         assert rep["laminar"] == {"kappa": 0.0}
 
     def test_eigenmode_laminar_rate(self, grid64):
