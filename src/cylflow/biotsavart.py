@@ -23,6 +23,7 @@ from .spectral import (
     VelocityField,
     _as_physical_data,
     _as_spectral_data,
+    _band_block,
     _derivative_multiplier,
     _forward,
     _inverse,
@@ -92,8 +93,9 @@ def grad_perp_K(x1, x2):
 
 
 @lru_cache(maxsize=16)
-def _biot_savart_tables(grid):
-    """Read-only (-1/|k|^2, -i k2, i k1).
+def _biot_savart_tables(grid, block=False):
+    """Read-only (-1/|k|^2, -i k2, i k1), over the half spectrum or, with
+    block=True, on the band block.
 
     Each negation sits on a table, where it is exact: -1/|k|^2 is held as
     the negated complex table, so that w * (-1/|k|^2) has the bits of
@@ -104,19 +106,23 @@ def _biot_savart_tables(grid):
         -_derivative_multiplier(grid, 2),
         _derivative_multiplier(grid, 1),
     )
+    if block:
+        shape = grid.shape(SPECTRAL)
+        tables = tuple(_band_block(grid, np.broadcast_to(t, shape)) for t in tables)
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
-def _biot_savart(grid, w_hat, c, m_mean, out=None):
+def _biot_savart(grid, w_hat, c, m_mean, out=None, block=False):
     """Spectral velocity, stacked as (u1_hat, u2_hat) in one (2, ...) array
-    (`out` if given), of vorticity coefficients.
+    (`out` if given), of vorticity coefficients over the half spectrum or,
+    with block=True, on the band block.
 
     u_hat = (-d2 psi, d1 psi) with lap psi = omega; the (0, 0) slots carry
     the constants c = <u1> and m_mean, which the vorticity cannot fix.
     """
-    neg_inv, neg_d2, d1 = _biot_savart_tables(grid)
+    neg_inv, neg_d2, d1 = _biot_savart_tables(grid, block)
     out = np.empty((2,) + w_hat.shape, dtype=np.complex128) if out is None else out
     psi = np.multiply(w_hat, neg_inv, out=out[1])
     np.multiply(neg_d2, psi, out=out[0])

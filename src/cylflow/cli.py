@@ -344,6 +344,9 @@ def _cmd_report(args):
 
     failures = 0
     for row in report["localized_energy"]:
+        if row["ratio"] is None:
+            print(f"localized-energy T={row['T']:g}: ratio: not measured")
+            continue
         ok = row["ratio"] <= 1.0
         failures += 0 if ok else 1
         print(f"localized-energy T={row['T']:g}: ratio={row['ratio']:.4f} {'PASS' if ok else 'FAIL'}")

@@ -444,8 +444,9 @@ def theorem_checks(collector, *, c3, t_grid=(1.0, 4.0, 16.0), tau=0.1, window=No
     decay rates over `laminar_window` when kappa < 1; (e) the ul2-to-sup
     smoothing ratio at lag `tau`.  The vorticity-decay window defaults to
     [1, 0.1 (lam/2pi)^2], to precede the finite-box exponential crossover;
-    for lam < 2pi sqrt(10) it is empty.  A ratio of (a), (b) or (e) with a
-    zero denominator or no sample in its window is None: not measured.
+    for lam < 2pi sqrt(10) it is empty.  A ratio or value of (a), (b), (c)
+    or (e) with a zero denominator or no sample in its window is None: not
+    measured.
     """
     if not (math.isfinite(c3) and c3 > 0.0):
         raise ValueError(f"C3 must be finite and > 0, got {c3!r}")
@@ -511,7 +512,7 @@ def theorem_checks(collector, *, c3, t_grid=(1.0, 4.0, 16.0), tau=0.1, window=No
         int_d = float(np.trapezoid(d_vals, [s.t for s in upto]))
         lhs = e_rho_T + 0.5 * int_d
         rhs = 4.0 * e_star0 * math.sqrt(beta * T)
-        energy_rows.append({"T": T, "rho": rho, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else 0.0})
+        energy_rows.append({"T": T, "rho": rho, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else None})
 
         ens_T = loc(sT.fine["eps"])
         late = [s for s in upto if s.t >= T / 2.0 - 1e-12]
@@ -523,8 +524,8 @@ def theorem_checks(collector, *, c3, t_grid=(1.0, 4.0, 16.0), tau=0.1, window=No
                 "T": T,
                 "rho": rho,
                 "lhs": ens_T + 0.5 * int_dd,
-                "value": (ens_T + 0.5 * int_dd) * math.sqrt(T) / scale if scale > 0 else 0.0,
-                "ens_value": ens_T * math.sqrt(T) / scale if scale > 0 else 0.0,
+                "value": (ens_T + 0.5 * int_dd) * math.sqrt(T) / scale if scale > 0 else None,
+                "ens_value": ens_T * math.sqrt(T) / scale if scale > 0 else None,
             }
         )
     report["localized_energy"] = energy_rows

@@ -12,8 +12,13 @@ The advection term is taken in Basdevant's form: for divergence-free u,
     -u.grad(omega) = -d1 d2 (u2^2 - u1^2) - (d1^2 - d2^2) (u1 u2),
 
 so a tendency makes one batched inverse of (u1, u2) and one batched
-forward transform of the two products, both through the banded pair of
-`spectral`.  It reads only the dealiased band of omega.
+forward transform of the two products, both through the block pair of
+`spectral`.  The tendency lives on the dealiased band, so the step runs on
+its band block (`spectral._band_block`): the stage slots, the integrating
+factors, Biot-Savart and the tendency's tables all have the block's shape,
+and one workspace per step holds them.  The modes outside the band only
+decay, by exactly the factor exp(-|k|^2 dt) that the full-width scheme
+gives them.
 """
 
 from __future__ import annotations
@@ -30,11 +35,13 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VelocityField,
+    _band_block,
     _band_mask,
+    _band_scatter,
     _forward,
-    _forward_banded,
+    _forward_block,
     _inverse,
-    _inverse_banded,
+    _inverse_block,
     _parseval_sq,
     _profile_inverse,
     spectral_derivative,
@@ -98,10 +105,12 @@ class FlowState:
 
     @cached_property
     def _stage_a(self):
-        """(tendency, (sup|u1|, sup|u2|)) of this state: stage a of its next
-        step, computed by `cfl_dt` and taken over by `step`."""
-        w = self.omega.data
-        return _nonlinear_ns(self.grid, self.c, self.m_mean)(w, self.t, np.empty_like(w), speeds=True)
+        """(workspace, (sup|u1|, sup|u2|)) of this state's next step, the
+        workspace holding omega's band block and stage a: computed by
+        `cfl_dt` and taken over by `step`."""
+        work = _StepWork(self.grid, self.omega.data)
+        _, sup = _nonlinear_ns(self.grid, self.c, self.m_mean, work)(work.w, self.t, work.a, speeds=True)
+        return work, sup
 
     @cached_property
     def _norm(self):
@@ -167,9 +176,9 @@ def mean_flow_profile(state):
 
 @lru_cache(maxsize=16)
 def _basdevant_tables(grid):
-    """Read-only (k1 k2, k1^2 - k2^2) on the dealiased band and zero
-    elsewhere, so that -u.grad(omega) has the coefficients
-    k1 k2 Q0_hat + (k1^2 - k2^2) Q1_hat for Q0 = u2^2 - u1^2, Q1 = u1 u2.
+    """Read-only (k1 k2, k1^2 - k2^2) on the band block, so that
+    -u.grad(omega) has the coefficients k1 k2 Q0_hat + (k1^2 - k2^2) Q1_hat
+    for Q0 = u2^2 - u1^2, Q1 = u1 u2.
 
     Both vanish at (0, 0): the tendency has zero mean, to the bit.
     Products of two band modes alias onto no band mode, so the tendency equals
@@ -177,29 +186,53 @@ def _basdevant_tables(grid):
     """
     k1 = grid.k1[:, None]
     k2 = grid.k2[None, : grid.ny // 2 + 1]
-    tables = tuple((t * grid.dealias_mask).astype(np.complex128) for t in (k1 * k2, k1**2 - k2**2))
+    tables = tuple(_band_block(grid, t).astype(np.complex128) for t in (k1 * k2, k1**2 - k2**2))
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
-def _nonlinear_ns(grid, c, m_mean):
+class _StepWork:
+    """The buffers of one Navier-Stokes step, which runs on the band block
+    of shape (2r+1, nb) (`spectral._band_block`):
+
+    - `blocks` (7, 2r+1, nb): omega's block `w`, then the two scratch
+      arrays and the four stage slots of `ifrk4_step`, stage a in `a`;
+    - `spec` (2, 2r+1, nb): a stage's velocity coefficients, then those of
+      its two products;
+    - `half` (2, nx, ny//2+1): the mixed coefficients of both transforms;
+    - `phys` (3, nx, ny): the velocity samples, then the two products.
+
+    `cfl_dt`'s stage a and the three later stages all run in these.
+    """
+
+    __slots__ = ("blocks", "w", "a", "spec", "half", "phys")
+
+    def __init__(self, grid, w_hat):
+        m, nb = 2 * grid.band[0] + 1, grid.band[1] + 1
+        self.blocks = np.empty((7, m, nb), dtype=np.complex128)
+        self.w = _band_block(grid, w_hat, out=self.blocks[0])
+        self.a = self.blocks[3]
+        self.spec = np.empty((2, m, nb), dtype=np.complex128)
+        self.half = np.empty((2, grid.nx, grid._ncols), dtype=np.complex128)
+        self.phys = np.empty((3, grid.nx, grid.ny))
+
+
+def _nonlinear_ns(grid, c, m_mean, work):
     t0, t1 = _basdevant_tables(grid)
+    spec, half, phys = work.spec, work.half, work.phys
+    u, prod = phys[:2], phys[2]
 
-    def tendency(w_hat, t, out, speeds=False):
-        """The tendency at w_hat, written into `out`; with speeds=True, the
-        pair (out, (sup|u1|, sup|u2|)), read off the same batched inverse.
-
-        Only the dealiased band of w_hat is read: modes outside it neither
-        move the tendency nor the speeds.
-        """
-        u = _inverse_banded(grid, _biot_savart(grid, w_hat, c, m_mean))
-        sup = (np.abs(u[0]).max(), np.abs(u[1]).max()) if speeds else None
-        q = np.empty_like(u)
-        np.multiply(u[0], u[1], out=q[1])
-        u *= u
-        np.subtract(u[1], u[0], out=q[0])
-        q_hat = _forward_banded(grid, q)
+    def tendency(w, t, out, speeds=False):
+        """The tendency at the band block w, written into `out`; with
+        speeds=True, the pair (out, (sup|u1|, sup|u2|)), read off the same
+        batched inverse."""
+        _inverse_block(grid, _biot_savart(grid, w, c, m_mean, out=spec, block=True), half, u)
+        sup = (np.abs(u[0], out=prod).max(), np.abs(u[1], out=prod).max()) if speeds else None
+        np.multiply(u[0], u[1], out=prod)
+        np.multiply(u, u, out=u)
+        np.subtract(u[1], u[0], out=u[1])
+        q_hat = _forward_block(grid, phys[1:], half, spec)
         np.multiply(t0, q_hat[0], out=out)
         q_hat[1] *= t1
         out += q_hat[1]
@@ -211,14 +244,26 @@ def _nonlinear_ns(grid, c, m_mean):
 # A CFL-limited run asks for a new dt at every step; a small cache still
 # serves dt_acc and the landing steps of runs that repeat them.
 @lru_cache(maxsize=4)
-def _exp_factors(grid, dt):
+def _exp_factors(grid, dt, block=False):
+    """Read-only (E, E2, 2E) for E = exp(-|k|^2 dt/2) and E2 = E*E over the
+    half spectrum; with block=True, the three on the band block and then E2
+    over the half spectrum, for the modes outside the block."""
     E = np.exp(-grid.ksq * (0.5 * dt))
-    return E, E * E
+    E2 = E * E
+    if block:
+        Eb = _band_block(grid, E)
+        factors = (Eb, _band_block(grid, E2), 2.0 * Eb, E2)
+    else:
+        factors = (E, E2, 2.0 * E)
+    for f in factors:
+        f.setflags(write=False)
+    return factors
 
 
-def ifrk4_step(grid, w_hat, t, dt, tendency, a=None, work=None):
+def ifrk4_step(grid, w_hat, t, dt, tendency, a=None, work=None, *, block=False, out=None):
     """One integrating-factor RK4 step for dw/dt = tendency(w, t) - |k|^2 w
-    on spectral coefficients.  `a`, if given, is tendency(w_hat, t).
+    on spectral coefficients, over the half spectrum or, with block=True,
+    on the band block.  `a`, if given, is tendency(w_hat, t).
 
     Diffusion is integrated exactly; only decaying exponentials appear.
     `work`, of shape (6,) + w_hat.shape and complex, holds two scratch
@@ -233,9 +278,10 @@ def ifrk4_step(grid, w_hat, t, dt, tendency, a=None, work=None):
     evaluated left to right: each operation is the formula's, up to the
     order of its two operands.  tendency(w, t, out) writes its value into
     the slot `out` and returns it; it must not keep its argument, which is
-    overwritten.  w_new is a new array, never part of the block.
+    overwritten.  w_new is written into `out`, which may be w_hat itself,
+    or else into a new array; it is never part of the work block.
     """
-    E, E2 = _exp_factors(grid, dt)
+    E, E2, E2x2 = _exp_factors(grid, dt, block)[:3]
     if work is None:
         work = np.empty((6,) + w_hat.shape, dtype=np.complex128)
     x, y, a_slot, b, c, d = work
@@ -255,12 +301,12 @@ def ifrk4_step(grid, w_hat, t, dt, tendency, a=None, work=None):
     x += y
     tendency(x, t + dt, d)
     np.add(b, c, out=x)
-    x *= 2.0 * E
+    x *= E2x2
     np.multiply(E2, a, out=y)
     y += x
     y += d
     y *= dt / 6.0
-    w_new = E2 * w_hat
+    w_new = np.multiply(E2, w_hat, out=out)
     w_new += y
     return w_new
 
@@ -286,34 +332,46 @@ def cfl_dt(state, dt_acc=DEFAULT_DT_ACC):
     return _cfl_limit(state.grid, *state._stage_a[1], dt_acc)
 
 
-def _guarded_step(grid, w_hat, t, dt, tendency, pre, a=None, work=None):
-    """ifrk4_step that raises InstabilityError if the coefficient L2 norm
-    grows by more than 10x.  `pre` is the norm of w_hat, as returned by the
-    step that made it; returns (w_new, its norm)."""
-    w_new = ifrk4_step(grid, w_hat, t, dt, tendency, a, work)
+def _checked_norm(grid, w_new, pre, t):
+    """The growth guard of a step: the coefficient L2 norm of w_new, the
+    result of a step at t from a state of norm `pre`, as returned by the
+    guard of the step that made it.  Raises InstabilityError if the norm
+    grew by more than 10x or is not finite."""
     post = math.sqrt(_parseval_sq(grid, w_new))
     if not np.isfinite(post) or post > 10.0 * pre + 1e-300:
         raise InstabilityError(f"norm grew {post / max(pre, 1e-300):.3g}x in one step at t={t:.6g}", t=t)
-    return w_new, post
+    return post
+
+
+def _guarded_step(grid, w_hat, t, dt, tendency, pre, work=None):
+    """ifrk4_step over the half spectrum, then the growth guard
+    `_checked_norm`; returns (w_new, its norm)."""
+    w_new = ifrk4_step(grid, w_hat, t, dt, tendency, work=work)
+    return w_new, _checked_norm(grid, w_new, pre, t)
 
 
 def step(state, dt):
     """Advance the state by one step of the integrating-factor RK4 scheme.
 
     The velocity is reconstructed from the stage vorticity at every stage;
-    c and m_mean are conserved.  Stage a is taken from `cfl_dt` if it ran
-    on this state, and dropped from the state either way.  Raises
-    InstabilityError if the vorticity L2 norm grows by more than 10x; the
-    new state carries its norm for the guard of its own step.
+    c and m_mean are conserved.  The step runs on the band block, in the
+    workspace of stage a, taken from `cfl_dt` if it ran on this state and
+    dropped from the state either way; the modes outside the block are
+    multiplied by E2 = exp(-|k|^2 dt).  Raises InstabilityError if the
+    vorticity L2 norm grows by more than 10x; the new state carries its
+    norm for the guard of its own step.
     """
     if not (0.0 < dt < math.inf):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     g = state.grid
     stage = state.__dict__.pop("_stage_a", None)
-    a = None if stage is None else stage[0]
-    tendency = _nonlinear_ns(g, state.c, state.m_mean)
-    w_new, norm = _guarded_step(g, state.omega.data, state.t, dt, tendency, state._norm, a)
-    new = replace(state, omega=ScalarField(g, w_new, SPECTRAL), t=state.t + dt)
+    work, a = (_StepWork(g, state.omega.data), None) if stage is None else (stage[0], stage[0].a)
+    tendency = _nonlinear_ns(g, state.c, state.m_mean, work)
+    ifrk4_step(g, work.w, state.t, dt, tendency, a, work.blocks[1:], block=True, out=work.w)
+    w_new = _exp_factors(g, dt, True)[3] * state.omega.data
+    _band_scatter(g, work.w, w_new)
+    norm = _checked_norm(g, w_new, state._norm, state.t)
+    new = FlowState(g, ScalarField(g, w_new, SPECTRAL), state.c, state.m_mean, state.t + dt, state.m0_norm)
     new.__dict__["_norm"] = norm
     return new
 

@@ -56,6 +56,8 @@ class SpectralGrid:
         self.nx = int(nx)
         self.ny = int(ny)
         self.lam = float(lam)
+        # grids key the lru caches of every table, looked up at each step
+        self._hash = hash((self.nx, self.ny, self.lam))
         self.dx = self.lam / self.nx
         self.dy = 1.0 / self.ny
         self.cell_area = self.dx * self.dy
@@ -85,7 +87,7 @@ class SpectralGrid:
         return f"SpectralGrid(nx={self.nx}, ny={self.ny}, lam={self.lam})"
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, SpectralGrid)
             and self.nx == other.nx
             and self.ny == other.ny
@@ -93,7 +95,7 @@ class SpectralGrid:
         )
 
     def __hash__(self):
-        return hash((self.nx, self.ny, self.lam))
+        return self._hash
 
     def meshgrid(self):
         """Physical coordinates as broadcastable (nx,1), (1,ny) arrays."""
@@ -199,55 +201,77 @@ def _inverse(grid, spec):
     return np.fft.irfft2(spec, s=(grid.nx, grid.ny), norm="forward")
 
 
-# The banded pair serves data that live on the dealiased band: its x1 stage
-# runs only on the band's columns n <= grid.band[1].  Its stages are numpy's
-# irfft2 and rfft2 stages, so on band data its output has the bits of the
-# 2-D pair's.  The diagnostics sample through the same x1 stage on twice
-# the rows.
+# The band block holds the dealiased band of half-spectrum data
+# contiguously: the rows of modes 0..r, then those of -r..-1, each on the
+# columns n = 0..nb-1, for (r, nb-1) = grid.band.  The Navier-Stokes step
+# runs on it, through the block pair below, whose stages are numpy's irfft2
+# and rfft2 stages: on band data they have the bits of the 2-D pair.  The
+# diagnostics sample through the same x1 stage on twice the rows.
+
+
+def _band_block(grid, spec, out=None):
+    """The band block (..., 2r+1, nb) of half-spectrum data `spec`, into
+    `out` if given; leading axes are a batch."""
+    r, nb = grid.band[0], grid.band[1] + 1
+    if out is None:
+        out = np.empty(spec.shape[:-2] + (2 * r + 1, nb), dtype=spec.dtype)
+    out[..., : r + 1, :] = spec[..., : r + 1, :nb]
+    out[..., r + 1 :, :] = spec[..., spec.shape[-2] - r :, :nb]
+    return out
+
+
+def _band_scatter(grid, block, out):
+    """Write the band block `block` into its place in the half spectrum
+    `out`; the modes outside the band are left as they are."""
+    r, nb = grid.band[0], grid.band[1] + 1
+    out[..., : r + 1, :nb] = block[..., : r + 1, :]
+    out[..., out.shape[-2] - r :, :nb] = block[..., r + 1 :, :]
+    return out
 
 
 def _x1_inverse(grid, spec, rows, out=None):
     """Mixed coefficients (..., rows, ny//2+1) of the dealiased band of
-    half-spectrum coefficients: x1 sampled at `rows` points by zero padding
-    (`rows` >= nx), x2 still spectral.  The band stops short of row nx/2,
-    so a real field's samples are real and, for rows = 2nx, every other row
-    holds its own grid values.  Leading axes are a batch; `spec` is left as
-    it is.  `out`, if given, is an earlier output or zeros of that shape."""
+    half-spectrum coefficients or of a band block: x1 sampled at `rows`
+    points by zero padding (`rows` >= nx), x2 still spectral, on the
+    columns n < nb.  The band stops short of row nx/2, so a real field's
+    samples are real and, for rows = 2nx, every other row holds its own
+    grid values.  Leading axes are a batch; `spec` is left as it is.
+    `out`, if given, is an earlier output or has zeros on the columns
+    n >= nb that a caller reads."""
     r, nb = grid.band[0], grid.band[1] + 1
     if out is None:
-        # full width: irfft along x2 would pad a copy of a narrower buffer
         out = np.zeros(spec.shape[:-2] + (rows, grid._ncols), dtype=np.complex128)
     else:
         out[..., r + 1 : rows - r, :nb] = 0.0
     out[..., : r + 1, :nb] = spec[..., : r + 1, :nb]
-    out[..., -r:, :nb] = spec[..., -r:, :nb]
+    out[..., rows - r :, :nb] = spec[..., spec.shape[-2] - r :, :nb]
     band = out[..., :nb]
     np.fft.ifft(band, axis=-2, norm="forward", out=band)
     return out
 
 
 def _x2_inverse(grid, mixed, out=None):
-    """Samples along x2 of mixed coefficients from `_x1_inverse`, into `out`."""
+    """Samples along x2 of mixed coefficients from `_x1_inverse`, into
+    `out`; columns beyond those of `mixed` count as zero."""
     return np.fft.irfft(mixed, n=grid.ny, axis=-1, norm="forward", out=out)
 
 
-def _inverse_banded(grid, spec):
-    """Physical data of the dealiased band of half-spectrum coefficients:
-    the bits of `_inverse(grid, spec * grid.dealias_mask)`.  Leading axes
-    are a batch; `spec` is left as it is."""
-    return _x2_inverse(grid, _x1_inverse(grid, spec, grid.nx))
-
-
-def _forward_banded(grid, phys):
-    """Half-spectrum coefficients of real physical data on the columns
-    n <= grid.band[1], with the bits of `_forward`'s, and zero on the
-    columns beyond.  Leading axes are a batch."""
+def _inverse_block(grid, block, half, out):
+    """Physical data, into `out` (..., nx, ny), of a band block: the bits
+    of `_inverse` of the half spectrum that is the block on the band and
+    zero elsewhere.  `half` (..., nx, ny//2+1), complex, is scratch."""
     nb = grid.band[1] + 1
-    mixed = np.fft.rfft(phys, axis=-1, norm="forward")
-    band = mixed[..., :nb]
+    _x1_inverse(grid, block, grid.nx, out=half)
+    return _x2_inverse(grid, half[..., :nb], out=out)
+
+
+def _forward_block(grid, phys, half, out):
+    """The band block, into `out`, of the half-spectrum coefficients of
+    real physical data, with the bits of `_forward`'s.  `half` (..., nx,
+    ny//2+1), complex, is scratch; leading axes are a batch."""
+    band = np.fft.rfft(phys, axis=-1, norm="forward", out=half)[..., : grid.band[1] + 1]
     np.fft.fft(band, axis=-2, norm="forward", out=band)
-    mixed[..., nb:] = 0.0
-    return mixed
+    return _band_block(grid, band, out)
 
 
 def _profile_forward(values):

@@ -123,6 +123,24 @@ class TestReport:
         assert decay["samples"] == 0 and decay["ratio"] is None
         assert "vorticity decay ratio: not measured" in capsys.readouterr().out.splitlines()
 
+    def test_unmeasured_localized_energy_is_neither_pass_nor_fail(self, tmp_path, capsys):
+        """Zero initial data: every localized-energy ratio is 0/0, written
+        as null and printed as not measured, and no row fails the report."""
+        run_dir = str(tmp_path / "run")
+        argv = ["simulate", "--nx", "16", "--ny", "16", "--lambda", "16", "--t-end", "0.2",
+                "--kind", "random_bandlimited", "--target-romega", "0", "--target-ru", "0", "--out", run_dir]
+        assert run_cli(*argv) == 0
+        rep_path = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run_cli("report", "--run-dir", run_dir, "--c3", "1.0", "--t-grid", "0.1,0.2",
+                       "--out", str(rep_path)) == 0
+        rows = json.loads(rep_path.read_text())["localized_energy"]
+        assert [(row["T"], row["ratio"]) for row in rows] == [(0.1, None), (0.2, None)]
+        out = capsys.readouterr().out.splitlines()
+        assert "localized-energy T=0.1: ratio: not measured" in out
+        assert "localized-energy T=0.2: ratio: not measured" in out
+        assert not [line for line in out if "PASS" in line or "FAIL" in line]
+
     def test_failed_report_write_keeps_previous_report(self, sim_dir, tmp_path, monkeypatch):
         rep_path = tmp_path / "report.json"
         argv = ["report", "--run-dir", sim_dir, "--c3", "1.0", "--t-grid", "0.1", "--out", str(rep_path)]

@@ -517,6 +517,22 @@ class TestTheoremChecks:
         assert rep["smoothing"]["pairs"] == 0 and rep["smoothing"]["max_ratio"] is None
         assert rep["laminar"] == {"kappa": 0.0}
 
+    def test_zero_initial_data_localized_rows_unmeasured(self, grid64):
+        # e_*(0) = 0 makes section (c)'s rhs and scale 0: each row's 0/0 is
+        # None, not a ratio of 0 that would read as a PASS
+        st = uniform_state(grid64, 0.0)
+        coll = TrajectoryCollector()
+        run(st, 0.2, diag_times=np.linspace(0, 0.2, 5), collector=coll)
+        rep = theorem_checks(coll, c3=1.0, t_grid=(0.1, 0.2))
+        assert [row["T"] for row in rep["localized_energy"]] == [0.1, 0.2]
+        for row in rep["localized_energy"]:
+            assert row["lhs"] == row["rhs"] == 0.0
+            assert row["ratio"] is None
+        assert [row["T"] for row in rep["localized_enstrophy"]] == [0.1, 0.2]
+        for row in rep["localized_enstrophy"]:
+            assert row["lhs"] == 0.0
+            assert row["value"] is None and row["ens_value"] is None
+
     def test_eigenmode_laminar_rate(self, grid64):
         # kappa = 0.1: the exact single-mode rate 4 pi^2 dominates and must
         # exceed the floor 2 pi^2 (1 - kappa)

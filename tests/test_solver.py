@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,8 @@ from cylflow.solver import (
     FlowState,
     InitialDataSpec,
     InstabilityError,
+    _StepWork,
+    _cfl_limit,
     _guarded_step,
     _march,
     _nonlinear_ns,
@@ -37,10 +40,13 @@ from cylflow.solver import (
 )
 from cylflow.spectral import (
     ScalarField,
+    _band_scatter,
     _derivative_multiplier,
     _forward,
     _inverse,
     _parseval_sq,
+    _x1_inverse,
+    _x2_inverse,
     make_grid,
     to_physical,
     to_spectral,
@@ -292,8 +298,8 @@ class TestStep:
         def no_work(*args, **kwargs):
             raise AssertionError("step did work on a non-finite dt")
 
-        monkeypatch.setattr(cylflow.solver, "_guarded_step", no_work)
-        monkeypatch.setattr(cylflow.solver, "_nonlinear_ns", no_work)
+        for name in ("_StepWork", "_nonlinear_ns", "_exp_factors", "ifrk4_step"):
+            monkeypatch.setattr(cylflow.solver, name, no_work)
         with pytest.raises(ValueError, match="finite"):
             step(st, dt)
 
@@ -563,28 +569,38 @@ def advective_tendency(grid, u1, u2, wx, wy):
     return out
 
 
+def block_tendency(grid, c, m_mean, w_hat, speeds=False):
+    """The step's tendency at the band block of w_hat, in a fresh workspace."""
+    work = _StepWork(grid, w_hat)
+    return _nonlinear_ns(grid, c, m_mean, work)(work.w, 0.0, np.empty_like(work.w), speeds=speeds)
+
+
 class TestBasdevantTendency:
     @pytest.mark.parametrize("shape", [(48, 48, 16.0), (64, 64, 16.0), (40, 50, 8.0)])
     def test_matches_the_advective_form(self, shape):
-        """The Basdevant tendency equals the dealiased -u.grad(omega) of
-        `advective_tendency`, with c and m_mean in the velocity, for omega
-        filling the whole dealias band, also where 3 divides the size."""
+        """The Basdevant tendency, on the band block, equals the dealiased
+        -u.grad(omega) of `advective_tendency`, with c and m_mean in the
+        velocity, for omega filling the whole dealias band, also where 3
+        divides the size."""
         g = make_grid(*shape)
         rng = np.random.default_rng(11)
         w = _forward(rng.standard_normal(g.shape())) * g.dealias_mask
         w[0, 0] = 0.0
         c, m_mean = 0.7, -1.3
-        got = _nonlinear_ns(g, c, m_mean)(w, 0.0, np.empty_like(w))
+        got_block = block_tendency(g, c, m_mean, w)
+        assert got_block.shape == (2 * g.band[0] + 1, g.band[1] + 1)
+        assert got_block[0, 0] == 0.0
+        got = _band_scatter(g, got_block, np.zeros_like(w))
         d1, d2 = _derivative_multiplier(g, 1), _derivative_multiplier(g, 2)
         fields = np.concatenate((_biot_savart(g, w, c, m_mean), np.stack((d1 * w, d2 * w))))
         want = advective_tendency(g, *_inverse(g, fields))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        assert got[0, 0] == 0.0
-        assert not got[~g.dealias_mask].any()
 
     def test_reads_only_the_dealiased_band(self, grid64):
-        """A state may carry modes outside the dealias band; the tendency,
-        and the sup speeds that `cfl_dt` reads, do not see them."""
+        """A state may carry modes outside the dealias band; the workspace
+        of its step takes only the band block, so the tendency and the sup
+        speeds that `cfl_dt` reads do not see them, and the step only
+        decays them, by exactly E2 = exp(-|k|^2 dt)."""
         st = make_initial_data(
             InitialDataSpec(kind="random_bandlimited", seed=2, target_romega=5.0, target_ru=6.0), grid64
         )
@@ -592,12 +608,139 @@ class TestBasdevantTendency:
         noise = _forward(np.random.default_rng(3).standard_normal(grid64.shape()))
         outside = noise * ~grid64.dealias_mask * np.abs(st.omega.data).max() / np.abs(noise).max()
         rough = replace(st, omega=ScalarField(grid64, st.omega.data + outside, "spectral"))
-        tendency = _nonlinear_ns(grid64, st.c, st.m_mean)
-        got, got_speeds = tendency(rough.omega.data, 0.0, np.empty_like(st.omega.data), speeds=True)
-        want, want_speeds = tendency(st.omega.data, 0.0, np.empty_like(st.omega.data), speeds=True)
+        assert _StepWork(grid64, rough.omega.data).w.tobytes() == _StepWork(grid64, st.omega.data).w.tobytes()
+        got, got_speeds = block_tendency(grid64, st.c, st.m_mean, rough.omega.data, speeds=True)
+        want, want_speeds = block_tendency(grid64, st.c, st.m_mean, st.omega.data, speeds=True)
         assert got.tobytes() == want.tobytes()
         assert got_speeds == want_speeds
-        assert cfl_dt(rough, dt_acc=1.0) == cfl_dt(st, dt_acc=1.0)
+        dt = cfl_dt(rough, dt_acc=1.0)
+        assert dt == cfl_dt(st, dt_acc=1.0)
+        got, want = step(rough, dt).omega.data, step(st, dt).omega.data
+        mask = grid64.dealias_mask
+        assert got[mask].tobytes() == want[mask].tobytes()
+        E2 = np.exp(-grid64.ksq * (0.5 * dt)) ** 2
+        assert got[~mask].tobytes() == (E2 * rough.omega.data)[~mask].tobytes()
+        assert np.abs(got[~mask]).min() > 0.0
+
+
+def full_spectrum_cfl_dt_step(grid, w_hat, c, m_mean, dt_acc):
+    """The oracle of the step: `cfl_dt` and then `step` as they were on the
+    full half spectrum, before the step ran on the band block, from the
+    band-limited transform stages up.  Returns (dt, w_new)."""
+    k1 = grid.k1[:, None]
+    k2 = grid.k2[None, : grid.ny // 2 + 1]
+    t0, t1 = ((t * grid.dealias_mask).astype(np.complex128) for t in (k1 * k2, k1**2 - k2**2))
+    nb = grid.band[1] + 1
+
+    def tendency(w_hat, out, speeds=False):
+        u = _x2_inverse(grid, _x1_inverse(grid, _biot_savart(grid, w_hat, c, m_mean), grid.nx))
+        sup = (np.abs(u[0]).max(), np.abs(u[1]).max()) if speeds else None
+        q = np.empty_like(u)
+        np.multiply(u[0], u[1], out=q[1])
+        u *= u
+        np.subtract(u[1], u[0], out=q[0])
+        q_hat = np.fft.rfft(q, axis=-1, norm="forward")
+        band = q_hat[..., :nb]
+        np.fft.fft(band, axis=-2, norm="forward", out=band)
+        q_hat[..., nb:] = 0.0
+        np.multiply(t0, q_hat[0], out=out)
+        q_hat[1] *= t1
+        out += q_hat[1]
+        return (out, sup) if speeds else out
+
+    a, sup = tendency(w_hat, np.empty_like(w_hat), speeds=True)
+    dt = _cfl_limit(grid, *sup, dt_acc)
+    E = np.exp(-grid.ksq * (0.5 * dt))
+    E2 = E * E
+    x, y, b, cc, d = (np.empty_like(w_hat) for _ in range(5))
+    np.multiply(a, 0.5 * dt, out=x)
+    x += w_hat
+    x *= E
+    tendency(x, b)
+    np.multiply(E, w_hat, out=x)
+    np.multiply(b, 0.5 * dt, out=y)
+    x += y
+    tendency(x, cc)
+    np.multiply(E, cc, out=y)
+    y *= dt
+    np.multiply(E2, w_hat, out=x)
+    x += y
+    tendency(x, d)
+    np.add(b, cc, out=x)
+    x *= 2.0 * E
+    np.multiply(E2, a, out=y)
+    y += x
+    y += d
+    y *= dt / 6.0
+    w_new = E2 * w_hat
+    w_new += y
+    return dt, w_new
+
+
+class TestBandBlockStep:
+    @pytest.mark.parametrize("shape", [(64, 64, 16.0), (48, 48, 16.0), (40, 50, 8.0), (128, 64, 8.0)])
+    @pytest.mark.parametrize("kind", ["band_limited", "cfl_limited", "outside_band"])
+    def test_bits_of_the_full_spectrum_step(self, shape, kind):
+        """20 `cfl_dt` + `step` pairs on the band block have the bits of the
+        full half-spectrum oracle: the same dt, and every coefficient's bytes.
+
+        Band-limited data (c and m_mean nonzero; a dt_acc- and a CFL-limited
+        run) hold +0 outside the band, and so does the oracle.  Modes outside
+        the band decay by exactly E2 = exp(-|k|^2 dt) in the step; the
+        oracle adds to them stage combinations that are zero, and so may
+        differ in the sign of a coefficient that is zero (one that
+        underflowed), nothing else: there the bytes are held with zeros
+        made unsigned, and the decay to the bit.
+        """
+        g = make_grid(*shape)
+        ru = 60.0 if kind == "cfl_limited" else 9.0
+        st = make_initial_data(InitialDataSpec(kind="random_bandlimited", seed=1, target_romega=6.0, target_ru=ru), g)
+        assert st.m_mean > 0.0
+        w = st.omega.data
+        if kind == "outside_band":
+            noise = _forward(np.random.default_rng(3).standard_normal(g.shape()))
+            w = w + noise * ~g.dealias_mask * np.abs(w).max() / np.abs(noise).max()
+        st = FlowState(g, ScalarField(g, w, "spectral"), c=0.4, m_mean=st.m_mean)
+        want = w
+        mask = g.dealias_mask
+        dts = set()
+        for _ in range(20):
+            prev = st.omega.data
+            dt_want, want = full_spectrum_cfl_dt_step(g, want, st.c, st.m_mean, 1e-3)
+            dt = cfl_dt(st)
+            st = step(st, dt)
+            got = st.omega.data
+            assert dt == dt_want
+            dts.add(dt)
+            assert got[mask].tobytes() == want[mask].tobytes()
+            if kind == "outside_band":
+                E2 = np.exp(-g.ksq * (0.5 * dt)) ** 2
+                assert got[~mask].tobytes() == (E2 * prev)[~mask].tobytes()
+                assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+            else:
+                assert got.tobytes() == want.tobytes()
+        assert (len(dts) > 10) == (kind == "cfl_limited")
+        if kind == "outside_band":
+            assert np.abs(st.omega.data[~mask]).max() > 0.0
+
+    def test_run_allocates_no_more_than_the_full_spectrum_step(self):
+        """The peak of the memory a 128x128 CFL-limited run allocates above
+        its start, after a warm-up run, stays at or below 2,341 KB: the
+        figure of the full half-spectrum step, measured the same way.  The
+        band-block step takes one workspace per step, and its buffers
+        serve several roles."""
+        g = make_grid(128, 128, 16.0)
+        st = make_initial_data(InitialDataSpec(kind="random_bandlimited", target_romega=20.0, target_ru=30.0), g)
+        run(st, 0.005)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = run(st, 0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.t == 0.005
+        assert peak - start <= 2341 * 1024
 
 
 PERIODIC = DriftSpec(kind="time_periodic_shear", amplitude=2.0, period=0.7)
@@ -717,11 +860,12 @@ class TestRealSpectrumCore:
         # an advdiff step makes none: evolve's one transform is the inverse
         # of the field it returns, as at t = 0
         assert made["advdiff_step"] == made["advdiff_t0"] == [("irfft2", (64, 33), (64, 64))]
-        # a stage: the banded inverse of (u1, u2), whose x1 stage runs on the
-        # columns n <= 21 only, and the banded forward of the two products
+        # a stage: the block inverse of (u1, u2), whose x1 and x2 stages
+        # read the columns n <= 21 only, and the block forward of the two
+        # products
         stage = [
             ("ifft", (2, 64, 22), None),
-            ("irfft", (2, 64, 33), 64),
+            ("irfft", (2, 64, 22), 64),
             ("rfft", (2, 64, 64), None),
             ("fft", (2, 64, 22), None),
         ]

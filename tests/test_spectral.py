@@ -12,10 +12,12 @@ import cylflow
 from cylflow.spectral import (
     Profile,
     ScalarField,
+    _band_block,
+    _band_scatter,
     _forward,
-    _forward_banded,
+    _forward_block,
     _inverse,
-    _inverse_banded,
+    _inverse_block,
     _parseval_sq,
     _parseval_weights,
     _x1_inverse,
@@ -354,24 +356,33 @@ def test_only_spectral_reads_the_nyquist_zeroed_wavenumbers():
 
 @pytest.mark.parametrize("shape", [(64, 64), (48, 30), (40, 50)])
 def test_banded_pair_has_the_bits_of_the_full_pair(shape):
-    """On dealiased coefficients the banded inverse has the bits of
-    `_inverse`; on any coefficients it reads only their dealiased band.
-    The banded forward has the bits of `_forward` on the band's columns
-    n <= g.band[1] and is zero beyond, so it has those of `_forward` times the mask."""
+    """The band block of any coefficients is that of their dealiased band,
+    and scattering it back gives the band.  On a block the block inverse
+    has the bits of `_inverse` of the band; the block forward has the bits
+    of `_forward` on the block.  Neither changes its input, and the scratch
+    they share may hold anything beforehand."""
     g = make_grid(*shape, 8.0)
+    r, nb = g.band[0], g.band[1] + 1
     rng = np.random.default_rng(8)
     rough = _forward(rng.standard_normal((2,) + shape))
     assert np.abs(rough[..., ~g.dealias_mask]).min() > 0.0
-    band = rough * g.dealias_mask
+    band = np.where(g.dealias_mask, rough, 0.0)
     kept = rough.copy()
-    assert _inverse_banded(g, band).tobytes() == _inverse(g, band).tobytes()
-    assert _inverse_banded(g, rough).tobytes() == _inverse(g, band).tobytes()
+    block = _band_block(g, rough)
+    assert block.shape == (2, 2 * r + 1, nb)
     assert rough.tobytes() == kept.tobytes()
+    assert block.tobytes() == _band_block(g, band).tobytes()
+    assert _band_scatter(g, block, np.zeros_like(band)).tobytes() == band.tobytes()
+    half = np.full((2,) + g.shape("spectral"), np.nan + 1j * np.nan)
+    got = _inverse_block(g, block, half, np.empty((2,) + shape))
+    assert got.tobytes() == _inverse(g, band).tobytes()
+    assert block.tobytes() == _band_block(g, band).tobytes()
     phys = rng.standard_normal((2,) + shape)
-    got, full = _forward_banded(g, phys), _forward(phys)
-    nb = g.band[1] + 1
-    assert got[..., :nb].tobytes() == full[..., :nb].tobytes()
-    assert not got[..., nb:].any()
+    kept = phys.copy()
+    half[...] = np.nan
+    got = _forward_block(g, phys, half, np.empty_like(block))
+    assert got.tobytes() == _band_block(g, _forward(phys)).tobytes()
+    assert phys.tobytes() == kept.tobytes()
 
 
 def test_only_spectral_module_calls_numpy_fft():
