@@ -1,13 +1,15 @@
 """Linear advection-diffusion with a prescribed divergence-free drift.
 
 Verification companion to the nonlinear solver: the same integrating-factor
-RK4 scheme evolves d_t omega + u.grad(omega) = lap(omega) for the shear
+RK4 step evolves d_t omega + u.grad(omega) = lap(omega) for the shear
 drifts u = (a(t) sin(2 pi x2), 0), with a(t) = 0, A or A cos(2 pi t / P).
-Their tendency is a three-point stencil in the vertical mode n, so stepping
-makes no transform.  `evolve` is the one evolution; `fundamental_solution`
-evolves narrow Gaussian bumps with it, `check_lp_lq` reads the L^p-L^q
-smoothing ratios off its fields and `check_gaussian_envelope` fits the
-Gaussian bound to one.
+Their tendency is a three-point stencil in the vertical mode n on the band
+block of the Navier-Stokes step, with its truncation rule: modes outside
+the band count as zero and only decay.  Stepping makes no transform.
+`evolve` is the one evolution; `fundamental_solution` evolves narrow
+Gaussian bumps with it, `check_lp_lq` reads the L^p-L^q smoothing ratios
+off its fields and `check_gaussian_envelope` fits the Gaussian bound to
+one.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import v_volume
-from .solver import _cfl_limit, _guarded_step, _march
+from .solver import _band_step, _cfl_limit, _march, _step_blocks
 from .spectral import (
     ScalarField,
     _as_physical_data,
     _as_spectral_data,
+    _band_block,
     _derivative_multiplier,
     _inverse,
     _parseval_sq,
@@ -113,27 +116,24 @@ class LpLqCheck:
 
 def _shear_advection(grid, drift):
     """The dealiased tendency -u.grad(omega) = -a(t) sin(2 pi x2) d1 omega
-    of the drift, as a function of (w_hat, t, out) that writes into `out`
-    and returns it; it makes no transform.
+    of the drift on the band block, as a function of (w, t, out) that
+    writes into `out` and returns it; it makes no transform.
 
     sin(2 pi x2) shifts the vertical mode by one either way, so column n is
-    -(a k1 / 2) (w_hat[j, n-1] - w_hat[j, n+1]), cut to the dealias band.
-    Column 0's left neighbour is the column -1 that the half spectrum leaves
-    out, conj(w_hat[-j, 1]).  Only the band's columns n <= grid.band[1] are
-    written; they read up to column grid.band[1] + 1, which is below the
-    Nyquist column on every grid of at least 8 points.
+    -(a k1 / 2) (w[j, n-1] - w[j, n+1]).  Column 0's left neighbour is the
+    column -1 that the half spectrum leaves out, conj(w[-j, 1]); the last
+    column's right neighbour, column nb, lies outside the band and counts
+    as zero, the truncation rule of the Navier-Stokes tendency.
     """
-    nb = grid.band[1] + 1
-    half_k1 = 0.5 * _derivative_multiplier(grid, 1).imag * grid.dealias_mask[:, :nb]
-    neg_rows = -np.arange(grid.nx) % grid.nx  # row i holds mode j; neg_rows[i] holds -j
+    m = 2 * grid.band[0] + 1
+    half_k1 = 0.5 * _band_block(grid, _derivative_multiplier(grid, 1).imag)
+    neg = -np.arange(m) % m  # row i holds mode j; neg[i] holds -j
 
     def tendency(w, t, out):
-        out[:, nb:] = 0.0
-        band = out[:, :nb]
-        band[:, 0] = np.conj(w[neg_rows, 1])
-        band[:, 1:] = w[:, : nb - 1]
-        band -= w[:, 1 : nb + 1]
-        band *= -drift.amplitude_at(t) * half_k1
+        out[:, 0] = np.conj(w[neg, 1])
+        out[:, 1:] = w[:, :-1]
+        out[:, :-1] -= w[:, 1:]
+        out *= -drift.amplitude_at(t) * half_k1
         return out
 
     return tendency
@@ -143,13 +143,14 @@ def evolve(omega0, drift, times, *, dt_acc=1e-3):
     """One evolution of omega0 from t = 0 to the last of `times`, landing
     exactly on each; returns {t: physical omega(t)}, each a new array.
     t = 0 is allowed and maps to omega0's own physical values; an empty
-    `times` makes no step and returns {}.  The steps share one work block,
-    allocated here."""
+    `times` makes no step and returns {}.  Every step is the Navier-Stokes
+    step's `_band_step`, on one block array of `ifrk4_step` allocated
+    here, whose slot 0 holds the band block of the current omega."""
     grid = omega0.grid
     tendency = _shear_advection(grid, drift)
     sup_sin = np.abs(np.sin(2.0 * np.pi * grid.x2)).max()
     w0 = _as_spectral_data(omega0)
-    work = np.empty((6,) + w0.shape, dtype=np.complex128)
+    blocks = _step_blocks(grid, w0)
     norm = math.sqrt(_parseval_sq(grid, w0))
 
     def limit(w, t):
@@ -157,7 +158,7 @@ def evolve(omega0, drift, times, *, dt_acc=1e-3):
 
     def advance(w, t, dt, t_new):
         nonlocal norm
-        w, norm = _guarded_step(grid, w, t, dt, tendency, norm, work=work)
+        w, norm = _band_step(grid, w, blocks, t, dt, tendency, norm)
         return w
 
     fields = {}

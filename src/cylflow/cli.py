@@ -32,7 +32,8 @@ from .config import (
     serialize_config,
     update_constant,
 )
-from .io import csv_row, read_csv_records, read_state, write_csv, write_csv_records, write_file, write_json, write_state
+from .io import check_output_dir, check_output_file, csv_row, read_csv_records, read_state, write_csv
+from .io import write_csv_records, write_file, write_json, write_state
 from .solver import make_initial_data, run
 from .spectral import ScalarField, make_grid
 
@@ -114,6 +115,7 @@ def _cmd_advdiff(args):
         qs = [np.inf if s.strip() in ("inf", "oo") else float(s) for s in args.q_list.split(",") if s.strip()]
         times = sorted(_parse_floats(args.times))
         env_times = _parse_floats(args.envelope_times)
+        check_output_dir(args.out_dir)
     if len(ps) != len(qs):
         raise _UsageError(f"--p-list and --q-list must pair up, got {len(ps)} and {len(qs)} values")
     for p, q in zip(ps, qs):
@@ -190,6 +192,7 @@ def _cmd_verify_inequalities(args):
     grid = _grid(args)
     with _bad_values():
         weights = _parse_weights(args.weights) if args.weights else None
+        check_output_dir(args.out_dir)
     if args.samples < 2:
         raise _UsageError(f"--samples must be >= 2 for the split-half check, got {args.samples}")
     if args.poincare_samples < 1:
@@ -301,6 +304,7 @@ def _cmd_report(args):
         window = _parse_window(args.window, "--window") if args.window else None
         t_grid = tuple(_parse_floats(args.t_grid))
         laminar_window = _parse_window(args.laminar_window, "--laminar-window")
+        check_output_file(args.out)
     c3 = args.c3
     if c3 is None:
         # a corrupt ledger, or one in a missing directory, fails before any work

@@ -11,13 +11,12 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .diagnostics import DiagnosticsOptions
-from .io import flat_text, parse_flat, write_json
+from .io import check_output_dir, check_output_file, flat_text, parse_flat, write_json
 from .solver import InitialDataSpec, _requested_times
 from .spectral import make_grid
 
@@ -53,7 +52,8 @@ class RunConfig:
 
     def validate(self):
         """Check every value by building the grid, the initial-data spec and
-        the diagnostics options; returns self."""
+        the diagnostics options, and that out_dir can be made; returns
+        self."""
         grid = self.grid()
         for name in ("t_end", "dt_acc", "diag_step"):
             value = getattr(self, name)
@@ -67,6 +67,7 @@ class RunConfig:
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("diagnostic schedule must be strictly increasing")
         _requested_times(sched, 0.0, self.t_end)
+        check_output_dir(self.out_dir)
         return self
 
     def grid(self):
@@ -147,12 +148,11 @@ def load_constants(path):
     """Read the constants ledger; returns {} when the file does not exist.
 
     A ledger that is not a JSON object of {"value": finite number, ...}
-    entries, or one in a missing directory (it could never be written),
-    raises a ValueError that names the path and the entry.
+    entries, or a path where it could never be written
+    (`io.check_output_file`), raises a ValueError that names the path and
+    the entry.
     """
-    folder = os.path.dirname(path) or "."
-    if not os.path.isdir(folder):
-        raise ValueError(f"constants ledger {path}: directory {folder} does not exist")
+    check_output_file(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)

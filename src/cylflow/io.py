@@ -31,6 +31,8 @@ from .solver import FlowState
 from .spectral import SPECTRAL, ScalarField, SpectralGrid
 
 __all__ = [
+    "check_output_dir",
+    "check_output_file",
     "write_file",
     "csv_row",
     "write_csv",
@@ -59,6 +61,32 @@ def write_file(path, data):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def check_output_dir(path):
+    """Raise ValueError, naming `path`, unless a directory can be made
+    there: the path is not empty, and the nearest of it and its parents
+    that exists is a directory."""
+    if not path:
+        raise ValueError("output directory '' is an empty path")
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ValueError(f"output directory {path!r}: {probe} is not a directory")
+
+
+def check_output_file(path):
+    """Raise ValueError, naming `path`, unless a file can be written there:
+    the path is not empty or a directory, and its directory exists (an
+    empty dirname meaning the current one)."""
+    folder = os.path.dirname(path) or "."
+    if not path:
+        raise ValueError("output file '' is an empty path")
+    if os.path.isdir(path):
+        raise ValueError(f"output file {path!r} is a directory")
+    if not os.path.isdir(folder):
+        raise ValueError(f"output file {path!r}: directory {folder} does not exist")
 
 
 def _fmt(v):

@@ -17,8 +17,8 @@ forward transform of the two products, both through the block pair of
 its band block (`spectral._band_block`): the stage slots, the integrating
 factors, Biot-Savart and the tendency's tables all have the block's shape,
 and one workspace per step holds them.  The modes outside the band only
-decay, by exactly the factor exp(-|k|^2 dt) that the full-width scheme
-gives them.
+decay, by exactly the factor exp(-|k|^2 dt).  `_band_step` is that step
+for any tendency on the block; advdiff's evolution runs on it as well.
 """
 
 from __future__ import annotations
@@ -192,12 +192,20 @@ def _basdevant_tables(grid):
     return tables
 
 
+def _step_blocks(grid, w_hat):
+    """The (7, 2r+1, nb) block array of `ifrk4_step`, with w_hat's band
+    block in slot 0."""
+    blocks = np.empty((7, 2 * grid.band[0] + 1, grid.band[1] + 1), dtype=np.complex128)
+    _band_block(grid, w_hat, out=blocks[0])
+    return blocks
+
+
 class _StepWork:
     """The buffers of one Navier-Stokes step, which runs on the band block
     of shape (2r+1, nb) (`spectral._band_block`):
 
-    - `blocks` (7, 2r+1, nb): omega's block `w`, then the two scratch
-      arrays and the four stage slots of `ifrk4_step`, stage a in `a`;
+    - `blocks` (7, 2r+1, nb): the block array of `ifrk4_step`, omega's
+      block `w` in slot 0 and stage a in slot 3, `a`;
     - `spec` (2, 2r+1, nb): a stage's velocity coefficients, then those of
       its two products;
     - `half` (2, nx, ny//2+1): the mixed coefficients of both transforms;
@@ -209,11 +217,9 @@ class _StepWork:
     __slots__ = ("blocks", "w", "a", "spec", "half", "phys")
 
     def __init__(self, grid, w_hat):
-        m, nb = 2 * grid.band[0] + 1, grid.band[1] + 1
-        self.blocks = np.empty((7, m, nb), dtype=np.complex128)
-        self.w = _band_block(grid, w_hat, out=self.blocks[0])
-        self.a = self.blocks[3]
-        self.spec = np.empty((2, m, nb), dtype=np.complex128)
+        self.blocks = _step_blocks(grid, w_hat)
+        self.w, self.a = self.blocks[0], self.blocks[3]
+        self.spec = np.empty((2,) + self.w.shape, dtype=np.complex128)
         self.half = np.empty((2, grid.nx, grid._ncols), dtype=np.complex128)
         self.phys = np.empty((3, grid.nx, grid.ny))
 
@@ -244,32 +250,28 @@ def _nonlinear_ns(grid, c, m_mean, work):
 # A CFL-limited run asks for a new dt at every step; a small cache still
 # serves dt_acc and the landing steps of runs that repeat them.
 @lru_cache(maxsize=4)
-def _exp_factors(grid, dt, block=False):
-    """Read-only (E, E2, 2E) for E = exp(-|k|^2 dt/2) and E2 = E*E over the
-    half spectrum; with block=True, the three on the band block and then E2
-    over the half spectrum, for the modes outside the block."""
+def _exp_factors(grid, dt):
+    """Read-only (E, E2, 2E) on the band block for E = exp(-|k|^2 dt/2)
+    and E2 = E*E, then E2 over the half spectrum, for the modes outside
+    the block."""
     E = np.exp(-grid.ksq * (0.5 * dt))
     E2 = E * E
-    if block:
-        Eb = _band_block(grid, E)
-        factors = (Eb, _band_block(grid, E2), 2.0 * Eb, E2)
-    else:
-        factors = (E, E2, 2.0 * E)
+    Eb = _band_block(grid, E)
+    factors = (Eb, _band_block(grid, E2), 2.0 * Eb, E2)
     for f in factors:
         f.setflags(write=False)
     return factors
 
 
-def ifrk4_step(grid, w_hat, t, dt, tendency, a=None, work=None, *, block=False, out=None):
+def ifrk4_step(grid, blocks, t, dt, tendency, stage_a=False):
     """One integrating-factor RK4 step for dw/dt = tendency(w, t) - |k|^2 w
-    on spectral coefficients, over the half spectrum or, with block=True,
-    on the band block.  `a`, if given, is tendency(w_hat, t).
+    on the band block w = blocks[0], advanced in place; returns w.
 
     Diffusion is integrated exactly; only decaying exponentials appear.
-    `work`, of shape (6,) + w_hat.shape and complex, holds two scratch
-    arrays and the four stage slots; without it the step allocates one.
-    The stage inputs and the final combination are formed in the scratch
-    arrays, with the roundings of
+    `blocks`, of shape (7, 2r+1, nb) and complex, holds w, two scratch
+    arrays and the four stage slots; with stage_a=True, slot 3 already
+    holds a = tendency(w, t).  The stage inputs and the final combination
+    are formed in the scratch arrays, with the roundings of
 
         b = tendency(E (w + dt/2 a)),  c = tendency(E w + dt/2 b),
         d = tendency(E2 w + dt (E c)),
@@ -278,26 +280,23 @@ def ifrk4_step(grid, w_hat, t, dt, tendency, a=None, work=None, *, block=False, 
     evaluated left to right: each operation is the formula's, up to the
     order of its two operands.  tendency(w, t, out) writes its value into
     the slot `out` and returns it; it must not keep its argument, which is
-    overwritten.  w_new is written into `out`, which may be w_hat itself,
-    or else into a new array; it is never part of the work block.
+    overwritten.
     """
-    E, E2, E2x2 = _exp_factors(grid, dt, block)[:3]
-    if work is None:
-        work = np.empty((6,) + w_hat.shape, dtype=np.complex128)
-    x, y, a_slot, b, c, d = work
-    if a is None:
-        a = tendency(w_hat, t, a_slot)
+    E, E2, E2x2 = _exp_factors(grid, dt)[:3]
+    w, x, y, a, b, c, d = blocks
+    if not stage_a:
+        tendency(w, t, a)
     np.multiply(a, 0.5 * dt, out=x)
-    x += w_hat
+    x += w
     x *= E
     tendency(x, t + 0.5 * dt, b)
-    np.multiply(E, w_hat, out=x)
+    np.multiply(E, w, out=x)
     np.multiply(b, 0.5 * dt, out=y)
     x += y
     tendency(x, t + 0.5 * dt, c)
     np.multiply(E, c, out=y)
     y *= dt
-    np.multiply(E2, w_hat, out=x)
+    np.multiply(E2, w, out=x)
     x += y
     tendency(x, t + dt, d)
     np.add(b, c, out=x)
@@ -306,9 +305,9 @@ def ifrk4_step(grid, w_hat, t, dt, tendency, a=None, work=None, *, block=False, 
     y += x
     y += d
     y *= dt / 6.0
-    w_new = np.multiply(E2, w_hat, out=out)
-    w_new += y
-    return w_new
+    w *= E2
+    w += y
+    return w
 
 
 def _cfl_limit(grid, s1, s2, dt_acc):
@@ -332,45 +331,42 @@ def cfl_dt(state, dt_acc=DEFAULT_DT_ACC):
     return _cfl_limit(state.grid, *state._stage_a[1], dt_acc)
 
 
-def _checked_norm(grid, w_new, pre, t):
-    """The growth guard of a step: the coefficient L2 norm of w_new, the
-    result of a step at t from a state of norm `pre`, as returned by the
-    guard of the step that made it.  Raises InstabilityError if the norm
-    grew by more than 10x or is not finite."""
+def _band_step(grid, w_hat, blocks, t, dt, tendency, pre, stage_a=False):
+    """One step of w_hat from t on its band block, which `blocks[0]` holds:
+    `ifrk4_step` advances the block in place, the modes outside it are
+    multiplied by exactly E2 = exp(-|k|^2 dt), and the block is scattered
+    into its place.  Returns (w_new, its coefficient L2 norm).
+
+    The growth guard: raises InstabilityError if that norm is not finite
+    or exceeds 10x `pre`, the norm of w_hat as returned by the step that
+    made it.
+    """
+    ifrk4_step(grid, blocks, t, dt, tendency, stage_a)
+    w_new = _exp_factors(grid, dt)[3] * w_hat
+    _band_scatter(grid, blocks[0], w_new)
     post = math.sqrt(_parseval_sq(grid, w_new))
     if not np.isfinite(post) or post > 10.0 * pre + 1e-300:
         raise InstabilityError(f"norm grew {post / max(pre, 1e-300):.3g}x in one step at t={t:.6g}", t=t)
-    return post
-
-
-def _guarded_step(grid, w_hat, t, dt, tendency, pre, work=None):
-    """ifrk4_step over the half spectrum, then the growth guard
-    `_checked_norm`; returns (w_new, its norm)."""
-    w_new = ifrk4_step(grid, w_hat, t, dt, tendency, work=work)
-    return w_new, _checked_norm(grid, w_new, pre, t)
+    return w_new, post
 
 
 def step(state, dt):
     """Advance the state by one step of the integrating-factor RK4 scheme.
 
     The velocity is reconstructed from the stage vorticity at every stage;
-    c and m_mean are conserved.  The step runs on the band block, in the
-    workspace of stage a, taken from `cfl_dt` if it ran on this state and
-    dropped from the state either way; the modes outside the block are
-    multiplied by E2 = exp(-|k|^2 dt).  Raises InstabilityError if the
-    vorticity L2 norm grows by more than 10x; the new state carries its
-    norm for the guard of its own step.
+    c and m_mean are conserved.  The step is `_band_step`, in the workspace
+    of stage a, taken from `cfl_dt` if it ran on this state and dropped
+    from the state either way.  Raises InstabilityError if the vorticity
+    L2 norm grows by more than 10x; the new state carries its norm for the
+    guard of its own step.
     """
     if not (0.0 < dt < math.inf):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     g = state.grid
     stage = state.__dict__.pop("_stage_a", None)
-    work, a = (_StepWork(g, state.omega.data), None) if stage is None else (stage[0], stage[0].a)
+    work = _StepWork(g, state.omega.data) if stage is None else stage[0]
     tendency = _nonlinear_ns(g, state.c, state.m_mean, work)
-    ifrk4_step(g, work.w, state.t, dt, tendency, a, work.blocks[1:], block=True, out=work.w)
-    w_new = _exp_factors(g, dt, True)[3] * state.omega.data
-    _band_scatter(g, work.w, w_new)
-    norm = _checked_norm(g, w_new, state._norm, state.t)
+    w_new, norm = _band_step(g, state.omega.data, work.blocks, state.t, dt, tendency, state._norm, stage is not None)
     new = FlowState(g, ScalarField(g, w_new, SPECTRAL), state.c, state.m_mean, state.t + dt, state.m0_norm)
     new.__dict__["_norm"] = norm
     return new

@@ -13,7 +13,18 @@ from cylflow.advdiff import (
     periodized_gaussian,
 )
 from cylflow.cli import main
-from cylflow.spectral import ScalarField, integral, lp_norm, make_grid, to_physical, to_spectral
+from cylflow.solver import _cfl_limit, _march
+from cylflow.spectral import (
+    ScalarField,
+    _derivative_multiplier,
+    _forward,
+    _inverse,
+    integral,
+    lp_norm,
+    make_grid,
+    to_physical,
+    to_spectral,
+)
 
 
 DT = 2e-3  # linear runs; RK4 error is far below the test tolerances
@@ -296,7 +307,7 @@ class TestSingleEvolution:
 
 
 class TestWorkBlock:
-    """`evolve` hands one work block to every step of an evolution."""
+    """`evolve` hands one block array to every step of an evolution."""
 
     DRIFTS = [
         DriftSpec(kind="zero"),
@@ -307,13 +318,20 @@ class TestWorkBlock:
 
     @pytest.fixture
     def blocks(self, monkeypatch):
-        """Records the block of every step, or drops it when told to."""
-        seen = {"blocks": [], "drop": False}
+        """Records the block array of every step or, when told to, steps on
+        a fresh one that holds only the band block of omega and NaN in its
+        six other slots."""
+        seen = {"blocks": [], "fresh": False}
         step = cylflow.solver.ifrk4_step
 
-        def recorded(grid, w_hat, t, dt, tendency, a=None, work=None):
-            seen["blocks"].append(work)
-            return step(grid, w_hat, t, dt, tendency, a, None if seen["drop"] else work)
+        def recorded(grid, blocks, t, dt, tendency, stage_a=False):
+            seen["blocks"].append(blocks)
+            if not seen["fresh"]:
+                return step(grid, blocks, t, dt, tendency, stage_a)
+            fresh = np.full_like(blocks, np.nan)
+            fresh[0] = blocks[0]
+            blocks[0] = step(grid, fresh, t, dt, tendency, stage_a)
+            return blocks[0]
 
         monkeypatch.setattr(cylflow.solver, "ifrk4_step", recorded)
         return seen
@@ -323,7 +341,7 @@ class TestWorkBlock:
         g = make_grid(64, 16, 8.0)
         f = blob(g, center=(4.0, 0.3), width=0.5)
         shared = evolve(f, drift, self.TIMES)
-        blocks["drop"] = True
+        blocks["fresh"] = True
         fresh = evolve(f, drift, self.TIMES)
         assert sorted(shared) == sorted(fresh) == self.TIMES
         assert all(shared[t].data.tobytes() == fresh[t].data.tobytes() for t in self.TIMES)
@@ -334,7 +352,7 @@ class TestWorkBlock:
         fields = evolve(f, self.DRIFTS[2], self.TIMES)
         work = blocks["blocks"][0]
         assert len(blocks["blocks"]) > 10 and all(b is work for b in blocks["blocks"])
-        assert work.shape == (6, g.nx, g.ny // 2 + 1)
+        assert work.shape == (7, 2 * g.band[0] + 1, g.band[1] + 1) == (7, 43, 6)
         # t = 0 is the input's own values; every time is a new array
         assert fields[0.0].data.tobytes() == f.data.tobytes()
         assert not any(np.shares_memory(fields[t].data, a) for t in self.TIMES for a in (work, f.data))
@@ -347,3 +365,109 @@ class TestWorkBlock:
         for omega0, want in ((f, f.data), (spec, to_physical(spec).data)):
             got = evolve(omega0, self.DRIFTS[1], [0.0, 0.05])[0.0]
             assert got.repr == "physical" and got.data.tobytes() == want.tobytes()
+
+
+def full_width_evolve(omega0, drift, times, dt_acc=1e-3):
+    """The oracle of `evolve`: the evolution as it was on the full half
+    spectrum, before advdiff stepped on the band block.  Its stencil writes
+    the band's columns n < nb on the dealias band's rows and reads column
+    nb; every other mode of the tendency is +0.  Returns {t: physical
+    omega(t)} for the positive `times`."""
+    g = omega0.grid
+    nb = g.band[1] + 1
+    half_k1 = 0.5 * _derivative_multiplier(g, 1).imag * g.dealias_mask[:, :nb]
+    neg_rows = -np.arange(g.nx) % g.nx
+
+    def tendency(w, t, out):
+        out[:, nb:] = 0.0
+        band = out[:, :nb]
+        band[:, 0] = np.conj(w[neg_rows, 1])
+        band[:, 1:] = w[:, : nb - 1]
+        band -= w[:, 1 : nb + 1]
+        band *= -drift.amplitude_at(t) * half_k1
+        return out
+
+    def advance(w, t, dt, t_new):
+        E = np.exp(-g.ksq * (0.5 * dt))
+        E2 = E * E
+        x, y, a, b, c, d = (np.empty_like(w) for _ in range(6))
+        tendency(w, t, a)
+        np.multiply(a, 0.5 * dt, out=x)
+        x += w
+        x *= E
+        tendency(x, t + 0.5 * dt, b)
+        np.multiply(E, w, out=x)
+        np.multiply(b, 0.5 * dt, out=y)
+        x += y
+        tendency(x, t + 0.5 * dt, c)
+        np.multiply(E, c, out=y)
+        y *= dt
+        np.multiply(E2, w, out=x)
+        x += y
+        tendency(x, t + dt, d)
+        np.add(b, c, out=x)
+        x *= 2.0 * E
+        np.multiply(E2, a, out=y)
+        y += x
+        y += d
+        y *= dt / 6.0
+        w_new = E2 * w
+        w_new += y
+        return w_new
+
+    sup_sin = np.abs(np.sin(2.0 * np.pi * g.x2)).max()
+
+    def limit(w, t):
+        return _cfl_limit(g, abs(drift.amplitude_at(t)) * sup_sin, 0.0, dt_acc)
+
+    w0 = to_spectral(omega0).data
+    return {tc: _inverse(g, w) for w, tc in _march(w0, 0.0, max(times), times, limit, advance) if tc}
+
+
+class TestOneLayout:
+    """advdiff steps on the band block through the Navier-Stokes step's
+    `_band_step`, with the Navier-Stokes tendency's truncation rule."""
+
+    DRIFTS = TestWorkBlock.DRIFTS
+
+    @staticmethod
+    def band_limited(g, seed=4):
+        """A physical field whose coefficients outside the dealias band are
+        zero: white noise cut to the band."""
+        noise = np.random.default_rng(seed).standard_normal(g.shape())
+        return ScalarField(g, _inverse(g, _forward(noise) * g.dealias_mask))
+
+    @pytest.mark.parametrize("shape", [(128, 32, 16.0), (40, 50, 8.0), (48, 48, 16.0)])
+    @pytest.mark.parametrize("drift", DRIFTS, ids=lambda d: d.kind)
+    def test_bits_of_the_full_width_step_on_band_limited_data(self, shape, drift):
+        """On band-limited data, every field of `evolve` has the bytes of the
+        full-width oracle's, over several steps and a landing step."""
+        g = make_grid(*shape)
+        f = self.band_limited(g)
+        times = [0.004, 0.0105]
+        got, want = evolve(f, drift, times), full_width_evolve(f, drift, times)
+        assert sorted(got) == sorted(want) == times
+        for t in times:
+            assert got[t].data.tobytes() == want[t].data.tobytes()
+
+    @pytest.mark.parametrize("drift", DRIFTS, ids=lambda d: d.kind)
+    def test_rough_data_follows_the_truncation_rule(self, drift, monkeypatch):
+        """On white noise filling the half spectrum, each step multiplies the
+        modes outside the band by exactly E2 = exp(-|k|^2 dt), and the band
+        evolves as that of the band-limited part of the data, to the bit."""
+        g = make_grid(48, 16, 8.0)
+        w0 = _forward(np.random.default_rng(5).standard_normal(g.shape()))
+        spectra = []
+        monkeypatch.setattr(cylflow.advdiff, "_inverse", lambda grid, w: spectra.append(w.copy()) or _inverse(grid, w))
+        times = [1e-3, 2e-3]
+        evolve(ScalarField(g, w0, "spectral"), drift, times)
+        evolve(ScalarField(g, w0 * g.dealias_mask, "spectral"), drift, times)
+        rough, cut = spectra[:2], spectra[2:]
+        mask = g.dealias_mask
+        prev, t_prev = w0, 0.0
+        for t, w, w_cut in zip(times, rough, cut):
+            E = np.exp(-g.ksq * (0.5 * (t - t_prev)))
+            assert w[~mask].tobytes() == (E * E * prev)[~mask].tobytes()
+            assert w[mask].tobytes() == w_cut[mask].tobytes()
+            prev, t_prev = w, t
+        assert np.abs(rough[-1][~mask]).min() > 0.0

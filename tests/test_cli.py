@@ -326,6 +326,60 @@ class TestCleanFailures:
         assert len(err) == 1 and argv[0] in err[0] and word in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, out",
+        [(c, out) for c in ("simulate", "advdiff", "verify-inequalities") for out in ("", "{file}", "{file}/sub")]
+        + [("simulate", "{config}")],
+    )
+    def test_bad_output_directory(self, command, out, tmp_path, capsys, monkeypatch):
+        """An output directory that cannot be made (an empty path, an
+        existing file, a path under a file, or a config file's `out_dir =`)
+        fails before any initial data, evolution or suite, and writes
+        nothing."""
+        monkeypatch.chdir(tmp_path)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} did work before checking its output directory")
+
+        monkeypatch.setattr("cylflow.cli.make_initial_data", no_work)
+        monkeypatch.setattr("cylflow.advdiff.fundamental_solution", no_work)
+        monkeypatch.setattr("cylflow.inequalities.nash_suite", no_work)
+        (tmp_path / "file").write_text("kept\n")
+        (tmp_path / "empty_out.cfg").write_text("nx = 16\nny = 16\nout_dir =\n")
+        before = sorted(os.listdir(tmp_path))
+        if out == "{config}":
+            argv, path = ["simulate", "--config", str(tmp_path / "empty_out.cfg")], ""
+        else:
+            path = out.format(file=tmp_path / "file")
+            argv = [command, "--out", path]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and command in err[0] and repr(path) in err[0]
+        assert sorted(os.listdir(tmp_path)) == before and (tmp_path / "file").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("out", ["", "nodir/report.json", "{dir}"], ids=["empty", "missing_dir", "dir"])
+    def test_report_bad_output_file(self, out, sim_dir, tmp_path, capsys, monkeypatch):
+        """A report path that cannot be written fails before any snapshot
+        read or ledger write: a ledger without C3, which the report would
+        estimate and record, stays byte-identical."""
+        monkeypatch.chdir(tmp_path)
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("report read a snapshot before checking --out")
+
+        monkeypatch.setattr("cylflow.cli.read_state", no_read)
+        const = tmp_path / "constants.json"
+        update_constant(str(const), EstimatedConstant("C_nash", 1.5))
+        ledger = const.read_bytes()
+        os.makedirs(tmp_path / "dir")
+        before = sorted(os.listdir(tmp_path))
+        path = out.format(dir=tmp_path / "dir")
+        assert run_cli("report", "--run-dir", sim_dir, "--constants", str(const), "--out", path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "report" in err[0] and repr(path) in err[0]
+        assert const.read_bytes() == ledger
+        assert sorted(os.listdir(tmp_path)) == before and not os.listdir(tmp_path / "dir")
+
     @pytest.mark.parametrize("make_snapshot_dir", [False, True])
     def test_report_without_snapshots(self, make_snapshot_dir, tmp_path, capsys):
         if make_snapshot_dir:
@@ -461,6 +515,18 @@ class TestInputFaults:
         assert run_cli(*argv) == 2
         self._one_line(capsys, "report", str(const))
         assert not rep_path.exists() and not const.parent.exists()
+
+    def test_report_empty_ledger_path(self, sim_dir, tmp_path, capsys, monkeypatch):
+        """An empty --constants path, where the estimated C3 could never be
+        recorded, fails before any snapshot read."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("read a snapshot")
+
+        monkeypatch.setattr("cylflow.cli.read_state", no_work)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("report", "--run-dir", sim_dir, "--constants", "", "--out", str(tmp_path / "report.json")) == 2
+        self._one_line(capsys, "report", "''")
+        assert not os.listdir(tmp_path)
 
     def test_fit_rates_bad_value_is_located(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"

@@ -23,9 +23,9 @@ from cylflow.solver import (
     FlowState,
     InitialDataSpec,
     InstabilityError,
+    _band_step,
     _StepWork,
     _cfl_limit,
-    _guarded_step,
     _march,
     _nonlinear_ns,
     _sup_speed_with_mean,
@@ -40,6 +40,7 @@ from cylflow.solver import (
 )
 from cylflow.spectral import (
     ScalarField,
+    _band_block,
     _band_scatter,
     _derivative_multiplier,
     _forward,
@@ -250,8 +251,9 @@ class TestStep:
                 s = step(s, 0.05)
 
     def test_instability_sentinel_with_a_carried_norm(self, grid64):
-        """The guard reads the norm the previous step returned; it still
-        raises when the step grows that norm more than 10x."""
+        """The guard of `_band_step` reads the norm the previous step
+        returned; it still raises when the step grows that norm more than
+        10x."""
         st = make_initial_data(InitialDataSpec(kind="random_bandlimited", seed=1, target_romega=5.0), grid64)
         w = st.omega.data
 
@@ -264,14 +266,17 @@ class TestStep:
             out += 1e3 * w
             return out
 
-        w1, n1 = _guarded_step(grid64, w, 0.0, 1e-3, zero, math.sqrt(_parseval_sq(grid64, w)))
+        def guarded(w, t, dt, tendency, pre):
+            return _band_step(grid64, w, _StepWork(grid64, w).blocks, t, dt, tendency, pre)
+
+        w1, n1 = guarded(w, 0.0, 1e-3, zero, math.sqrt(_parseval_sq(grid64, w)))
         assert n1 == math.sqrt(_parseval_sq(grid64, w1))
         with pytest.raises(InstabilityError):
-            _guarded_step(grid64, w1, 1e-3, 1e-2, blowup, n1)
+            guarded(w1, 1e-3, 1e-2, blowup, n1)
         # a carried norm far below the state's own is what the guard compares
         with pytest.raises(InstabilityError):
-            _guarded_step(grid64, w1, 1e-3, 1e-3, zero, n1 / 100.0)
-        w2, n2 = _guarded_step(grid64, w1, 1e-3, 1e-3, zero, n1)
+            guarded(w1, 1e-3, 1e-3, zero, n1 / 100.0)
+        w2, n2 = guarded(w1, 1e-3, 1e-3, zero, n1)
         assert n2 <= n1
 
     def test_step_carries_the_norm_of_the_new_state(self, grid64):
@@ -753,17 +758,20 @@ PERIODIC = DriftSpec(kind="time_periodic_shear", amplitude=2.0, period=0.7)
     (PERIODIC.reversed(0.9), -2.0 * math.cos(2.0 * math.pi * (0.9 - 0.3) / 0.7)),
 ], ids=["steady", "periodic", "reversed"])
 def test_shear_stencil_matches_the_advective_form(shape, drift, a):
-    """advdiff's stencil at t = 0.3 equals `advective_tendency` of the
-    sampled drift u = (a sin(2 pi x2), 0) on a rough omega that fills the
-    whole half spectrum."""
+    """advdiff's stencil at t = 0.3, on the band block of a rough omega that
+    fills the whole half spectrum, equals `advective_tendency` of the
+    sampled drift u = (a sin(2 pi x2), 0) on omega's dealiased band: the
+    stencil reads only the block, and column nb counts as zero."""
     g = make_grid(*shape)
     w = _forward(np.random.default_rng(12).standard_normal(g.shape()))
-    got = _shear_advection(g, drift)(w, 0.3, np.empty_like(w))
+    block = _band_block(g, w)
+    got = _shear_advection(g, drift)(block, 0.3, np.empty_like(block))
     u1 = a * np.sin(2.0 * np.pi * g.x2)[None, :] * np.ones((g.nx, 1))
     d1, d2 = _derivative_multiplier(g, 1), _derivative_multiplier(g, 2)
-    want = advective_tendency(g, u1, np.zeros_like(u1), *_inverse(g, np.stack((d1 * w, d2 * w))))
+    wm = w * g.dealias_mask
+    want = advective_tendency(g, u1, np.zeros_like(u1), *_inverse(g, np.stack((d1 * wm, d2 * wm))))
+    got = _band_scatter(g, got, np.zeros_like(w))
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    assert not got[~g.dealias_mask].any()
 
 
 def full_complex_ifrk4(grid, w, c, m_mean, dt, steps):
