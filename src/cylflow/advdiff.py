@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import v_volume
 from .solver import _band_step, _cfl_limit, _march, _step_blocks
 from .spectral import (
     ScalarField,
@@ -43,6 +42,7 @@ __all__ = [
     "check_lp_lq",
     "check_gaussian_envelope",
     "duality_residual",
+    "v_volume",
 ]
 
 DRIFT_KINDS = ("zero", "steady_shear_u1", "time_periodic_shear")
@@ -114,6 +114,13 @@ class LpLqCheck:
     k1: float
 
 
+def v_volume(t):
+    """min(t, sqrt(t)): the volume of a ball of radius sqrt(t) on the cylinder."""
+    if t <= 0:
+        raise ValueError("v_volume requires t > 0")
+    return min(t, math.sqrt(t))
+
+
 def _shear_advection(grid, drift):
     """The dealiased tendency -u.grad(omega) = -a(t) sin(2 pi x2) d1 omega
     of the drift on the band block, as a function of (w, t, out) that
@@ -125,7 +132,7 @@ def _shear_advection(grid, drift):
     column's right neighbour, column nb, lies outside the band and counts
     as zero, the truncation rule of the Navier-Stokes tendency.
     """
-    m = 2 * grid.band[0] + 1
+    m = grid.block_shape[0]
     half_k1 = 0.5 * _band_block(grid, _derivative_multiplier(grid, 1).imag)
     neg = -np.arange(m) % m  # row i holds mode j; neg[i] holds -j
 
@@ -145,7 +152,7 @@ def evolve(omega0, drift, times, *, dt_acc=1e-3):
     t = 0 is allowed and maps to omega0's own physical values; an empty
     `times` makes no step and returns {}.  Every step is the Navier-Stokes
     step's `_band_step`, on one block array of `ifrk4_step` allocated
-    here, whose slot 0 holds the band block of the current omega."""
+    here: slot 0 holds the current omega's band block, slot 3 its stage a."""
     grid = omega0.grid
     tendency = _shear_advection(grid, drift)
     sup_sin = np.abs(np.sin(2.0 * np.pi * grid.x2)).max()
@@ -158,6 +165,7 @@ def evolve(omega0, drift, times, *, dt_acc=1e-3):
 
     def advance(w, t, dt, t_new):
         nonlocal norm
+        tendency(blocks[0], t, blocks[3])
         w, norm = _band_step(grid, w, blocks, t, dt, tendency, norm)
         return w
 

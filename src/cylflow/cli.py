@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import glob
 import json
 import math
 import os
@@ -78,8 +79,15 @@ def _load_config(args):
 
 def _cmd_simulate(args):
     cfg = _load_config(args)
+    snap_dir = os.path.join(cfg.out_dir, "snapshots")
+    if cfg.snapshots and os.path.exists(snap_dir) and not os.path.isdir(snap_dir):
+        raise _UsageError(f"snapshot directory {snap_dir} exists and is not a directory")
     with _bad_values():
         state = make_initial_data(cfg.initial_data_spec(), cfg.grid())
+    # a run directory holds one run: the snapshots of an earlier one go
+    for pattern in ("state_*.bin", "state_*.bin.meta"):
+        for path in glob.glob(os.path.join(glob.escape(snap_dir), pattern)):
+            os.unlink(path)
     os.makedirs(cfg.out_dir, exist_ok=True)
     collector = diag_mod.TrajectoryCollector(cfg.diagnostics_options())
     final = run(state, cfg.t_end, cfg.diag_schedule(), dt_acc=cfg.dt_acc, collector=collector)
@@ -87,7 +95,6 @@ def _cmd_simulate(args):
     write_csv_records(records, os.path.join(cfg.out_dir, "diagnostics.csv"))
     write_file(os.path.join(cfg.out_dir, "config.txt"), serialize_config(cfg))
     if cfg.snapshots:
-        snap_dir = os.path.join(cfg.out_dir, "snapshots")
         os.makedirs(snap_dir, exist_ok=True)
         for i, snap in enumerate(collector.snapshots):
             write_state(snap.state, os.path.join(snap_dir, f"state_{i:05d}.bin"))
@@ -260,17 +267,22 @@ def _cmd_kernel_table(args):
     with _bad_values():
         xs = _parse_lattice(args.x1, "--x1")
         ys = _parse_lattice(args.x2, "--x2")
-        out = contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", encoding="utf-8")
-    with out as fh:
-        fh.write(csv_row(("x1", "x2", "K", "gradperpK_1", "gradperpK_2")))
-        for x in xs:
-            for y in ys:
-                try:
-                    k = kernel_K(x, y)
-                    g1, g2 = grad_perp_K(x, y)
-                except ValueError:
-                    k, g1, g2 = math.nan, math.nan, math.nan
-                fh.write(csv_row((x, y, k, g1, g2)))
+        if args.out != "-":
+            check_output_file(args.out)
+    rows = []
+    for x in xs:
+        for y in ys:
+            try:
+                k = kernel_K(x, y)
+                g1, g2 = grad_perp_K(x, y)
+            except ValueError:
+                k, g1, g2 = math.nan, math.nan, math.nan
+            rows.append((x, y, k, g1, g2))
+    header = ("x1", "x2", "K", "gradperpK_1", "gradperpK_2")
+    if args.out == "-":
+        sys.stdout.writelines(map(csv_row, (header, *rows)))
+    else:
+        write_csv(args.out, header, rows)
     return 0
 
 
@@ -320,11 +332,18 @@ def _cmd_report(args):
     with _bad_values():
         states = sorted(((read_state(os.path.join(snap_dir, n)), n) for n in names), key=lambda sn: sn[0].t)
     collector = diag_mod.TrajectoryCollector()
+    first = (states[0][0].c, states[0][0].m_mean, states[0][0].m0_norm)
     for s, name in states:
         try:
             collector.add(s)
         except ValueError as exc:
             raise _UsageError(f"{os.path.join(snap_dir, name)}: {exc}") from None
+        # c, m_mean and m0_norm are conserved within a run
+        if (s.c, s.m_mean, s.m0_norm) != first:
+            raise _UsageError(
+                f"{os.path.join(snap_dir, name)}: (c, m_mean, m0_norm) = {(s.c, s.m_mean, s.m0_norm)} differ "
+                f"from {first} of {states[0][1]}; a run directory holds the snapshots of one run"
+            )
 
     estimated = c3 is None
     if estimated:

@@ -24,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from .biotsavart import _biot_savart, _pressure_hat
-from .solver import FlowState
 from .spectral import (
     Profile,
     _derivative_multiplier,
@@ -42,7 +41,6 @@ __all__ = [
     "DiagnosticsOptions",
     "TrajectoryCollector",
     "CSV_COLUMNS",
-    "v_volume",
     "localized_sum",
     "fit_decay_rate",
     "theorem_checks",
@@ -62,13 +60,6 @@ CSV_COLUMNS = [
     "residual_enstrophy",
     "residual_oscillatory",
 ]
-
-
-def v_volume(t):
-    """min(t, sqrt(t)): the volume of a ball of radius sqrt(t) on the cylinder."""
-    if t <= 0:
-        raise ValueError("v_volume requires t > 0")
-    return min(t, math.sqrt(t))
 
 
 @dataclass
@@ -306,20 +297,25 @@ def fit_decay_rate(series, window, model):
     """Least-squares decay fit on log(value).
 
     model "exponential" returns the decay rate r in value ~ A exp(-r t);
-    model "power" returns the exponent p in value ~ A t^p.  Requires at
-    least 8 strictly positive samples inside the window.
+    model "power" returns the exponent p in value ~ A t^p.  Requires
+    finite times and at least 8 samples inside the window, all finite and
+    strictly positive.
     """
     if model not in ("power", "exponential"):
         raise ValueError(f"unknown fit model {model!r}")
     t = np.array([s[0] for s in series], dtype=np.float64)
     v = np.array([s[1] for s in series], dtype=np.float64)
+    if not np.isfinite(t).all():
+        raise ValueError(f"decay fits require finite times, got {t[~np.isfinite(t)][0]:g}")
     t_lo, t_hi = window
     keep = (t >= t_lo) & (t <= t_hi)
     t, v = t[keep], v[keep]
     if t.size < 8:
         raise ValueError(f"need at least 8 samples in the window, got {t.size}")
-    if np.any(v <= 0.0):
-        raise ValueError("decay fits require strictly positive values")
+    bad = np.flatnonzero(~(np.isfinite(v) & (v > 0.0)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"decay fits require finite, strictly positive values, got {v[i]:g} at t={t[i]:g}")
     y = np.log(v)
     x = np.log(t) if model == "power" else t
     slope, intercept = np.polyfit(x, y, 1)
@@ -332,7 +328,7 @@ def fit_decay_rate(series, window, model):
 @dataclass
 class _Snapshot:
     t: float
-    state: FlowState
+    state: object  # a solver.FlowState; diagnostics reads states and never imports the solver
     fine: dict
     sup_u: float
     sup_omega: float

@@ -36,8 +36,8 @@ from .spectral import (
     SpectralGrid,
     VelocityField,
     _band_block,
+    _band_copy,
     _band_mask,
-    _band_scatter,
     _forward,
     _forward_block,
     _inverse,
@@ -104,12 +104,12 @@ class FlowState:
             raise ValueError("time must be non-negative")
 
     @cached_property
-    def _stage_a(self):
+    def _first_stage(self):
         """(workspace, (sup|u1|, sup|u2|)) of this state's next step, the
         workspace holding omega's band block and stage a: computed by
-        `cfl_dt` and taken over by `step`."""
-        work = _StepWork(self.grid, self.omega.data)
-        _, sup = _nonlinear_ns(self.grid, self.c, self.m_mean, work)(work.w, self.t, work.a, speeds=True)
+        `cfl_dt`, or by `step` if it did not run, and taken over by `step`."""
+        work = _StepWork(self.grid, self.omega.data, self.c, self.m_mean)
+        _, sup = work.tendency(work.w, self.t, work.a, speeds=True)
         return work, sup
 
     @cached_property
@@ -193,16 +193,15 @@ def _basdevant_tables(grid):
 
 
 def _step_blocks(grid, w_hat):
-    """The (7, 2r+1, nb) block array of `ifrk4_step`, with w_hat's band
-    block in slot 0."""
-    blocks = np.empty((7, 2 * grid.band[0] + 1, grid.band[1] + 1), dtype=np.complex128)
-    _band_block(grid, w_hat, out=blocks[0])
+    """The (7, 2r+1, nb) block array of `ifrk4_step`, w_hat's band block in slot 0."""
+    blocks = np.empty((7,) + grid.block_shape, dtype=np.complex128)
+    _band_copy(grid, w_hat, blocks[0])
     return blocks
 
 
 class _StepWork:
-    """The buffers of one Navier-Stokes step, which runs on the band block
-    of shape (2r+1, nb) (`spectral._band_block`):
+    """The buffers and the tendency of one Navier-Stokes step, which runs
+    on the band block of shape grid.block_shape = (2r+1, nb):
 
     - `blocks` (7, 2r+1, nb): the block array of `ifrk4_step`, omega's
       block `w` in slot 0 and stage a in slot 3, `a`;
@@ -211,17 +210,19 @@ class _StepWork:
     - `half` (2, nx, ny//2+1): the mixed coefficients of both transforms;
     - `phys` (3, nx, ny): the velocity samples, then the two products.
 
-    `cfl_dt`'s stage a and the three later stages all run in these.
+    `tendency` is `_nonlinear_ns` of the state's c and m_mean on these;
+    stage a and the three later stages all run in them.
     """
 
-    __slots__ = ("blocks", "w", "a", "spec", "half", "phys")
+    __slots__ = ("blocks", "w", "a", "spec", "half", "phys", "tendency")
 
-    def __init__(self, grid, w_hat):
+    def __init__(self, grid, w_hat, c, m_mean):
         self.blocks = _step_blocks(grid, w_hat)
         self.w, self.a = self.blocks[0], self.blocks[3]
         self.spec = np.empty((2,) + self.w.shape, dtype=np.complex128)
         self.half = np.empty((2, grid.nx, grid._ncols), dtype=np.complex128)
         self.phys = np.empty((3, grid.nx, grid.ny))
+        self.tendency = _nonlinear_ns(grid, c, m_mean, self)
 
 
 def _nonlinear_ns(grid, c, m_mean, work):
@@ -233,7 +234,7 @@ def _nonlinear_ns(grid, c, m_mean, work):
         """The tendency at the band block w, written into `out`; with
         speeds=True, the pair (out, (sup|u1|, sup|u2|)), read off the same
         batched inverse."""
-        _inverse_block(grid, _biot_savart(grid, w, c, m_mean, out=spec, block=True), half, u)
+        _inverse_block(grid, _biot_savart(grid, w, c, m_mean, out=spec), half, u)
         sup = (np.abs(u[0], out=prod).max(), np.abs(u[1], out=prod).max()) if speeds else None
         np.multiply(u[0], u[1], out=prod)
         np.multiply(u, u, out=u)
@@ -263,14 +264,14 @@ def _exp_factors(grid, dt):
     return factors
 
 
-def ifrk4_step(grid, blocks, t, dt, tendency, stage_a=False):
+def ifrk4_step(grid, blocks, t, dt, tendency):
     """One integrating-factor RK4 step for dw/dt = tendency(w, t) - |k|^2 w
     on the band block w = blocks[0], advanced in place; returns w.
 
     Diffusion is integrated exactly; only decaying exponentials appear.
     `blocks`, of shape (7, 2r+1, nb) and complex, holds w, two scratch
-    arrays and the four stage slots; with stage_a=True, slot 3 already
-    holds a = tendency(w, t).  The stage inputs and the final combination
+    arrays and the four stage slots, of which slot 3 holds a = tendency(w,
+    t) on entry.  The stage inputs and the final combination
     are formed in the scratch arrays, with the roundings of
 
         b = tendency(E (w + dt/2 a)),  c = tendency(E w + dt/2 b),
@@ -284,8 +285,6 @@ def ifrk4_step(grid, blocks, t, dt, tendency, stage_a=False):
     """
     E, E2, E2x2 = _exp_factors(grid, dt)[:3]
     w, x, y, a, b, c, d = blocks
-    if not stage_a:
-        tendency(w, t, a)
     np.multiply(a, 0.5 * dt, out=x)
     x += w
     x *= E
@@ -328,22 +327,22 @@ def cfl_dt(state, dt_acc=DEFAULT_DT_ACC):
     dt_acc when the velocity vanishes.  The speeds come from stage a of the
     state's next step, which `step` then reuses.
     """
-    return _cfl_limit(state.grid, *state._stage_a[1], dt_acc)
+    return _cfl_limit(state.grid, *state._first_stage[1], dt_acc)
 
 
-def _band_step(grid, w_hat, blocks, t, dt, tendency, pre, stage_a=False):
-    """One step of w_hat from t on its band block, which `blocks[0]` holds:
-    `ifrk4_step` advances the block in place, the modes outside it are
-    multiplied by exactly E2 = exp(-|k|^2 dt), and the block is scattered
-    into its place.  Returns (w_new, its coefficient L2 norm).
+def _band_step(grid, w_hat, blocks, t, dt, tendency, pre):
+    """One step of w_hat from t on its band block, which `blocks[0]` holds,
+    with stage a in `blocks[3]`: `ifrk4_step` advances the block in place,
+    the modes outside it are multiplied by exactly E2 = exp(-|k|^2 dt), and
+    the block is copied into its place.  Returns (w_new, its coefficient L2
+    norm).
 
     The growth guard: raises InstabilityError if that norm is not finite
     or exceeds 10x `pre`, the norm of w_hat as returned by the step that
     made it.
     """
-    ifrk4_step(grid, blocks, t, dt, tendency, stage_a)
-    w_new = _exp_factors(grid, dt)[3] * w_hat
-    _band_scatter(grid, blocks[0], w_new)
+    ifrk4_step(grid, blocks, t, dt, tendency)
+    w_new = _band_copy(grid, blocks[0], _exp_factors(grid, dt)[3] * w_hat)
     post = math.sqrt(_parseval_sq(grid, w_new))
     if not np.isfinite(post) or post > 10.0 * pre + 1e-300:
         raise InstabilityError(f"norm grew {post / max(pre, 1e-300):.3g}x in one step at t={t:.6g}", t=t)
@@ -355,18 +354,17 @@ def step(state, dt):
 
     The velocity is reconstructed from the stage vorticity at every stage;
     c and m_mean are conserved.  The step is `_band_step`, in the workspace
-    of stage a, taken from `cfl_dt` if it ran on this state and dropped
-    from the state either way.  Raises InstabilityError if the vorticity
-    L2 norm grows by more than 10x; the new state carries its norm for the
-    guard of its own step.
+    of the state's stage a, computed here if `cfl_dt` did not run on the
+    state and dropped from it either way.  Raises InstabilityError if the
+    vorticity L2 norm grows by more than 10x; the new state carries its
+    norm for the guard of its own step.
     """
     if not (0.0 < dt < math.inf):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     g = state.grid
-    stage = state.__dict__.pop("_stage_a", None)
-    work = _StepWork(g, state.omega.data) if stage is None else stage[0]
-    tendency = _nonlinear_ns(g, state.c, state.m_mean, work)
-    w_new, norm = _band_step(g, state.omega.data, work.blocks, state.t, dt, tendency, state._norm, stage is not None)
+    work = state._first_stage[0]
+    del state.__dict__["_first_stage"]
+    w_new, norm = _band_step(g, state.omega.data, work.blocks, state.t, dt, work.tendency, state._norm)
     new = FlowState(g, ScalarField(g, w_new, SPECTRAL), state.c, state.m_mean, state.t + dt, state.m0_norm)
     new.__dict__["_norm"] = norm
     return new

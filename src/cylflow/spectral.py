@@ -82,6 +82,7 @@ class SpectralGrid:
         # less than a grid size, so no product of two aliases onto the band
         self.band = ((self.nx - 1) // 3, (self.ny - 1) // 3)
         self.dealias_mask = _band_mask(self, *self.band)
+        self.block_shape = (2 * self.band[0] + 1, self.band[1] + 1)
 
     def __repr__(self):
         return f"SpectralGrid(nx={self.nx}, ny={self.ny}, lam={self.lam})"
@@ -203,30 +204,28 @@ def _inverse(grid, spec):
 
 # The band block holds the dealiased band of half-spectrum data
 # contiguously: the rows of modes 0..r, then those of -r..-1, each on the
-# columns n = 0..nb-1, for (r, nb-1) = grid.band.  The Navier-Stokes step
-# runs on it, through the block pair below, whose stages are numpy's irfft2
-# and rfft2 stages: on band data they have the bits of the 2-D pair.  The
-# diagnostics sample through the same x1 stage on twice the rows.
+# columns n = 0..nb-1, for (r, nb-1) = grid.band; its shape is
+# grid.block_shape.  The Navier-Stokes step runs on it, through the block
+# pair below, whose stages are numpy's irfft2 and rfft2 stages: on band
+# data they have the bits of the 2-D pair.  The diagnostics sample through
+# the same x1 stage on twice the rows.
 
 
-def _band_block(grid, spec, out=None):
-    """The band block (..., 2r+1, nb) of half-spectrum data `spec`, into
-    `out` if given; leading axes are a batch."""
+def _band_copy(grid, src, out):
+    """Copy rows 0..r and -r..-1 of the band, on the columns n < nb, from
+    `src` into `out` (nothing else of it) and return `out`.  Either is a
+    half spectrum, a band block or `_x1_inverse`'s padded rows, and its
+    row count places the rows -r..-1; leading axes are a batch."""
     r, nb = grid.band[0], grid.band[1] + 1
-    if out is None:
-        out = np.empty(spec.shape[:-2] + (2 * r + 1, nb), dtype=spec.dtype)
-    out[..., : r + 1, :] = spec[..., : r + 1, :nb]
-    out[..., r + 1 :, :] = spec[..., spec.shape[-2] - r :, :nb]
+    out[..., : r + 1, :nb] = src[..., : r + 1, :nb]
+    out[..., out.shape[-2] - r :, :nb] = src[..., src.shape[-2] - r :, :nb]
     return out
 
 
-def _band_scatter(grid, block, out):
-    """Write the band block `block` into its place in the half spectrum
-    `out`; the modes outside the band are left as they are."""
-    r, nb = grid.band[0], grid.band[1] + 1
-    out[..., : r + 1, :nb] = block[..., : r + 1, :]
-    out[..., out.shape[-2] - r :, :nb] = block[..., r + 1 :, :]
-    return out
+def _band_block(grid, spec):
+    """The band block (..., 2r+1, nb), a new array, of half-spectrum data
+    `spec`; leading axes are a batch."""
+    return _band_copy(grid, spec, np.empty(spec.shape[:-2] + grid.block_shape, dtype=spec.dtype))
 
 
 def _x1_inverse(grid, spec, rows, out=None):
@@ -243,9 +242,7 @@ def _x1_inverse(grid, spec, rows, out=None):
         out = np.zeros(spec.shape[:-2] + (rows, grid._ncols), dtype=np.complex128)
     else:
         out[..., r + 1 : rows - r, :nb] = 0.0
-    out[..., : r + 1, :nb] = spec[..., : r + 1, :nb]
-    out[..., rows - r :, :nb] = spec[..., spec.shape[-2] - r :, :nb]
-    band = out[..., :nb]
+    band = _band_copy(grid, spec, out)[..., :nb]
     np.fft.ifft(band, axis=-2, norm="forward", out=band)
     return out
 
@@ -271,7 +268,7 @@ def _forward_block(grid, phys, half, out):
     ny//2+1), complex, is scratch; leading axes are a batch."""
     band = np.fft.rfft(phys, axis=-1, norm="forward", out=half)[..., : grid.band[1] + 1]
     np.fft.fft(band, axis=-2, norm="forward", out=band)
-    return _band_block(grid, band, out)
+    return _band_copy(grid, band, out)
 
 
 def _profile_forward(values):

@@ -319,18 +319,18 @@ class TestWorkBlock:
     @pytest.fixture
     def blocks(self, monkeypatch):
         """Records the block array of every step or, when told to, steps on
-        a fresh one that holds only the band block of omega and NaN in its
-        six other slots."""
+        a fresh one that holds only the band block of omega and its stage a
+        and NaN in its five other slots."""
         seen = {"blocks": [], "fresh": False}
         step = cylflow.solver.ifrk4_step
 
-        def recorded(grid, blocks, t, dt, tendency, stage_a=False):
+        def recorded(grid, blocks, t, dt, tendency):
             seen["blocks"].append(blocks)
             if not seen["fresh"]:
-                return step(grid, blocks, t, dt, tendency, stage_a)
+                return step(grid, blocks, t, dt, tendency)
             fresh = np.full_like(blocks, np.nan)
-            fresh[0] = blocks[0]
-            blocks[0] = step(grid, fresh, t, dt, tendency, stage_a)
+            fresh[[0, 3]] = blocks[[0, 3]]
+            blocks[0] = step(grid, fresh, t, dt, tendency)
             return blocks[0]
 
         monkeypatch.setattr(cylflow.solver, "ifrk4_step", recorded)

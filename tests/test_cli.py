@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cylflow import diagnostics as diag_mod
+from cylflow.biotsavart import kernel_K
 from cylflow.cli import _build_parser, main
 from cylflow.config import EstimatedConstant, RunConfig, update_constant
 from cylflow.diagnostics import CSV_COLUMNS, TrajectoryCollector
@@ -18,6 +19,14 @@ from cylflow.spectral import make_grid, to_physical
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def small_run(out, t_end, ru, seed, *extra):
+    """A 16x16 run with snapshots every 0.005; ru and seed set m_mean."""
+    return run_cli(
+        "simulate", "--nx", "16", "--ny", "16", "--lambda", "4", "--t-end", str(t_end), "--diag-step", "0.005",
+        "--target-romega", "5", "--target-ru", str(ru), "--seed", str(seed), "--out", str(out), *extra,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +68,23 @@ class TestSimulate:
         a = open(os.path.join(sim_dir, "diagnostics.csv"), "rb").read()
         b = open(os.path.join(out2, "diagnostics.csv"), "rb").read()
         assert a == b
+
+    def test_a_later_run_removes_the_earlier_snapshots(self, tmp_path):
+        """A run directory holds one run: a later run into it removes the
+        snapshot files of the earlier one, also under --no-snapshots, and
+        nothing else."""
+        out = tmp_path / "run"
+        assert small_run(out, 0.02, 8, 1) == 0
+        snaps = out / "snapshots"
+        (snaps / "notes.txt").write_text("kept\n")
+        first_m_mean = read_state(str(snaps / "state_00004.bin")).m_mean
+        assert small_run(out, 0.01, 12, 2) == 0
+        names = sorted(os.listdir(snaps))
+        assert names == ["notes.txt"] + [f"state_{i:05d}.bin{ext}" for i in range(3) for ext in ("", ".meta")]
+        m_means = {read_state(str(snaps / f"state_{i:05d}.bin")).m_mean for i in range(3)}
+        assert len(m_means) == 1 and first_m_mean not in m_means
+        assert small_run(out, 0.01, 12, 2, "--no-snapshots") == 0
+        assert os.listdir(snaps) == ["notes.txt"] and (snaps / "notes.txt").read_text() == "kept\n"
 
     def test_every_config_field_has_a_flag(self):
         # the overrides are read by field name; --no-snapshots sets snapshots
@@ -191,6 +217,14 @@ class TestKernelTable:
         assert run_cli("kernel-table", "--x1", "0:0:1", "--x2", "0:0:1") == 0
         row = capsys.readouterr().out.splitlines()[1]
         assert "nan" in row
+
+    def test_out_file_holds_the_stdout_table(self, tmp_path, capsys):
+        out = tmp_path / "k.csv"
+        argv = ["kernel-table", "--x1=-0.5:1.5:5", "--x2", "0:1:4"]
+        assert run_cli(*argv) == 0
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert out.read_text() == capsys.readouterr().out
+        assert os.listdir(tmp_path) == ["k.csv"]
 
 
 class TestFitRates:
@@ -380,6 +414,40 @@ class TestCleanFailures:
         assert const.read_bytes() == ledger
         assert sorted(os.listdir(tmp_path)) == before and not os.listdir(tmp_path / "dir")
 
+    def test_snapshots_path_that_is_a_file(self, tmp_path, capsys, monkeypatch):
+        """A run's snapshot directory that exists as a file fails before the
+        initial data, and nothing is written; without snapshots the run
+        does not need it."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("simulate did work before checking its snapshot directory")
+
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "snapshots").write_text("kept\n")
+        with monkeypatch.context() as m:
+            m.setattr("cylflow.cli.make_initial_data", no_work)
+            assert small_run(out, 0.01, 8, 1) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "simulate" in err[0] and str(out / "snapshots") in err[0]
+        assert os.listdir(out) == ["snapshots"] and (out / "snapshots").read_text() == "kept\n"
+        assert small_run(out, 0.01, 8, 1, "--no-snapshots") == 0
+        assert (out / "snapshots").read_text() == "kept\n"
+
+    def test_report_rejects_the_snapshots_of_two_runs(self, tmp_path, capsys):
+        """c, m_mean and m0_norm are conserved within a run: a snapshot
+        whose values differ from the first one's is named, and nothing is
+        written."""
+        assert small_run(tmp_path / "a", 0.02, 8, 1) == 0
+        assert small_run(tmp_path / "b", 0.01, 12, 2) == 0
+        for name in ("state_00003.bin", "state_00003.bin.meta"):
+            shutil.copy(tmp_path / "a" / "snapshots" / name, tmp_path / "b" / "snapshots" / name)
+        const, rep_path = tmp_path / "constants.json", tmp_path / "report.json"
+        argv = ["--t-grid", "0.01", "--tau", "0.005", "--constants", str(const), "--out", str(rep_path)]
+        assert run_cli("report", "--run-dir", str(tmp_path / "b"), *argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "report" in err[0] and "state_00003.bin:" in err[0] and "m_mean" in err[0]
+        assert not const.exists() and not rep_path.exists()
+
     @pytest.mark.parametrize("make_snapshot_dir", [False, True])
     def test_report_without_snapshots(self, make_snapshot_dir, tmp_path, capsys):
         if make_snapshot_dir:
@@ -461,6 +529,36 @@ class TestInputFaults:
         assert run_cli("kernel-table", *[a for kv in argv.items() for a in kv], "--out", str(out)) == 2
         self._one_line(capsys, "kernel-table", flag, value)
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_fit_rates_non_finite_value(self, value, sim_dir, tmp_path, capsys):
+        csv = tmp_path / "bad.csv"
+        lines = open(os.path.join(sim_dir, "diagnostics.csv"), encoding="utf-8").read().splitlines()
+        cells = lines[3].split(",")
+        cells[CSV_COLUMNS.index("sup_uhat")] = value
+        lines[3] = ",".join(cells)
+        csv.write_text("\n".join(lines) + "\n")
+        assert run_cli("fit-rates", "--csv", str(csv), "--t-lo", "0", "--t-hi", "0.2") == 2
+        self._one_line(capsys, "fit-rates", "finite", value)
+
+    def test_kernel_table_interrupted_keeps_the_old_file(self, tmp_path, monkeypatch):
+        """A kernel evaluation that raises midway leaves the old table as it
+        was, never a header and the first rows."""
+        out = tmp_path / "k.csv"
+        out.write_bytes(b"old table\n")
+        calls = []
+
+        def failing(x1, x2):
+            calls.append((x1, x2))
+            if len(calls) == 4:
+                raise RuntimeError("interrupted")
+            return kernel_K(x1, x2)
+
+        monkeypatch.setattr("cylflow.cli.kernel_K", failing)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_cli("kernel-table", "--x1", "0.5:1.5:3", "--x2", "0:1:5", "--out", str(out))
+        assert len(calls) == 4
+        assert out.read_bytes() == b"old table\n" and os.listdir(tmp_path) == ["k.csv"]
 
     def test_kernel_table_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "k.csv"

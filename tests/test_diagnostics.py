@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cylflow.advdiff import v_volume
 from cylflow.biotsavart import _biot_savart, _pressure_hat
 from cylflow.diagnostics import (
     DiagnosticsOptions,
@@ -13,7 +14,6 @@ from cylflow.diagnostics import (
     fit_decay_rate,
     localized_sum,
     theorem_checks,
-    v_volume,
 )
 from cylflow.solver import FlowState, InitialDataSpec, make_initial_data, run
 from cylflow.spectral import (
@@ -460,6 +460,22 @@ class TestFitDecayRate:
             fit_decay_rate([(t, -1.0) for t in ts], (0, 1), "exponential")
         with pytest.raises(ValueError):
             fit_decay_rate(list(zip(ts, np.exp(-ts))), (0, 1), "cubic")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, value):
+        """One non-finite sample in the window is an error naming it, not
+        a NaN or infinite rate."""
+        ts = np.linspace(0.1, 2.0, 20)
+        vals = np.exp(-ts)
+        vals[5] = value
+        with pytest.raises(ValueError, match=f"finite, strictly positive values, got {value:g} at t=0.6$"):
+            fit_decay_rate(list(zip(ts, vals)), (0.0, 2.0), "exponential")
+        # outside the window it is not read
+        assert np.isfinite(fit_decay_rate(list(zip(ts, vals)), (0.7, 2.0), "exponential").exponent_or_rate)
+        # a non-finite time lies in no window, and is an error too
+        ts[5] = value
+        with pytest.raises(ValueError, match=f"finite times, got {value:g}$"):
+            fit_decay_rate(list(zip(ts, np.exp(-np.arange(20.0)))), (0.7, 2.0), "exponential")
 
 
 class TestTheoremChecks:

@@ -27,7 +27,7 @@ from cylflow.solver import (
     _StepWork,
     _cfl_limit,
     _march,
-    _nonlinear_ns,
+    _step_blocks,
     _sup_speed_with_mean,
     cfl_dt,
     make_initial_data,
@@ -41,7 +41,7 @@ from cylflow.solver import (
 from cylflow.spectral import (
     ScalarField,
     _band_block,
-    _band_scatter,
+    _band_copy,
     _derivative_multiplier,
     _forward,
     _inverse,
@@ -53,6 +53,20 @@ from cylflow.spectral import (
     to_spectral,
     vertical_average,
 )
+
+
+def imported_names(module):
+    """Every module and name that an import statement of cylflow.<module>
+    names, dotted module paths split at the dots."""
+    path = pathlib.Path(cylflow.solver.__file__).with_name(f"{module}.py")
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    return names
 
 
 def bisected_mean_flow(u, target):
@@ -178,9 +192,9 @@ class TestCfl:
         dt = cfl_dt(st, dt_acc=1.0)
         assert dt < 1.0
         assert dt == cylflow.solver._cfl_limit(g, np.abs(u1).max(), np.abs(u2).max(), 1.0)
-        assert "_stage_a" in vars(st)
+        assert "_first_stage" in vars(st)
         out = step(st, dt)
-        assert "_stage_a" not in vars(st)
+        assert "_first_stage" not in vars(st)
         ref = step(uncached, dt)
         assert np.array_equal(out.omega.data, ref.omega.data)
         assert out.omega.data.tobytes() == ref.omega.data.tobytes()
@@ -267,7 +281,9 @@ class TestStep:
             return out
 
         def guarded(w, t, dt, tendency, pre):
-            return _band_step(grid64, w, _StepWork(grid64, w).blocks, t, dt, tendency, pre)
+            blocks = _step_blocks(grid64, w)
+            tendency(blocks[0], t, blocks[3])
+            return _band_step(grid64, w, blocks, t, dt, tendency, pre)
 
         w1, n1 = guarded(w, 0.0, 1e-3, zero, math.sqrt(_parseval_sq(grid64, w)))
         assert n1 == math.sqrt(_parseval_sq(grid64, w1))
@@ -339,15 +355,13 @@ class TestRun:
 
     def test_solver_does_not_import_diagnostics(self):
         # run hands states to a collector it is given; it never builds one
-        tree = ast.parse(pathlib.Path(cylflow.solver.__file__).read_text(encoding="utf-8"))
-        imported = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported.append(node.module or "")
-                imported += [a.name for a in node.names]
-            elif isinstance(node, ast.Import):
-                imported += [a.name for a in node.names]
-        assert not [m for m in imported if "diagnostics" in m.split(".")]
+        assert "diagnostics" not in imported_names("solver")
+
+    @pytest.mark.parametrize("module, below", [("advdiff", "diagnostics"), ("diagnostics", "solver")])
+    def test_layers(self, module, below):
+        """advdiff evolves on the solver's step and reads no diagnostics;
+        diagnostics reads states and never imports the solver."""
+        assert below not in imported_names(module)
 
     def test_one_stepping_loop(self):
         # `march` and advdiff's `evolve` are the only drivers of _march, and
@@ -576,8 +590,8 @@ def advective_tendency(grid, u1, u2, wx, wy):
 
 def block_tendency(grid, c, m_mean, w_hat, speeds=False):
     """The step's tendency at the band block of w_hat, in a fresh workspace."""
-    work = _StepWork(grid, w_hat)
-    return _nonlinear_ns(grid, c, m_mean, work)(work.w, 0.0, np.empty_like(work.w), speeds=speeds)
+    work = _StepWork(grid, w_hat, c, m_mean)
+    return work.tendency(work.w, 0.0, np.empty_like(work.w), speeds=speeds)
 
 
 class TestBasdevantTendency:
@@ -595,7 +609,7 @@ class TestBasdevantTendency:
         got_block = block_tendency(g, c, m_mean, w)
         assert got_block.shape == (2 * g.band[0] + 1, g.band[1] + 1)
         assert got_block[0, 0] == 0.0
-        got = _band_scatter(g, got_block, np.zeros_like(w))
+        got = _band_copy(g, got_block, np.zeros_like(w))
         d1, d2 = _derivative_multiplier(g, 1), _derivative_multiplier(g, 2)
         fields = np.concatenate((_biot_savart(g, w, c, m_mean), np.stack((d1 * w, d2 * w))))
         want = advective_tendency(g, *_inverse(g, fields))
@@ -613,7 +627,8 @@ class TestBasdevantTendency:
         noise = _forward(np.random.default_rng(3).standard_normal(grid64.shape()))
         outside = noise * ~grid64.dealias_mask * np.abs(st.omega.data).max() / np.abs(noise).max()
         rough = replace(st, omega=ScalarField(grid64, st.omega.data + outside, "spectral"))
-        assert _StepWork(grid64, rough.omega.data).w.tobytes() == _StepWork(grid64, st.omega.data).w.tobytes()
+        blocks = [_StepWork(grid64, s.omega.data, s.c, s.m_mean).w for s in (rough, st)]
+        assert blocks[0].tobytes() == blocks[1].tobytes()
         got, got_speeds = block_tendency(grid64, st.c, st.m_mean, rough.omega.data, speeds=True)
         want, want_speeds = block_tendency(grid64, st.c, st.m_mean, st.omega.data, speeds=True)
         assert got.tobytes() == want.tobytes()
@@ -770,7 +785,7 @@ def test_shear_stencil_matches_the_advective_form(shape, drift, a):
     d1, d2 = _derivative_multiplier(g, 1), _derivative_multiplier(g, 2)
     wm = w * g.dealias_mask
     want = advective_tendency(g, u1, np.zeros_like(u1), *_inverse(g, np.stack((d1 * wm, d2 * wm))))
-    got = _band_scatter(g, got, np.zeros_like(w))
+    got = _band_copy(g, got, np.zeros_like(w))
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 

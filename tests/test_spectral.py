@@ -13,7 +13,7 @@ from cylflow.spectral import (
     Profile,
     ScalarField,
     _band_block,
-    _band_scatter,
+    _band_copy,
     _forward,
     _forward_block,
     _inverse,
@@ -372,7 +372,7 @@ def test_banded_pair_has_the_bits_of_the_full_pair(shape):
     assert block.shape == (2, 2 * r + 1, nb)
     assert rough.tobytes() == kept.tobytes()
     assert block.tobytes() == _band_block(g, band).tobytes()
-    assert _band_scatter(g, block, np.zeros_like(band)).tobytes() == band.tobytes()
+    assert _band_copy(g, block, np.zeros_like(band)).tobytes() == band.tobytes()
     half = np.full((2,) + g.shape("spectral"), np.nan + 1j * np.nan)
     got = _inverse_block(g, block, half, np.empty((2,) + shape))
     assert got.tobytes() == _inverse(g, band).tobytes()
@@ -383,6 +383,26 @@ def test_banded_pair_has_the_bits_of_the_full_pair(shape):
     got = _forward_block(g, phys, half, np.empty_like(block))
     assert got.tobytes() == _band_block(g, _forward(phys)).tobytes()
     assert phys.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (48, 30)])
+def test_band_copy_between_any_two_layouts(shape):
+    """`_band_copy` moves the band's rows 0..r and -r..-1 on the columns
+    n < nb between a half spectrum, a band block and 2nx padded rows, each
+    placing the rows -r..-1 by its own row count, and writes nothing else."""
+    g = make_grid(*shape, 8.0)
+    r, nb = g.band[0], g.band[1] + 1
+    half = _forward(np.random.default_rng(3).standard_normal(shape))
+    block = _band_block(g, half)
+    assert block.shape == g.block_shape == (2 * r + 1, nb)
+    padded = np.full((2 * g.nx, g.shape("spectral")[1]), np.nan + 0j)
+    assert _band_copy(g, block, padded) is padded
+    outside = np.ones(padded.shape, dtype=bool)
+    outside[: r + 1, :nb] = outside[-r:, :nb] = False
+    assert np.isnan(padded[outside]).all()
+    assert _band_block(g, padded).tobytes() == block.tobytes()
+    back = _band_copy(g, padded, np.zeros_like(half))
+    assert back.tobytes() == np.where(g.dealias_mask, half, 0.0).tobytes()
 
 
 def test_only_spectral_module_calls_numpy_fft():
