@@ -45,14 +45,44 @@ class _UsageError(Exception):
     """A bad command-line value, found before any work; exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every argparse error (a bad flag, choice or type, a missing argument)
+    becomes a _UsageError, and a flag without help shows its type's rule."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+    def add_argument(self, *names, **kwargs):
+        kwargs.setdefault("help", getattr(kwargs.get("type"), "rule", None))
+        return super().add_argument(*names, **kwargs)
+
+
 @contextlib.contextmanager
 def _bad_values():
-    """Report a ValueError raised while checking command-line values, or an
-    OSError raised while reading an input file, as a _UsageError."""
+    """Report a ValueError raised by a library call, or an OSError raised
+    while reading an input file, as a _UsageError."""
     try:
         yield
     except (ValueError, OSError) as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _flag(parse, rule=None, ok=None):
+    """A flag's domain as an argparse type=: `parse` the text, then require
+    ok(value), which `rule` states.  A ValueError of `parse` or an unmet
+    rule is an argparse error, and argparse names the flag."""
+
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if ok is not None and not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    convert.rule = rule
+    return convert
 
 
 def _grid(args):
@@ -61,20 +91,15 @@ def _grid(args):
 
 
 def _load_config(args):
-    if getattr(args, "config", None):
-        with _bad_values(), open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-    else:
-        cfg = RunConfig()
-    overrides = {
-        f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name, None) is not None
-    }
-    if getattr(args, "no_snapshots", False):
-        overrides["snapshots"] = False
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    """The --config file's RunConfig (or the defaults) under the given flags, validated."""
     with _bad_values():
-        return cfg.validate()
+        if args.config:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = parse_config(fh.read())
+        else:
+            cfg = RunConfig()
+        overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name) is not None}
+        return replace(cfg, **overrides).validate()
 
 
 def _cmd_simulate(args):
@@ -116,13 +141,7 @@ def _parse_floats(text):
 
 def _cmd_advdiff(args):
     grid = _grid(args)
-    with _bad_values():
-        drift = advdiff_mod.DriftSpec(kind=args.drift, amplitude=args.amplitude, period=args.period)
-        ps = _parse_floats(args.p_list)
-        qs = [np.inf if s.strip() in ("inf", "oo") else float(s) for s in args.q_list.split(",") if s.strip()]
-        times = sorted(_parse_floats(args.times))
-        env_times = _parse_floats(args.envelope_times)
-        check_output_dir(args.out_dir)
+    ps, qs, times, env_times = args.p_list, args.q_list, args.times, args.envelope_times
     if len(ps) != len(qs):
         raise _UsageError(f"--p-list and --q-list must pair up, got {len(ps)} and {len(qs)} values")
     for p, q in zip(ps, qs):
@@ -130,23 +149,14 @@ def _cmd_advdiff(args):
             raise _UsageError(f"--p-list and --q-list need 1 <= p <= q, got p={p:g}, q={q:g}")
     if ps and not times:
         raise _UsageError("--times needs at least one time when --p-list is given")
-    if not all(0.0 <= t < math.inf for t in times):
-        raise _UsageError(f"--times must be finite and >= 0, got {args.times!r}")
-    if not all(0.0 < t < math.inf for t in env_times):
-        raise _UsageError(f"--envelope-times must be finite and positive, got {args.envelope_times!r}")
-    if env_times and not (0.0 < args.envelope_lambda < 1.0):
-        raise _UsageError(f"--envelope-lambda must lie in (0, 1), got {args.envelope_lambda:g}")
-    if not (0.0 < args.dt_acc < math.inf):
-        raise _UsageError(f"--dt-acc must be finite and positive, got {args.dt_acc:g}")
     y = (args.y1 if args.y1 is not None else grid.lam / 2.0, args.y2)
-    if not all(math.isfinite(c) for c in y):
-        raise _UsageError(f"--y1 and --y2 must be finite, got {y[0]:g}, {y[1]:g}")
     sigma0 = args.sigma0 or 2.0 * max(grid.dx, grid.dy)
     # one evolution of the bump serves every smoothing ratio and envelope
     # fit, and its t = 0 field is the bump itself, the ratios' denominator;
     # a bad sigma0 fails here, before --out is created
     lp_times = [0.0] + times if ps else []
     with _bad_values():
+        drift = advdiff_mod.DriftSpec(kind=args.drift, amplitude=args.amplitude, period=args.period)
         fields = advdiff_mod.fundamental_solution(drift, y, lp_times + env_times, sigma0, grid, dt_acc=args.dt_acc)
     os.makedirs(args.out_dir, exist_ok=True)
 
@@ -175,42 +185,32 @@ def _cmd_advdiff(args):
 
 
 def _parse_weights(text):
-    """A family=weight list: each family one of FIELD_FAMILIES and named
-    once, each weight a finite float >= 0, and the weights summing to a
-    positive total."""
+    """A family=weight list: each family one of FIELD_FAMILIES and named once, each
+    weight a finite float >= 0, and the weights summing to a positive total."""
     families = ineq_mod.FIELD_FAMILIES
     weights = {}
     for part in text.split(","):
         name, _, w = part.partition("=")
         name = name.strip()
         if name not in families:
-            raise ValueError(f"--weights: unknown family {name!r}, expected one of {', '.join(families)}")
+            raise ValueError(f"unknown family {name!r}, expected one of {', '.join(families)}")
         if name in weights:
-            raise ValueError(f"--weights: family {name!r} is given twice")
+            raise ValueError(f"family {name!r} is given twice")
         weights[name] = float(w)
         if not (math.isfinite(weights[name]) and weights[name] >= 0.0):
-            raise ValueError(f"--weights: {name} needs a finite weight >= 0, got {w.strip()!r}")
+            raise ValueError(f"{name} needs a finite weight >= 0, got {w.strip()!r}")
     if not sum(weights.values()) > 0.0:
-        raise ValueError(f"--weights must sum to a positive total, got {text!r}")
+        raise ValueError(f"the weights must sum to a positive total, got {text!r}")
     return weights
 
 
 def _cmd_verify_inequalities(args):
     grid = _grid(args)
-    with _bad_values():
-        weights = _parse_weights(args.weights) if args.weights else None
-        check_output_dir(args.out_dir)
-    if args.samples < 2:
-        raise _UsageError(f"--samples must be >= 2 for the split-half check, got {args.samples}")
-    if args.poincare_samples < 1:
-        raise _UsageError(f"--poincare-samples must be >= 1, got {args.poincare_samples}")
-    if args.seed < 0:
-        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.constants_path:
         # a corrupt ledger, or one in a missing directory, fails before any output
         with _bad_values():
             load_constants(args.constants_path)
-    rows, report = ineq_mod.nash_suite(grid, args.samples, args.seed, weights)
+    rows, report = ineq_mod.nash_suite(grid, args.samples, args.seed, args.weights)
     os.makedirs(args.out_dir, exist_ok=True)
     cols = ("family", "lhs", "rhs_branch1", "rhs_branch2", "ratio", "psi_c")
     write_csv(os.path.join(args.out_dir, "nash_samples.csv"), cols, ([r[c] for c in cols] for r in rows))
@@ -251,27 +251,21 @@ def _cmd_verify_inequalities(args):
     return 0 if ok else 1
 
 
-def _parse_lattice(text, flag):
-    """A start:stop:count lattice with count >= 1."""
+def _parse_lattice(text):
     try:
         a, b, n = text.split(":")
         a, b, n = float(a), float(b), int(n)
     except ValueError:
-        raise ValueError(f"{flag} needs start:stop:count, got {text!r}") from None
-    if n < 1:
-        raise ValueError(f"{flag} needs a count >= 1, got {text!r}")
+        raise ValueError(f"needs start:stop:count, got {text!r}") from None
+    if not (math.isfinite(a) and math.isfinite(b) and n >= 1):
+        raise ValueError(f"needs a finite start and stop and a count >= 1, got {text!r}")
     return np.linspace(a, b, n)
 
 
 def _cmd_kernel_table(args):
-    with _bad_values():
-        xs = _parse_lattice(args.x1, "--x1")
-        ys = _parse_lattice(args.x2, "--x2")
-        if args.out != "-":
-            check_output_file(args.out)
     rows = []
-    for x in xs:
-        for y in ys:
+    for x in args.x1:
+        for y in args.x2:
             try:
                 k = kernel_K(x, y)
                 g1, g2 = grad_perp_K(x, y)
@@ -304,19 +298,7 @@ def _cmd_fit_rates(args):
     return 0
 
 
-def _parse_window(text, flag):
-    window = tuple(_parse_floats(text))
-    if len(window) != 2:
-        raise ValueError(f"{flag} needs two values lo,hi, got {text!r}")
-    return window
-
-
 def _cmd_report(args):
-    with _bad_values():
-        window = _parse_window(args.window, "--window") if args.window else None
-        t_grid = tuple(_parse_floats(args.t_grid))
-        laminar_window = _parse_window(args.laminar_window, "--laminar-window")
-        check_output_file(args.out)
     c3 = args.c3
     if c3 is None:
         # a corrupt ledger, or one in a missing directory, fails before any work
@@ -352,7 +334,7 @@ def _cmd_report(args):
     # before anything is written
     with _bad_values():
         report = diag_mod.theorem_checks(
-            collector, c3=c3, t_grid=t_grid, tau=args.tau, window=window, laminar_window=laminar_window
+            collector, c3=c3, t_grid=args.t_grid, tau=args.tau, window=args.window, laminar_window=args.laminar_window
         )
     if estimated:
         g = collector.snapshots[0].state.grid
@@ -391,28 +373,36 @@ def _cmd_report(args):
     return 1 if failures else 0
 
 
+def _at_least(n):
+    return _flag(int, f"an integer >= {n}", lambda k: k >= n)
+
+
+# the flags' domains, as argparse types
+_POSITIVE = _flag(float, "finite and > 0", lambda x: 0 < x < math.inf)
+_FINITE = _flag(float, "finite", math.isfinite)
+_NUMBERS = _flag(_parse_floats, "comma-separated numbers")
+_Q_NUMBERS = _flag(lambda s: [math.inf if x.strip() == "oo" else float(x) for x in s.split(",") if x.strip()],
+                   "comma-separated numbers, inf or oo")
+_TIMES = _flag(lambda s: sorted(_parse_floats(s)), "comma-separated finite times >= 0",
+               lambda ts: all(0 <= t < math.inf for t in ts))
+_POSITIVE_TIMES = _flag(_parse_floats, "comma-separated finite times > 0", lambda ts: all(0 < t < math.inf for t in ts))
+_PAIR = _flag(lambda s: tuple(_parse_floats(s)), "two values lo,hi", lambda w: len(w) == 2)
+_LATTICE = _flag(_parse_lattice, "start:stop:count, a finite start and stop and a count >= 1")
+_OUT_DIR = _flag(check_output_dir, "a directory that can be made")
+_OUT_FILE = _flag(check_output_file, "a file that can be written")
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(prog="cylflow", description=__doc__)
+    ap = _Parser(prog="cylflow", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="integrate the vorticity equation with diagnostics")
     sim.add_argument("--config", help="flat key=value config file")
-    sim.add_argument("--nx", type=int)
-    sim.add_argument("--ny", type=int)
-    sim.add_argument("--lambda", dest="lam", type=float)
-    sim.add_argument("--t-end", dest="t_end", type=float)
-    sim.add_argument("--dt-acc", dest="dt_acc", type=float)
-    sim.add_argument("--diag-step", dest="diag_step", type=float)
-    sim.add_argument("--diag-times", dest="diag_times")
-    sim.add_argument("--kind")
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--target-ru", dest="target_ru", type=float)
-    sim.add_argument("--target-romega", dest="target_romega", type=float)
-    sim.add_argument("--band", type=int)
-    sim.add_argument("--rho", type=float)
-    sim.add_argument("--center")
-    sim.add_argument("--out", dest="out_dir")
-    sim.add_argument("--no-snapshots", action="store_true")
+    # a flag per RunConfig field, over the config file; RunConfig.validate checks them
+    renamed = {"lam": "--lambda", "out_dir": "--out", "snapshots": "--no-snapshots"}
+    for f in fields(RunConfig):
+        how = {"action": "store_const", "const": False} if f.name == "snapshots" else {"type": type(f.default)}
+        sim.add_argument(renamed.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name, **how)
     sim.set_defaults(fn=_cmd_simulate)
 
     adv = sub.add_parser("advdiff", help="linear advection-diffusion checks")
@@ -422,34 +412,37 @@ def _build_parser():
     adv.add_argument("--nx", type=int, default=128)
     adv.add_argument("--ny", type=int, default=32)
     adv.add_argument("--lambda", dest="lam", type=float, default=16.0)
-    adv.add_argument("--dt-acc", dest="dt_acc", type=float, default=1e-3)
-    adv.add_argument("--p-list", dest="p_list", default="")
-    adv.add_argument("--q-list", dest="q_list", default="")
-    adv.add_argument("--times", default="0.1,0.5,1.0")
+    adv.add_argument("--dt-acc", dest="dt_acc", type=_POSITIVE, default=1e-3)
+    adv.add_argument("--p-list", dest="p_list", type=_NUMBERS, default="")
+    adv.add_argument("--q-list", dest="q_list", type=_Q_NUMBERS, default="")
+    adv.add_argument("--times", type=_TIMES, default="0.1,0.5,1.0")
     adv.add_argument("--sigma0", type=float, default=0.0, help="0 means 2*max(dx, dy)")
-    adv.add_argument("--y1", type=float, default=None)
-    adv.add_argument("--y2", type=float, default=0.5)
-    adv.add_argument("--envelope-times", dest="envelope_times", default="")
-    adv.add_argument("--envelope-lambda", dest="envelope_lambda", type=float, default=0.9)
-    adv.add_argument("--out", dest="out_dir", default="out-advdiff")
+    adv.add_argument("--y1", type=_FINITE, default=None)
+    adv.add_argument("--y2", type=_FINITE, default=0.5)
+    adv.add_argument("--envelope-times", dest="envelope_times", type=_POSITIVE_TIMES, default="")
+    unit = _flag(float, "in (0, 1)", lambda x: 0.0 < x < 1.0)
+    adv.add_argument("--envelope-lambda", dest="envelope_lambda", type=unit, default=0.9)
+    adv.add_argument("--out", dest="out_dir", type=_OUT_DIR, default="out-advdiff")
     adv.set_defaults(fn=_cmd_advdiff)
 
     ver = sub.add_parser("verify-inequalities", help="sample the functional inequalities")
-    ver.add_argument("--samples", type=int, default=1000)
-    ver.add_argument("--poincare-samples", dest="poincare_samples", type=int, default=50)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--samples", type=_at_least(2), default=1000, help="an integer >= 2, for the split-half check")
+    ver.add_argument("--poincare-samples", dest="poincare_samples", type=_at_least(1), default=50)
+    ver.add_argument("--seed", type=_at_least(0), default=0)
     ver.add_argument("--nx", type=int, default=64)
     ver.add_argument("--ny", type=int, default=64)
     ver.add_argument("--lambda", dest="lam", type=float, default=16.0)
-    ver.add_argument("--weights", default="", help="family=weight list, e.g. broad=1,narrow=2")
-    ver.add_argument("--out", dest="out_dir", default="out-inequalities")
+    ver.add_argument("--weights", type=_flag(lambda s: _parse_weights(s) if s else None), default="",
+                     help="family=weight list, e.g. broad=1,narrow=2")
+    ver.add_argument("--out", dest="out_dir", type=_OUT_DIR, default="out-inequalities")
     ver.add_argument("--constants", dest="constants_path", default="")
     ver.set_defaults(fn=_cmd_verify_inequalities)
 
     ker = sub.add_parser("kernel-table", help="tabulate K and grad-perp K as CSV")
-    ker.add_argument("--x1", required=True, help="start:stop:count")
-    ker.add_argument("--x2", required=True, help="start:stop:count")
-    ker.add_argument("--out", default="-")
+    ker.add_argument("--x1", required=True, type=_LATTICE)
+    ker.add_argument("--x2", required=True, type=_LATTICE)
+    ker.add_argument("--out", type=_flag(lambda p: p if p == "-" else _OUT_FILE(p)), default="-",
+                     help=f"- (stdout) or {_OUT_FILE.rule}")
     ker.set_defaults(fn=_cmd_kernel_table)
 
     fit = sub.add_parser("fit-rates", help="decay-rate fit on a diagnostics CSV column")
@@ -464,11 +457,12 @@ def _build_parser():
     rep.add_argument("--run-dir", dest="run_dir", required=True)
     rep.add_argument("--constants", dest="constants_path", default="constants.json")
     rep.add_argument("--c3", type=float, default=None, help="override the ledger C3")
-    rep.add_argument("--t-grid", dest="t_grid", default="1,4,16")
+    rep.add_argument("--t-grid", dest="t_grid", type=_NUMBERS, default="1,4,16")
     rep.add_argument("--tau", type=float, default=0.1)
-    rep.add_argument("--window", default="")
-    rep.add_argument("--laminar-window", dest="laminar_window", default="0.05,0.5")
-    rep.add_argument("--out", default="report.json")
+    rep.add_argument("--window", type=_flag(lambda s: _PAIR(s) if s else None), default="",
+                     help="two values lo,hi; empty for the default window")
+    rep.add_argument("--laminar-window", dest="laminar_window", type=_PAIR, default="0.05,0.5")
+    rep.add_argument("--out", type=_OUT_FILE, default="report.json")
     rep.set_defaults(fn=_cmd_report)
     return ap
 
@@ -481,11 +475,13 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    # the command is set before its flags are parsed, so every error names it
+    args = argparse.Namespace(command=None)
     try:
+        _parser().parse_args(argv, args)
         return args.fn(args)
     except _UsageError as exc:
-        print(f"cylflow {args.command}: error: {exc}", file=sys.stderr)
+        print(f"{' '.join(filter(None, ('cylflow', args.command)))}: error: {exc}", file=sys.stderr)
         return 2
 
 

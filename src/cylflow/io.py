@@ -64,9 +64,8 @@ def write_file(path, data):
 
 
 def check_output_dir(path):
-    """Raise ValueError, naming `path`, unless a directory can be made
-    there: the path is not empty, and the nearest of it and its parents
-    that exists is a directory."""
+    """`path`, if a directory can be made there (it is not empty, and the nearest of it
+    and its parents that exists is a directory); else a ValueError naming it."""
     if not path:
         raise ValueError("output directory '' is an empty path")
     probe = os.path.abspath(path)
@@ -74,12 +73,12 @@ def check_output_dir(path):
         probe = os.path.dirname(probe)
     if not os.path.isdir(probe):
         raise ValueError(f"output directory {path!r}: {probe} is not a directory")
+    return path
 
 
 def check_output_file(path):
-    """Raise ValueError, naming `path`, unless a file can be written there:
-    the path is not empty or a directory, and its directory exists (an
-    empty dirname meaning the current one)."""
+    """`path`, if a file can be written there (it is not empty or a directory, and its
+    directory exists, an empty dirname meaning the current one); else a ValueError naming it."""
     folder = os.path.dirname(path) or "."
     if not path:
         raise ValueError("output file '' is an empty path")
@@ -87,6 +86,7 @@ def check_output_file(path):
         raise ValueError(f"output file {path!r} is a directory")
     if not os.path.isdir(folder):
         raise ValueError(f"output file {path!r}: directory {folder} does not exist")
+    return path
 
 
 def _fmt(v):

@@ -87,9 +87,10 @@ class TestSimulate:
         assert os.listdir(snaps) == ["notes.txt"] and (snaps / "notes.txt").read_text() == "kept\n"
 
     def test_every_config_field_has_a_flag(self):
-        # the overrides are read by field name; --no-snapshots sets snapshots
+        # the overrides are read by field name, and a flag not given reads None
         args = _build_parser().parse_args(["simulate"])
-        assert [f.name for f in fields(RunConfig) if not hasattr(args, f.name)] == ["snapshots"]
+        assert [f.name for f in fields(RunConfig) if getattr(args, f.name, "missing") is not None] == []
+        assert _build_parser().parse_args(["simulate", "--no-snapshots"]).snapshots is False
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -248,11 +249,11 @@ class TestFitRates:
             assert rate == pytest.approx(8 * np.pi**2, rel=1e-6)
         assert np.isfinite(rate)
 
-    def test_unknown_column_is_a_usage_error(self, sim_dir):
+    def test_unknown_column_is_a_usage_error(self, sim_dir, capsys):
         csv = os.path.join(sim_dir, "diagnostics.csv")
-        with pytest.raises(SystemExit) as exc:
-            run_cli("fit-rates", "--csv", csv, "--column", "e_rho", "--t-lo", "0", "--t-hi", "0.2")
-        assert exc.value.code == 2
+        assert run_cli("fit-rates", "--csv", csv, "--column", "e_rho", "--t-lo", "0", "--t-hi", "0.2") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "fit-rates" in err[0] and "--column" in err[0] and "e_rho" in err[0]
 
 
 class TestVerifyInequalities:
@@ -337,6 +338,9 @@ class TestCleanFailures:
             (["simulate", "--config", "{x_lambda}"], "line 1: key 'lambda' expects a number, got 'x'"),
             (["simulate", "--diag-times", "0,abc"], "diag_times must be a comma list of numbers, got '0,abc'"),
             (["verify-inequalities", "--weights", "broad=0,broad=1"], "'broad' is given twice"),
+            (["simulate", "--nx", "abc"], "abc"),
+            (["advdiff", "--drift", "bogus"], "bogus"),
+            (["verify-inequalities", "--samples", "two"], "two"),
         ],
     )
     def test_bad_value(self, argv, word, tmp_path, capsys):
@@ -522,7 +526,9 @@ class TestInputFaults:
         assert run_cli("fit-rates", "--csv", csv, "--t-lo", "0", "--t-hi", "0.05") == 2
         self._one_line(capsys, "fit-rates", "8 samples")
 
-    @pytest.mark.parametrize("flag, value", [("--x1", "0:4"), ("--x1", "0:4:x"), ("--x2", "0:1:0")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--x1", "0:4"), ("--x1", "0:4:x"), ("--x2", "0:1:0"), ("--x1", "0:inf:3"), ("--x1", "nan:1:3")]
+    )
     def test_kernel_table_bad_lattice(self, flag, value, tmp_path, capsys):
         out = tmp_path / "k.csv"
         argv = {"--x1": "0:1:2", "--x2": "0:1:2", flag: value}
@@ -723,6 +729,7 @@ def test_successive_calls_behave_like_fresh_ones(tmp_path, capsys):
     """main parses with one parser per process; a call leaves nothing
     behind for the next one, also when it failed on a bad value."""
     import cylflow.cli
+    from cylflow.cli import _UsageError
 
     argvs = [
         ["simulate", "--nx", "32", "--ny", "32", "--lambda", "8", "--t-end", "0.05", "--diag-step", "0.05",
@@ -733,8 +740,14 @@ def test_successive_calls_behave_like_fresh_ones(tmp_path, capsys):
     ]
     assert [main(argv) for argv in argvs] == [0, 2, 0]
     assert cylflow.cli._parser() is cylflow.cli._parser()
-    for argv in argvs:
+    for argv in argvs[::2]:
         assert vars(cylflow.cli._parser().parse_args(argv)) == vars(_build_parser().parse_args(argv))
+    errors = []
+    for parser in (cylflow.cli._parser(), _build_parser()):
+        with pytest.raises(_UsageError) as exc:
+            parser.parse_args(argvs[1])
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] and "--samples" in errors[0]
     assert (tmp_path / "sim" / "diagnostics.csv").exists() and not (tmp_path / "bad").exists()
     summary = json.load(open(tmp_path / "ineq" / "summary.json"))
     assert summary["samples"] == 80 and summary["config"]["seed"] == 0
