@@ -35,7 +35,7 @@ from .config import (
 )
 from .io import check_output_dir, check_output_file, csv_row, read_csv_records, read_state, write_csv
 from .io import write_csv_records, write_file, write_json, write_state
-from .solver import make_initial_data, run
+from .solver import make_initial_data, march
 from .spectral import ScalarField, make_grid
 
 __all__ = ["main"]
@@ -58,13 +58,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextlib.contextmanager
-def _bad_values():
+def _bad_values(prefix=""):
     """Report a ValueError raised by a library call, or an OSError raised
-    while reading an input file, as a _UsageError."""
+    while reading an input file, as a _UsageError, after `prefix`."""
     try:
         yield
     except (ValueError, OSError) as exc:
-        raise _UsageError(str(exc)) from None
+        raise _UsageError(prefix + str(exc)) from None
 
 
 def _flag(parse, rule=None, ok=None):
@@ -109,22 +109,23 @@ def _cmd_simulate(args):
         raise _UsageError(f"snapshot directory {snap_dir} exists and is not a directory")
     with _bad_values():
         state = make_initial_data(cfg.initial_data_spec(), cfg.grid())
-    # a run directory holds one run: the snapshots of an earlier one go
-    for pattern in ("state_*.bin", "state_*.bin.meta"):
-        for path in glob.glob(os.path.join(glob.escape(snap_dir), pattern)):
-            os.unlink(path)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    collector = diag_mod.TrajectoryCollector(cfg.diagnostics_options())
-    final = run(state, cfg.t_end, cfg.diag_schedule(), dt_acc=cfg.dt_acc, collector=collector)
+    # a run directory holds one run: an earlier one's files go before any step, and a
+    # snapshot is written when it is taken, so an unfinished run leaves those so far
+    for pattern in ("snapshots/state_*.bin", "snapshots/state_*.bin.meta", "run.json", "diagnostics.csv"):
+        for name in glob.glob(pattern, root_dir=cfg.out_dir):
+            os.unlink(os.path.join(cfg.out_dir, name))
+    os.makedirs(snap_dir if cfg.snapshots else cfg.out_dir, exist_ok=True)
+    write_file(os.path.join(cfg.out_dir, "config.txt"), serialize_config(cfg))
+    collector = cfg.collector()
+    for state, tc in march(state, cfg.t_end, cfg.diag_schedule(), dt_acc=cfg.dt_acc):
+        if tc is not None:
+            collector.add(state)
+            if cfg.snapshots:
+                write_state(state, os.path.join(snap_dir, f"state_{len(collector.snapshots) - 1:05d}.bin"))
     records = collector.finalize()
     write_csv_records(records, os.path.join(cfg.out_dir, "diagnostics.csv"))
-    write_file(os.path.join(cfg.out_dir, "config.txt"), serialize_config(cfg))
-    if cfg.snapshots:
-        os.makedirs(snap_dir, exist_ok=True)
-        for i, snap in enumerate(collector.snapshots):
-            write_state(snap.state, os.path.join(snap_dir, f"state_{i:05d}.bin"))
     summary = {
-        "t_final": final.t,
+        "t_final": state.t,
         "m0_norm": state.m0_norm,
         "ru_achieved": collector.snapshots[0].sup_u if collector.snapshots else None,
         "center": collector.center,
@@ -308,24 +309,23 @@ def _cmd_report(args):
         except KeyError:
             pass  # estimated from the run below and recorded in the ledger
     snap_dir = os.path.join(args.run_dir, "snapshots")
-    names = sorted(n for n in os.listdir(snap_dir) if n.endswith(".bin")) if os.path.isdir(snap_dir) else []
-    if not names:
+    paths = sorted(glob.glob(os.path.join(glob.escape(snap_dir), "*.bin")))
+    if not paths:
         raise _UsageError(f"no snapshots under {snap_dir}")
-    with _bad_values():
-        states = sorted(((read_state(os.path.join(snap_dir, n)), n) for n in names), key=lambda sn: sn[0].t)
-    collector = diag_mod.TrajectoryCollector()
-    first = (states[0][0].c, states[0][0].m_mean, states[0][0].m0_norm)
-    for s, name in states:
-        try:
-            collector.add(s)
-        except ValueError as exc:
-            raise _UsageError(f"{os.path.join(snap_dir, name)}: {exc}") from None
-        # c, m_mean and m0_norm are conserved within a run
-        if (s.c, s.m_mean, s.m0_norm) != first:
-            raise _UsageError(
-                f"{os.path.join(snap_dir, name)}: (c, m_mean, m0_norm) = {(s.c, s.m_mean, s.m0_norm)} differ "
-                f"from {first} of {states[0][1]}; a run directory holds the snapshots of one run"
-            )
+    run_json = os.path.join(args.run_dir, "run.json")
+    try:  # at the centre that simulate recorded
+        with open(run_json, encoding="utf-8") as fh:
+            collector = diag_mod.TrajectoryCollector(center=json.load(fh)["center"])
+    except FileNotFoundError:  # an unfinished run
+        collector = diag_mod.TrajectoryCollector()
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise _UsageError(f"{run_json}: no run centre: {exc!r}") from None
+    # in name order, which simulate makes time order; add checks they are one run
+    for path in paths:
+        with _bad_values():
+            state = read_state(path)
+        with _bad_values(f"{path}: "):
+            collector.add(state)
 
     estimated = c3 is None
     if estimated:
@@ -337,7 +337,7 @@ def _cmd_report(args):
             collector, c3=c3, t_grid=args.t_grid, tau=args.tau, window=args.window, laminar_window=args.laminar_window
         )
     if estimated:
-        g = collector.snapshots[0].state.grid
+        g = collector.grid
         update_constant(
             args.constants_path,
             EstimatedConstant(

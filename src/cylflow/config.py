@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .diagnostics import DiagnosticsOptions
+from .diagnostics import TrajectoryCollector
 from .io import check_output_dir, check_output_file, flat_text, parse_flat, write_json
 from .solver import InitialDataSpec, _requested_times
 from .spectral import make_grid
@@ -52,15 +52,14 @@ class RunConfig:
 
     def validate(self):
         """Check every value by building the grid, the initial-data spec and
-        the diagnostics options, and that out_dir can be made; returns
-        self."""
+        the collector, and that out_dir can be made; returns self."""
         grid = self.grid()
         for name in ("t_end", "dt_acc", "diag_step"):
             value = getattr(self, name)
             if not (0 < value < math.inf):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         self.initial_data_spec().check_band(grid)
-        self.diagnostics_options()
+        self.collector()
         sched = self.diag_schedule()
         if not all(math.isfinite(t) for t in sched):
             raise ValueError(f"diagnostic times must be finite, got {self.diag_times}")
@@ -78,12 +77,12 @@ class RunConfig:
             kind=self.kind, seed=self.seed, target_ru=self.target_ru, target_romega=self.target_romega, band=self.band
         )
 
-    def diagnostics_options(self):
-        """The options, with a numeric center as a float."""
+    def collector(self):
+        """A new collector for this run, with a numeric center as a float."""
         center = self.center
         with contextlib.suppress(ValueError):
             center = float(center)
-        return DiagnosticsOptions(rho=self.rho, center=center)
+        return TrajectoryCollector(rho=self.rho, center=center)
 
     def diag_schedule(self):
         """Diagnostic times: the explicit list, or multiples of diag_step."""

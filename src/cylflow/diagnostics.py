@@ -38,7 +38,6 @@ from .spectral import (
 __all__ = [
     "DiagnosticsRecord",
     "RateFit",
-    "DiagnosticsOptions",
     "TrajectoryCollector",
     "CSV_COLUMNS",
     "localized_sum",
@@ -90,23 +89,6 @@ class RateFit:
     rms_log_residual: float
 
 
-@dataclass
-class DiagnosticsOptions:
-    """Localization weight and window policy for per-time records."""
-
-    rho: float = 1.0
-    center: object = "argmax_e"  # initial energy-density argmax, or an explicit x1
-
-    def __post_init__(self):
-        if not (0 < self.rho < math.inf):
-            raise ValueError(f"rho must be finite and positive, got {self.rho}")
-        if isinstance(self.center, str):
-            if self.center != "argmax_e":
-                raise ValueError(f"unknown center policy {self.center!r}")
-        elif not math.isfinite(self.center):
-            raise ValueError(f"center must be 'argmax_e' or a finite x1, got {self.center}")
-
-
 @lru_cache(maxsize=8)
 def _mean_weights(grid):
     """Read-only (3, 2*(ny//2+1)) weights on interleaved mixed coefficients,
@@ -122,8 +104,9 @@ def _mean_weights(grid):
 
 
 class _FineFields:
-    """The buffer set of a collector: the profile ingredients of a state on
-    `grid`, on the padded x1 grid `_padded_grid(grid)`, that `fill` writes.
+    """The buffer set of a collector: the profile ingredients of a state of
+    a run on `grid` with constant `M`, on the padded x1 grid
+    `_padded_grid(grid)`, that `fill` writes.
 
     One batched x1 stage of the dealiased band gives the mixed
     coefficients (x1 sampled, x2 spectral) of the velocity, the vorticity
@@ -132,8 +115,8 @@ class _FineFields:
     through the x1 stage only.
     """
 
-    def __init__(self, grid):
-        self.grid, self.fine = grid, _padded_grid(grid)
+    def __init__(self, grid, M):
+        self.grid, self.fine, self.M = grid, _padded_grid(grid), M
         rows, ncols = 2 * grid.nx, grid._ncols
         # One allocation, which the heap keeps for the next collector (as
         # separate arrays, it was given back and faulted in again).  First
@@ -163,7 +146,6 @@ class _FineFields:
         # the fine samples at stride 2 are the state's own grid values
         work = samples[3].reshape(2, g.nx, g.ny), self._pair.view(np.complex128).reshape(2, g.nx, -1)
         _x1_inverse(g, _pressure_hat(g, samples[0, ::2], samples[2, ::2], work), 2 * g.nx, out=self._mixed[6])
-        self.M = state.m0_norm
 
     def _means(self, a, b):
         """Vertical means of f_a * f_b by Parseval in x2: of the full
@@ -328,7 +310,6 @@ def fit_decay_rate(series, window, model):
 @dataclass
 class _Snapshot:
     t: float
-    state: object  # a solver.FlowState; diagnostics reads states and never imports the solver
     fine: dict
     sup_u: float
     sup_omega: float
@@ -341,54 +322,53 @@ class TrajectoryCollector:
     """The trajectory of one run: per-time diagnostics of each state handed
     to `add`, from which `finalize` builds the records.
 
+    The first `add` records the run's `grid`, `c`, `m_mean` and `M` (its
+    m0_norm), and resolves `center` "argmax_e" to the initial energy-density
+    argmax.  A later state must match the run and lie strictly later in
+    time, or `add` raises a ValueError naming both sides.
+
     Residual columns use centered differences, so they are filled for
     interior, equally spaced diagnostic times and left at zero on the ends.
     """
 
-    def __init__(self, options=None):
-        self.options = options or DiagnosticsOptions()
+    def __init__(self, rho=1.0, center="argmax_e"):
+        if not (0 < rho < math.inf):
+            raise ValueError(f"rho must be finite and positive, got {rho}")
+        if isinstance(center, str):
+            if center != "argmax_e":
+                raise ValueError(f"unknown center policy {center!r}")
+        elif not (isinstance(center, (int, float)) and math.isfinite(center)):
+            raise ValueError(f"center must be 'argmax_e' or a finite x1, got {center}")
+        self.rho, self.center = rho, center
+        self.grid = self.c = self.m_mean = self.M = None
         self.snapshots = []
-        self._center = None
         self._fields = None
 
     def add(self, state):
+        run = (state.grid, state.c, state.m_mean, state.m0_norm)
+        if self._fields is None:
+            self.grid, self.c, self.m_mean, self.M = run
+            self._fields = _FineFields(self.grid, self.M)
+        else:
+            for key, got, had in zip(("grid", "c", "m_mean", "m0_norm"), run, (self.grid, self.c, self.m_mean, self.M)):
+                if got != had:
+                    raise ValueError(f"state has {key}={got!r}, but this trajectory has {key}={had!r}")
+            if not state.t > self.snapshots[-1].t:
+                raise ValueError(f"state at t={state.t!r}, but this trajectory is at t={self.snapshots[-1].t!r}")
         ff = self._fields
-        if ff is None:
-            ff = self._fields = _FineFields(state.grid)
-        elif state.grid != ff.grid:
-            raise ValueError(f"state on {state.grid!r}, but this trajectory is on {ff.grid!r}")
         ff.fill(state)
         pr, (sup_u, sup_w, sup_uhat) = ff.profiles()
-        if self._center is None:
-            if self.options.center == "argmax_e":
-                self._center = float(ff.fine.x1[int(np.argmax(pr["e"]))])
-            else:
-                self._center = float(self.options.center)
-        ul2 = _ul2_from_profile(ff.fine.dx, 2.0 * pr["e_hat"]) if state.grid.lam >= 2.0 else 0.0
+        if self.center == "argmax_e":
+            self.center = float(ff.fine.x1[int(np.argmax(pr["e"]))])
+        ul2 = _ul2_from_profile(ff.fine.dx, 2.0 * pr["e_hat"]) if self.grid.lam >= 2.0 else 0.0
         forcing_sup = float(np.abs(pr["forcing"]).max())
-        self.snapshots.append(
-            _Snapshot(
-                t=state.t,
-                state=state,
-                fine=pr,
-                sup_u=sup_u,
-                sup_omega=sup_w,
-                sup_uhat=sup_uhat,
-                ul2_uhat=ul2,
-                forcing_sup=forcing_sup,
-            )
-        )
-
-    @property
-    def center(self):
-        return self._center
+        self.snapshots.append(_Snapshot(state.t, pr, sup_u, sup_w, sup_uhat, ul2, forcing_sup))
 
     def finalize(self):
-        opts = self.options
         recs = []
         snaps = self.snapshots
-        fine = _padded_grid(snaps[0].state.grid) if snaps else None
-        loc = _localizer(fine, opts.rho, self._center) if snaps else None
+        fine = _padded_grid(self.grid) if snaps else None
+        loc = _localizer(fine, self.rho, self.center) if snaps else None
         for i, s in enumerate(snaps):
             e_rho = loc(s.fine["e"])
             d_rho = loc(s.fine["d"])
@@ -457,8 +437,7 @@ def theorem_checks(collector, *, c3, t_grid=(1.0, 4.0, 16.0), tau=0.1, window=No
     if not collector.snapshots:
         raise ValueError("empty trajectory")
     first = collector.snapshots[0]
-    g = first.state.grid
-    M = first.state.m0_norm
+    g, M = collector.grid, collector.M
     e_star0 = float(first.fine["e"].max())
     ru0 = first.sup_u
     report = {

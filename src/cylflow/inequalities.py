@@ -122,8 +122,7 @@ def flux_bound_constants(collector):
     """
     if not collector.snapshots:
         raise ValueError("empty trajectory")
-    M = collector.snapshots[0].state.m0_norm
-    g = collector.snapshots[0].state.grid
+    M, g = collector.M, collector.grid
     parts = {"C3": [], "C4": [], "C8": [], "g_ratio": []}
     skipped = {k: 0 for k in parts}
     for s in collector.snapshots:

@@ -83,7 +83,7 @@ def ledger(long_suite, tmp_path_factory):
     c3 = 0.0
     for traj in long_suite:
         c3 = max(c3, flux_bound_constants(traj)["C3"].max_ratio)
-    g = long_suite[0].snapshots[0].state.grid
+    g = long_suite[0].grid
     update_constant(
         path,
         EstimatedConstant("C3", c3, {"nx": g.nx, "ny": g.ny, "lambda": g.lam, "seeds": list(LONG_SEEDS)}),
@@ -219,7 +219,7 @@ def test_criterion_03_maximum_principle_and_monotonicity():
         growth = np.diff(sups)
         worst_step = max(worst_step, float((growth / st.m0_norm).max()))
         assert (growth <= 1e-8 * st.m0_norm).all()
-        energies = [2 * (s.fine["e"].sum() * s.state.grid.lam / s.fine["e"].shape[0]) for s in coll.snapshots]
+        energies = [2 * (s.fine["e"].sum() * coll.grid.lam / s.fine["e"].shape[0]) for s in coll.snapshots]
         assert all(b <= a * (1 + 1e-10) for a, b in zip(energies, energies[1:]))
         assert final.m_mean == pytest.approx(st.m_mean, abs=1e-12)
     note(f"criterion 3 PASS: 10 trajectories, worst per-step sup growth {worst_step:.2e} (<= 1e-8)")
@@ -262,7 +262,7 @@ def test_criterion_05_pointwise_inequalities(long_suite):
     slack = 1e-8
     checked = 0
     for traj in long_suite:
-        M = traj.snapshots[0].state.m0_norm
+        M = traj.M
         for s in traj.snapshots:
             pr = s.fine
             kappa_t = s.sup_omega / (4 * np.pi**2)

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from cylflow import diagnostics as diag_mod
+from cylflow import solver
 from cylflow.biotsavart import kernel_K
 from cylflow.cli import _build_parser, main
 from cylflow.config import EstimatedConstant, RunConfig, update_constant
 from cylflow.diagnostics import CSV_COLUMNS, TrajectoryCollector
 from cylflow.io import read_csv_records, read_state, write_state
-from cylflow.solver import InitialDataSpec, make_initial_data
+from cylflow.solver import InitialDataSpec, InstabilityError, make_initial_data
 from cylflow.spectral import make_grid, to_physical
 
 
@@ -85,6 +86,36 @@ class TestSimulate:
         assert len(m_means) == 1 and first_m_mean not in m_means
         assert small_run(out, 0.01, 12, 2, "--no-snapshots") == 0
         assert os.listdir(snaps) == ["notes.txt"] and (snaps / "notes.txt").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over_a_finished_run"])
+    def test_an_unfinished_run_leaves_its_snapshots_so_far(self, earlier, tmp_path, monkeypatch):
+        """Each snapshot is written when it is taken: a run stopped by an
+        InstabilityError leaves the snapshots of the times it reached, each
+        readable, its config.txt, and no run.json, diagnostics.csv or
+        temporary file, also where a finished run was before."""
+        out = tmp_path / "run"
+        if earlier:
+            assert small_run(out, 0.02, 8, 1) == 0
+        real, reached = solver.step, []
+
+        def unstable(state, dt):
+            if len(reached) == 11:
+                raise InstabilityError("forced", t=state.t)
+            reached.append(state.t + dt)
+            return real(state, dt)
+
+        monkeypatch.setattr(solver, "step", unstable)
+        with pytest.raises(InstabilityError):
+            small_run(out, 0.02, 12, 2)
+        taken = [t for t in (0.0, 0.005, 0.01, 0.015, 0.02) if t <= max(reached) + 1e-12]
+        assert 2 <= len(taken) < 5
+        names = sorted(os.listdir(out / "snapshots"))
+        assert names == [f"state_{i:05d}.bin{ext}" for i in range(len(taken)) for ext in ("", ".meta")]
+        for i, t in enumerate(taken):
+            st = read_state(str(out / "snapshots" / f"state_{i:05d}.bin"))
+            assert st.t == pytest.approx(t, abs=1e-12) and st.grid.nx == 16
+        assert sorted(os.listdir(out)) == ["config.txt", "snapshots"]
+        assert "seed = 2" in (out / "config.txt").read_text()
 
     def test_every_config_field_has_a_flag(self):
         # the overrides are read by field name, and a flag not given reads None
@@ -450,6 +481,69 @@ class TestCleanFailures:
         assert run_cli("report", "--run-dir", str(tmp_path / "b"), *argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "report" in err[0] and "state_00003.bin:" in err[0] and "m_mean" in err[0]
+        assert not const.exists() and not rep_path.exists()
+
+    def test_report_rejects_snapshots_out_of_time_order(self, sim_dir, tmp_path, capsys):
+        """Snapshots are read in name order, which simulate makes time
+        order: a state earlier than the one before it is named."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(os.path.join(sim_dir, "snapshots"), run_dir / "snapshots")
+        snaps = run_dir / "snapshots"
+        for ext in ("", ".meta"):
+            os.replace(snaps / f"state_00002.bin{ext}", tmp_path / "swap")
+            os.replace(snaps / f"state_00003.bin{ext}", snaps / f"state_00002.bin{ext}")
+            os.replace(tmp_path / "swap", snaps / f"state_00003.bin{ext}")
+        rep_path = tmp_path / "report.json"
+        assert run_cli("report", "--run-dir", str(run_dir), "--c3", "1.0", "--out", str(rep_path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].count("state_00003.bin") == 1 and "t=0.04" in err[0] and "t=0.06" in err[0]
+        assert not rep_path.exists()
+
+    def test_report_localizes_at_the_run_centre(self, tmp_path):
+        """report localizes at the centre simulate recorded in run.json,
+        here half a period from the initial energy-density argmax; a run
+        directory without run.json (an unfinished run) falls back to the
+        argmax."""
+        argv = ["--nx", "32", "--ny", "32", "--lambda", "8", "--t-end", "0.05", "--diag-step", "0.025", "--seed", "3"]
+        cfg = RunConfig(nx=32, ny=32, lam=8.0, seed=3)
+        argmax = cfg.collector()
+        argmax.add(make_initial_data(cfg.initial_data_spec(), cfg.grid()))
+        center = (argmax.center + 4.0) % 8.0
+        run_dir = tmp_path / "run"
+        assert run_cli("simulate", *argv, "--center", repr(center), "--out", str(run_dir)) == 0
+        assert json.loads((run_dir / "run.json").read_text())["center"] == center
+
+        def ratio(path):
+            rep = ["report", "--run-dir", str(run_dir), "--c3", "1", "--t-grid", "0.05", "--out", str(path)]
+            assert run_cli(*rep) in (0, 1)
+            return json.loads(path.read_text())["localized_energy"][0]["ratio"]
+
+        def want(center):
+            coll = TrajectoryCollector(center=center)
+            for i in range(3):
+                coll.add(read_state(str(run_dir / "snapshots" / f"state_{i:05d}.bin")))
+            return diag_mod.theorem_checks(coll, c3=1.0, t_grid=(0.05,))["localized_energy"][0]["ratio"]
+
+        at_center = ratio(tmp_path / "a.json")
+        assert at_center == want(center) and abs(at_center - want("argmax_e")) > 1e-4 * at_center
+        os.remove(run_dir / "run.json")
+        assert ratio(tmp_path / "b.json") == want("argmax_e")
+
+    @pytest.mark.parametrize(
+        "text", ["{", "[]", "{}", '{"center": null}', '{"center": "middle"}', '{"center": NaN}'],
+        ids=["not_json", "list", "no_center", "null", "unknown_policy", "nan"],
+    )
+    def test_report_malformed_run_json(self, text, sim_dir, tmp_path, capsys):
+        """A run.json without a valid centre fails before any snapshot is
+        read or anything is written."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(sim_dir, run_dir)
+        (run_dir / "run.json").write_text(text)
+        const, rep_path = tmp_path / "constants.json", tmp_path / "report.json"
+        argv = ["report", "--run-dir", str(run_dir), "--constants", str(const), "--out", str(rep_path)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "report" in err[0] and str(run_dir / "run.json") in err[0]
         assert not const.exists() and not rep_path.exists()
 
     @pytest.mark.parametrize("make_snapshot_dir", [False, True])

@@ -13,7 +13,7 @@ from cylflow.config import (
     serialize_config,
     update_constant,
 )
-from cylflow.diagnostics import CSV_COLUMNS, DiagnosticsOptions, DiagnosticsRecord
+from cylflow.diagnostics import CSV_COLUMNS, DiagnosticsRecord
 from cylflow.io import (
     csv_row,
     read_csv_records,
@@ -86,8 +86,9 @@ class TestParseConfig:
         cfg = parse_config("nx = 32\nlambda = 8\ncenter = 3.5\nrho = 2\nkind = laminar_small\nseed = 4\n")
         assert (cfg.grid().nx, cfg.grid().ny, cfg.grid().lam) == (32, 64, 8.0)
         assert cfg.initial_data_spec() == InitialDataSpec(kind="laminar_small", seed=4, target_romega=1.0)
-        assert cfg.diagnostics_options() == DiagnosticsOptions(rho=2.0, center=3.5)
-        assert RunConfig().diagnostics_options().center == "argmax_e"
+        coll = cfg.collector()
+        assert (coll.rho, coll.center) == (2.0, 3.5)
+        assert RunConfig().collector().center == "argmax_e"
 
     @pytest.mark.parametrize(
         "text, message",

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -7,7 +8,6 @@ import pytest
 from cylflow.advdiff import v_volume
 from cylflow.biotsavart import _biot_savart, _pressure_hat
 from cylflow.diagnostics import (
-    DiagnosticsOptions,
     Profile,
     TrajectoryCollector,
     _ul2_from_profile,
@@ -380,17 +380,21 @@ class TestBufferSet:
 
     @staticmethod
     def states(n):
+        """Two states of one run: seed 4's vorticity with seed 3's c, m_mean
+        and m0_norm, at a later time."""
         g = make_grid(n, n, 16.0)
-        return [
+        a, b = (
             make_initial_data(InitialDataSpec(kind="random_bandlimited", seed=s, target_romega=5.0, target_ru=8.0), g)
             for s in (3, 4)
-        ]
+        )
+        return [a, replace(b, c=a.c, m_mean=a.m_mean, m0_norm=a.m0_norm, t=0.1)]
 
     @staticmethod
     def collect(states):
+        """A collector fed the states at t = 0, 0.1, 0.2, ..."""
         coll = TrajectoryCollector()
-        for st in states:
-            coll.add(st)
+        for i, st in enumerate(states):
+            coll.add(replace(st, t=0.1 * i))
         return coll
 
     def test_reuse_matches_a_fresh_collector(self):
@@ -431,6 +435,38 @@ class TestBufferSet:
         with pytest.raises(ValueError, match=r"nx=48, ny=32.*nx=32, ny=32"):
             coll.add(other)
         assert len(coll.snapshots) == 1
+
+
+class TestOneRun:
+    """The first `add` records the run (grid, c, m_mean and M); a later
+    state of another run, or not strictly later in time, is refused with
+    both sides named, and the trajectory is left as it was."""
+
+    @staticmethod
+    def trajectory():
+        a = TestBufferSet.states(32)[0]
+        return a, TestBufferSet.collect((a, a))
+
+    def test_records_the_run(self):
+        a, coll = self.trajectory()
+        assert (coll.grid, coll.c, coll.m_mean, coll.M) == (a.grid, a.c, a.m_mean, a.m0_norm)
+        assert a.m_mean != 0.0
+
+    @pytest.mark.parametrize("name", ["c", "m_mean", "m0_norm"])
+    def test_rejects_another_runs_constant(self, name):
+        a, coll = self.trajectory()
+        other = replace(a, t=0.2, **{name: getattr(a, name) + 0.5})
+        got, want = re.escape(f"{name}={getattr(other, name)!r}"), re.escape(f"{name}={getattr(a, name)!r}")
+        with pytest.raises(ValueError, match=f"{got}.*{want}"):
+            coll.add(other)
+        assert len(coll.snapshots) == 2
+
+    @pytest.mark.parametrize("t", [0.1, 0.05, 0.0])
+    def test_rejects_a_state_not_later(self, t):
+        a, coll = self.trajectory()
+        with pytest.raises(ValueError, match=re.escape(f"t={t!r}") + ".*t=0.1$"):
+            coll.add(replace(a, t=t))
+        assert [s.t for s in coll.snapshots] == [0.0, 0.1]
 
 
 class TestFitDecayRate:

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylflow.diagnostics import DiagnosticsOptions, TrajectoryCollector, theorem_checks
+from cylflow.diagnostics import TrajectoryCollector, theorem_checks
 from cylflow.solver import InitialDataSpec, make_initial_data, run
 from cylflow.spectral import ScalarField, dealias, make_grid, to_physical, to_spectral
 
@@ -43,7 +43,7 @@ def act(symmetry, shift, grid, w, c, m_mean, a):
 
 
 def trajectory(state, center):
-    collector = TrajectoryCollector(DiagnosticsOptions(center=center))
+    collector = TrajectoryCollector(center=center)
     final = run(state, T_END, DIAG_TIMES, dt_acc=DT_ACC, collector=collector)
     report = theorem_checks(
         collector, c3=1.0, t_grid=(0.025, 0.05), tau=0.025, window=(0.01, 0.05), laminar_window=(0.0, 0.05)
